@@ -8,18 +8,19 @@ order through which it is known.
 """
 
 from .lambda_scalars import (EngineError, ZeroNotInvertible, FormalModeError,
-                             TruncatedTailError, ExactComplex, EC_ZERO, EC_ONE,
-                             EC_I, FormalScalar, LambdaBinding, FORMAL,
+                             TruncatedTailError, ScopeError, ExactComplex,
+                             EC_ZERO, EC_ONE, EC_I, FormalScalar, LambdaBinding,
+                             FORMAL,
                              scalar_add, scalar_mul, scalar_conj, scalar_invert,
                              scalar_eval, agreement_depth, agree,
                              converges_per_power, render_scalar,
                              scalar_to_json, scalar_from_json)
 from .phase_functions import (AlphaMismatch, NotIntegrable, UnknownCoordinate,
-                              DimensionMismatch, PhaseContext, pi_bounds,
-                              PiRational, PiScalar, coeff_sign, GaussPoly,
-                              gp_arith, gp_diff, gp_eval, gp_integrate,
-                              gp_poisson, render_gausspoly, gp_to_json,
-                              gp_from_json)
+                              DimensionMismatch, PiSeparationError,
+                              PhaseContext, pi_bounds, PiRational, PiScalar,
+                              coeff_sign, GaussPoly, gp_diff, gp_eval,
+                              gp_integrate, gp_poisson, render_gausspoly,
+                              gp_to_json, gp_from_json)
 from .formal_series import (GaussSum, FormalFunction, fs_linear_comb,
                             fs_bullet, fs_diff, fs_integrate, render_function,
                             fs_to_json, fs_from_json)

@@ -29,7 +29,8 @@ from .formal_series import (FormalFunction, fs_bullet, fs_integrate,
 from .star_products import (moyal_family, bullet_family, star_mul,
                             star_commutator, star_trace, axiom_suite)
 from .functionals_states import (FormalFunctional, wigner_state,
-                                 positivity_check, normalize_functional,
+                                 bind_functional, positivity_check,
+                                 normalize_functional,
                                  eigencheck_classical, eigencheck_bullet,
                                  eigencheck_star, negative_region)
 
@@ -612,7 +613,7 @@ def _dispatch(args):
 
     if cmd == "positivity":
         fam = _family(args.product, ctx)
-        T = parse_functional(args.functional, ctx)
+        T = bind_functional(parse_functional(args.functional, ctx), binding)
         wits = [lower_expression(parse_expression(w, ctx), ctx)
                 for w in args.witnesses]
         samples = (Fraction(args.lam),) if args.lam is not None else None
@@ -631,7 +632,7 @@ def _dispatch(args):
 
     if cmd == "normalize":
         fam = _family(args.product, ctx)
-        T = parse_functional(args.functional, ctx)
+        T = bind_functional(parse_functional(args.functional, ctx), binding)
         order = args.order if args.order is not None else 6
         A, T2 = normalize_functional(fam, T, order)
         if args.full:

@@ -44,6 +44,14 @@ class GaussSum(object):
         return GaussSum(f.ctx, (f,))
 
     @staticmethod
+    def _trusted(ctx, parts):
+        # parts built by the engine: nonzero, distinct widths, sorted by alpha
+        out = object.__new__(GaussSum)
+        object.__setattr__(out, "ctx", ctx)
+        object.__setattr__(out, "parts", tuple(parts))
+        return out
+
+    @staticmethod
     def zero(ctx):
         return GaussSum(ctx, ())
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
-                             ExactComplex, EC_ZERO, EC_ONE, as_coeff,
+                             ScopeError, ExactComplex, EC_ZERO, EC_ONE, as_coeff,
                              FormalScalar, FORMAL,
                              tail_min, mul_tail, scalar_invert, scalar_eval,
                              render_scalar)
@@ -836,7 +836,11 @@ class EigenReport(object):
 
 def _test_monomials(ctx, test_degree):
     from .star_products import _monomial_generators
-    return _monomial_generators(ctx, test_degree)
+    tests = _monomial_generators(ctx, test_degree)
+    if not tests:
+        # a verdict over no test functions would certify nothing
+        raise ScopeError("test degree %d leaves no test monomials" % test_degree)
+    return tests
 
 
 def eigencheck_classical(phi, a, point):

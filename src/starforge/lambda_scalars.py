@@ -28,6 +28,10 @@ class TruncatedTailError(EngineError):
     """Raised when an operation refuses to drop unknown tail coefficients."""
 
 
+class ScopeError(EngineError, ValueError):
+    """A check or truncation was asked for an empty or negative scope."""
+
+
 # ============================================================
 # Complex rationals
 # ============================================================
@@ -64,13 +68,13 @@ class ExactComplex(object):
         return self.im == 0
 
     def conj(self):
-        return ExactComplex(self.re, -self.im)
+        return _ec(self.re, -self.im)
 
     def reciprocal(self):
         d = self.re * self.re + self.im * self.im
         if d == 0:
             raise ZeroDivisionError("division by exact zero")
-        return ExactComplex(self.re / d, -self.im / d)
+        return _ec(self.re / d, -self.im / d)
 
     @staticmethod
     def _coerce(other):
@@ -84,7 +88,7 @@ class ExactComplex(object):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(self.re + o.re, self.im + o.im)
+        return _ec(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -92,7 +96,7 @@ class ExactComplex(object):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(self.re - o.re, self.im - o.im)
+        return _ec(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -101,11 +105,17 @@ class ExactComplex(object):
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return _ec(self.re * other, self.im * other)
+        if not isinstance(other, ExactComplex):
             return NotImplemented
-        return ExactComplex(self.re * o.re - self.im * o.im,
-                            self.re * o.im + self.im * o.re)
+        # a real factor on either side halves the Fraction work
+        if not other.im:
+            return _ec(self.re * other.re, self.im * other.re)
+        if not self.im:
+            return _ec(self.re * other.re, self.re * other.im)
+        return _ec(self.re * other.re - self.im * other.im,
+                   self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
@@ -122,7 +132,7 @@ class ExactComplex(object):
         return o * self.reciprocal()
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        return _ec(-self.re, -self.im)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -170,6 +180,19 @@ class ExactComplex(object):
     def from_json(data):
         rn, rd, im_n, im_d = data
         return ExactComplex(Fraction(rn, rd), Fraction(im_n, im_d))
+
+
+_set_re = ExactComplex.re.__set__
+_set_im = ExactComplex.im.__set__
+
+
+def _ec(re, im):
+    # trusted constructor for parts the arithmetic has just computed
+    # (always Fractions), skipping the public constructor's coercion
+    x = object.__new__(ExactComplex)
+    _set_re(x, re)
+    _set_im(x, im)
+    return x
 
 
 EC_ZERO = ExactComplex(0)
@@ -437,7 +460,7 @@ def scalar_invert(a, order):
     if not a.coeffs:
         raise ZeroNotInvertible("cannot invert a scalar with no known nonzero coefficient")
     if not isinstance(order, int) or order < 0:
-        raise ValueError("truncation order must be a nonnegative integer")
+        raise ScopeError("truncation order must be a nonnegative integer")
     v = a.valuation
     if len(a.coeffs) == 1 and a.tail is None:
         return FormalScalar(-v, (_reciprocal(a.coeffs[0]),))

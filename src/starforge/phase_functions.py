@@ -13,11 +13,14 @@ rational bounds on pi.
 """
 
 from fractions import Fraction
+from operator import add
 
 from mpmath import libmp
 
 from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE,
                              as_coeff, _frac)
+
+_ZERO = Fraction(0)
 
 
 class AlphaMismatch(EngineError):
@@ -34,6 +37,10 @@ class UnknownCoordinate(EngineError, KeyError):
 
 class DimensionMismatch(EngineError):
     pass
+
+
+class PiSeparationError(EngineError, ArithmeticError):
+    """A value at pi could not be told apart from zero within the bit budget."""
 
 
 # ============================================================
@@ -134,7 +141,7 @@ def _poly_sign_at_pi(coeffs, max_bits=4096):
         if fhi < 0:
             return -1
         bits *= 2
-    raise ArithmeticError("could not separate polynomial value at pi from zero")
+    raise PiSeparationError("could not separate polynomial value at pi from zero")
 
 
 # ============================================================
@@ -654,10 +661,12 @@ class GaussPoly(object):
         if self.alpha != other.alpha:
             raise AlphaMismatch("cannot add Gaussian factors exp(-%s*r^2) and exp(-%s*r^2)"
                                 % (self.alpha, other.alpha))
+        _check_same_ctx(self, other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, EC_ZERO) + c
-        return GaussPoly(self.ctx, out, self.alpha)
+            prev = out.get(exps)
+            out[exps] = c if prev is None else prev + c
+        return _gp(self.ctx, out, self.alpha)
 
     def __sub__(self, other):
         if not isinstance(other, GaussPoly):
@@ -665,27 +674,26 @@ class GaussPoly(object):
         return self + (-other)
 
     def __neg__(self):
-        return GaussPoly(self.ctx, {e: -c for e, c in self.terms.items()}, self.alpha)
+        return _gp(self.ctx, {e: -c for e, c in self.terms.items()}, self.alpha)
 
     def __mul__(self, other):
         if not isinstance(other, GaussPoly):
             return NotImplemented
+        _check_same_ctx(self, other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(key, EC_ZERO) + c1 * c2
-                out[key] = acc
-        return GaussPoly(self.ctx, out, self.alpha + other.alpha)
+        gp_mul_into(out, EC_ONE, self.terms, other.terms)
+        return _gp(self.ctx, out, self.alpha + other.alpha)
 
     def scale(self, c):
         c = as_coeff(c)
         if not c:
             return GaussPoly.zero(self.ctx)
-        return GaussPoly(self.ctx, {e: c * x for e, x in self.terms.items()}, self.alpha)
+        if not isinstance(c, ExactComplex):
+            raise TypeError("GaussPoly coefficients must be complex-rational")
+        return _gp(self.ctx, {e: c * x for e, x in self.terms.items()}, self.alpha)
 
     def conj(self):
-        return GaussPoly(self.ctx, {e: c.conj() for e, c in self.terms.items()}, self.alpha)
+        return _gp(self.ctx, {e: c.conj() for e, c in self.terms.items()}, self.alpha)
 
     def diff(self, var):
         return gp_diff(self, var)
@@ -708,39 +716,56 @@ class GaussPoly(object):
         return "GaussPoly(%s)" % self
 
 
-def gp_arith(op, f, other=None):
-    """Dispatcher: op in {add, mul, scale, conj}."""
-    if op == "add":
-        return f + other
-    if op == "mul":
-        return f * other
-    if op == "scale":
-        return f.scale(other)
-    if op == "conj":
-        return f.conj()
-    raise ValueError("unknown op %r" % (op,))
+_set_ctx = GaussPoly.ctx.__set__
+_set_alpha = GaussPoly.alpha.__set__
+_set_terms = GaussPoly.terms.__set__
+
+
+def _gp(ctx, terms, alpha):
+    # trusted constructor for terms the arithmetic has just computed: exponent
+    # tuples of length 2n and ExactComplex coefficients; only zeros are dropped
+    f = object.__new__(GaussPoly)
+    terms = {e: c for e, c in terms.items() if c}
+    _set_ctx(f, ctx)
+    _set_alpha(f, alpha if terms else _ZERO)
+    _set_terms(f, terms)
+    return f
+
+
+def _check_same_ctx(f, g):
+    if f.ctx is not g.ctx and f.ctx != g.ctx:
+        raise DimensionMismatch("functions on %r and %r do not combine" % (f.ctx, g.ctx))
+
+
+def gp_mul_into(out, coeff, left, right):
+    """out[e1 + e2] += coeff * c1 * c2 over two term dicts; zeros may remain."""
+    for e1, c1 in left.items():
+        c1 = coeff * c1
+        for e2, c2 in right.items():
+            key = tuple(map(add, e1, e2))
+            v = c1 * c2
+            prev = out.get(key)
+            out[key] = v if prev is None else prev + v
 
 
 def gp_diff(f, var):
     """Exact partial derivative, chain rule through the Gaussian factor."""
     i = f.ctx.index(var)
     out = {}
-
-    def bump(exps, c):
-        if c:
-            out[exps] = out.get(exps, EC_ZERO) + c
-
-    two_alpha = ExactComplex(2 * f.alpha)
+    m2a = -2 * f.alpha
     for exps, c in f.terms.items():
-        if exps[i] > 0:
-            lowered = list(exps)
-            lowered[i] -= 1
-            bump(tuple(lowered), c * exps[i])
-        if f.alpha:
-            raised = list(exps)
-            raised[i] += 1
-            bump(tuple(raised), -(two_alpha * c))
-    return GaussPoly(f.ctx, out, f.alpha)
+        e = exps[i]
+        if e:
+            key = exps[:i] + (e - 1,) + exps[i + 1:]
+            v = c * e
+            prev = out.get(key)
+            out[key] = v if prev is None else prev + v
+        if m2a:
+            key = exps[:i] + (e + 1,) + exps[i + 1:]
+            v = c * m2a
+            prev = out.get(key)
+            out[key] = v if prev is None else prev + v
+    return _gp(f.ctx, out, f.alpha)
 
 
 def gp_eval(f, point):

@@ -11,10 +11,11 @@ polynomial — that termination is what makes the oscillator checks exact.
 from fractions import Fraction
 from math import factorial
 
-from .lambda_scalars import (EngineError, ExactComplex, EC_ONE,
+from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ONE,
                              tail_min, mul_tail)
-from .phase_functions import (GaussPoly, NotIntegrable, gp_poisson,
-                              render_gausspoly, monomial_key)
+from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_poisson,
+                              gp_mul_into, render_gausspoly, monomial_key,
+                              _gp)
 from .formal_series import GaussSum, FormalFunction, fs_bullet, fs_integrate
 
 UNBOUNDED = float("inf")
@@ -33,14 +34,43 @@ def _multi_indices(total, slots):
             yield (head,) + rest
 
 
-def _apply_multi(f, deriv):
-    out = f
-    for i, e in enumerate(deriv):
-        for _ in range(e):
-            out = out.diff(i)
-            if not out:
-                return out
-    return out
+class DerivativeTower(object):
+    """Memoised partial derivatives d^beta of one function.
+
+    tower[beta] is the tuple of nonzero GaussPoly parts of d^beta f, one per
+    Gaussian width.  Each entry is built from its prefix (beta with its last
+    nonzero exponent lowered by one) with a single gp_diff per part, so one
+    tower shared across the terms and orders of B_k takes every derivative
+    once.
+    """
+
+    __slots__ = ("base", "_memo")
+
+    def __init__(self, f):
+        base = f if isinstance(f, GaussSum) else GaussSum.of(f)
+        self.base = base
+        self._memo = {(0,) * base.ctx.dim: base.parts}
+
+    def __getitem__(self, beta):
+        memo = self._memo
+        if beta in memo:
+            return memo[beta]
+        chain = []
+        while beta not in memo:
+            i = len(beta) - 1
+            while not beta[i]:
+                i -= 1
+            chain.append((beta, i))
+            beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+        parts = memo[beta]
+        for beta, i in reversed(chain):
+            parts = tuple(d for d in (gp_diff(p, i) for p in parts) if d)
+            memo[beta] = parts
+        return parts
+
+
+def _tower(f):
+    return f if isinstance(f, DerivativeTower) else DerivativeTower(f)
 
 
 def _poly_bound(x):
@@ -83,23 +113,38 @@ class StarFamily(object):
 
     def terms(self, k):
         if k not in self._cache:
-            self._cache[k] = tuple(self._term_fn(k, self.ctx))
+            # exponent tables become tuples: they key the derivative towers
+            self._cache[k] = tuple((c, tuple(dl), tuple(dr))
+                                   for c, dl, dr in self._term_fn(k, self.ctx))
         return self._cache[k]
 
     def B(self, k, f, g):
-        """The k-th bidifferential operator applied to a pair of functions."""
-        fs = f if isinstance(f, GaussSum) else GaussSum.of(f)
-        gs = g if isinstance(g, GaussSum) else GaussSum.of(g)
-        parts = []
+        """The k-th bidifferential operator applied to a pair of functions.
+
+        f and g are GaussPoly, GaussSum or DerivativeTower; pass towers to
+        share derivatives between calls.  Every term c * (d^beta f)(d^gamma g)
+        is accumulated straight into one term dict per Gaussian width.
+        """
+        ft, gt = _tower(f), _tower(g)
+        by_alpha = {}
         for coeff, dleft, dright in self.terms(k):
-            left = _apply_multi(fs, dleft)
+            left = ft[dleft]
             if not left:
                 continue
-            right = _apply_multi(gs, dright)
-            if not right:
-                continue
-            parts.extend((left * right).scale(coeff).parts)
-        return GaussSum(self.ctx, parts)
+            right = gt[dright]
+            for fp in left:
+                for gp in right:
+                    alpha = fp.alpha + gp.alpha
+                    out = by_alpha.get(alpha)
+                    if out is None:
+                        out = by_alpha[alpha] = {}
+                    gp_mul_into(out, coeff, fp.terms, gp.terms)
+        parts = []
+        for alpha in sorted(by_alpha):
+            part = _gp(self.ctx, by_alpha[alpha], alpha)
+            if part:
+                parts.append(part)
+        return GaussSum._trusted(self.ctx, parts)
 
     def termination_bound(self, f, g):
         """Least K with B_k(f,g) = 0 for all k > K, or UNBOUNDED."""
@@ -201,13 +246,14 @@ def star_mul(S, F, G, order=None):
     if hi < lo:
         return FormalFunction(ctx, t + 1 if t is not None else 0, (), t)
     acc = [GaussSum.zero(ctx) for _ in range(hi - lo + 1)]
+    # one derivative tower per coefficient, shared by every (l, j) and order m
+    left = {l: DerivativeTower(F.coeffs[l]) for l, _ in bounds}
+    right = {j: DerivativeTower(G.coeffs[j]) for _, j in bounds}
     for (l, j), k_bound in bounds.items():
-        a = F.coeffs[l]
-        b = G.coeffs[j]
         base = F.valuation + l + G.valuation + j
         m_max = hi - base if k_bound == UNBOUNDED else min(k_bound, hi - base)
         for m in range(0, m_max + 1):
-            piece = S.B(m, a, b)
+            piece = S.B(m, left[l], right[j])
             if piece:
                 acc[base + m - lo] = acc[base + m - lo] + piece
     return FormalFunction(ctx, lo, acc, t)
@@ -258,8 +304,9 @@ def closedness_check(S, f, g, maxk):
     if f.alpha + g.alpha == 0:
         raise NotIntegrable("closedness needs a Gaussian factor on at least one side")
     values = {}
+    ft, gt = DerivativeTower(f), DerivativeTower(g)
     for k in range(0, maxk + 1):
-        values[k] = S.B(k, f, g).integrate()
+        values[k] = S.B(k, ft, gt).integrate()
     pointwise = (GaussSum.of(f) * GaussSum.of(g)).integrate()
     return ClosednessReport(values, values[0], pointwise)
 
@@ -312,9 +359,10 @@ def axiom_suite(S, degree_bound, order_bound):
     through operator order <= order_bound.  Locality and bidifferentiality hold by
     construction (the representation cannot express anything else)."""
     if degree_bound < 1 or order_bound < 1:
-        raise ValueError("degree_bound and order_bound must be >= 1")
+        raise ScopeError("degree_bound and order_bound must be >= 1")
     ctx = S.ctx
     gens = _monomial_generators(ctx, degree_bound)
+    towers = [DerivativeTower(f) for f in gens]
     one = GaussPoly.constant(ctx, 1)
     i_unit = ExactComplex(0, 1)
     scope = {"degree_bound": degree_bound, "order_bound": order_bound,
@@ -337,23 +385,35 @@ def axiom_suite(S, degree_bound, order_bound):
         if axiom not in entries:
             entries[axiom] = {"verdict": "pass", "scope": scope, "counterexample": None}
 
+    # B(m, gens[i], gens[j]) as towers, shared by axioms 1, 3, 4 and 6;
+    # at most len(gens)^2 * (order_bound + 1) entries
+    pairs = {}
+
+    def pair(m, i, j):
+        key = (m, i, j)
+        if key not in pairs:
+            pairs[key] = DerivativeTower(S.B(m, towers[i], towers[j]))
+        return pairs[key]
+
     # axiom 1: bilinearity over the coefficient field
     c = ExactComplex(2, 1)
     for k in range(order_bound + 1):
         if 1 in entries:
             break
-        for f in gens:
+        for fi, f in enumerate(gens):
             if 1 in entries:
                 break
-            for g in gens:
-                h = gens[(gens.index(g) + 1) % len(gens)]
-                lhs = S.B(k, GaussSum.of(f.scale(c) + g), GaussSum.of(h))
-                rhs = S.B(k, f, h).scale(c) + S.B(k, g, h)
+            for gi, g in enumerate(gens):
+                hi = (gi + 1) % len(gens)
+                h = gens[hi]
+                mixed = DerivativeTower(f.scale(c) + g)
+                lhs = S.B(k, mixed, towers[hi])
+                rhs = pair(k, fi, hi).base.scale(c) + pair(k, gi, hi).base
                 if lhs != rhs:
                     fail(1, [f, g, h], k, lhs - rhs)
                     break
-                lhs = S.B(k, GaussSum.of(h), GaussSum.of(f.scale(c) + g))
-                rhs = S.B(k, h, f).scale(c) + S.B(k, h, g)
+                lhs = S.B(k, towers[hi], mixed)
+                rhs = pair(k, hi, fi).base.scale(c) + pair(k, hi, gi).base
                 if lhs != rhs:
                     fail(1, [h, f, g], k, lhs - rhs)
                     break
@@ -367,29 +427,30 @@ def axiom_suite(S, degree_bound, order_bound):
     for k in range(order_bound + 1):
         if 3 in entries:
             break
-        for f in gens:
+        for fi, f in enumerate(gens):
             if 3 in entries:
                 break
-            for g in gens:
+            for gi, g in enumerate(gens):
                 if 3 in entries:
                     break
-                for h in gens:
+                fg = [pair(k - l, fi, gi) for l in range(k + 1)]
+                for hi, h in enumerate(gens):
                     lhs = GaussSum.zero(ctx)
                     rhs = GaussSum.zero(ctx)
                     for l in range(k + 1):
-                        lhs = lhs + S.B(l, S.B(k - l, f, g), GaussSum.of(h))
-                        rhs = rhs + S.B(l, GaussSum.of(f), S.B(k - l, g, h))
+                        lhs = lhs + S.B(l, fg[l], towers[hi])
+                        rhs = rhs + S.B(l, towers[fi], pair(k - l, gi, hi))
                     if lhs != rhs:
                         fail(3, [f, g, h], k, lhs - rhs)
                         break
     ok(3)
 
     # axiom 4: B_0 is the pointwise product
-    for f in gens:
+    for fi, f in enumerate(gens):
         if 4 in entries:
             break
-        for g in gens:
-            got = S.B(0, f, g)
+        for gi, g in enumerate(gens):
+            got = pair(0, fi, gi).base
             want = GaussSum.of(f * g)
             if got != want:
                 fail(4, [f, g], 0, got - want)
@@ -412,11 +473,11 @@ def axiom_suite(S, degree_bound, order_bound):
     ok(5)
 
     # axiom 6: first-order commutator is i times the Poisson bracket
-    for f in gens:
+    for fi, f in enumerate(gens):
         if 6 in entries:
             break
-        for g in gens:
-            got = S.B(1, f, g) - S.B(1, g, f)
+        for gi, g in enumerate(gens):
+            got = pair(1, fi, gi).base - pair(1, gi, fi).base
             want = GaussSum.of(gp_poisson(f, g).scale(i_unit))
             if got != want:
                 fail(6, [f, g], 1, got - want)
@@ -425,15 +486,17 @@ def axiom_suite(S, degree_bound, order_bound):
 
     # axiom 7: Hermiticity conj(B_k(f,g)) = B_k(conj g, conj f)
     complex_gens = gens + [f + g.scale(i_unit) for f, g in zip(gens, gens[1:])]
+    complex_towers = [DerivativeTower(f) for f in complex_gens]
+    conj_towers = [DerivativeTower(f.conj()) for f in complex_gens]
     for k in range(order_bound + 1):
         if 7 in entries:
             break
-        for f in complex_gens:
+        for fi, f in enumerate(complex_gens):
             if 7 in entries:
                 break
-            for g in complex_gens:
-                got = S.B(k, f, g).conj()
-                want = S.B(k, g.conj(), f.conj())
+            for gi, g in enumerate(complex_gens):
+                got = S.B(k, complex_towers[fi], complex_towers[gi]).conj()
+                want = S.B(k, conj_towers[gi], conj_towers[fi])
                 if got != want:
                     fail(7, [f, g], k, got - want)
                     break

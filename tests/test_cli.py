@@ -286,3 +286,65 @@ def test_exit_codes_cover_the_contract():
     for want, argv in by_status.items():
         proc = _run_proc([sys.executable, "-m", "starforge"] + argv)
         assert proc.returncode == want, (argv, proc.stdout, proc.stderr)
+
+
+# ============================================================
+# Wigner functionals under --lambda
+# ============================================================
+
+def test_normalize_binds_wigner_widths_under_lambda(capsys):
+    from starforge import (LambdaBinding, PhaseContext, bind_functional,
+                           moyal_family, normalize_functional, render_scalar,
+                           wigner_state)
+
+    ctx = PhaseContext(1)
+    W = bind_functional(wigner_state(ctx, 2), LambdaBinding.strict(1))
+    A, _ = normalize_functional(moyal_family(ctx), W, 6)
+    res, out = go(capsys, "normalize", "wigner(2)", "--lambda", "1")
+    assert res.status == 0
+    assert out == json.dumps({"normalizer": render_scalar(A)}) + "\n"
+    assert render_scalar(A).startswith("1/4/pi*lam^3 + ")
+
+
+def test_positivity_binds_wigner_widths_under_lambda(capsys):
+    res, out = go(capsys, "positivity", "wigner(1)", "q + I*p", "--lambda", "1/2")
+    assert (res.status, out) == (0, '{"verdict": "positive_on_samples"}\n')
+
+
+def test_wigner_functionals_still_refuse_formal_mode(capsys):
+    res, out = go(capsys, "normalize", "wigner(2)")
+    assert res.status == 2
+    assert json.loads(out)["error"]["type"] == "FormalModeError"
+
+
+# ============================================================
+# Empty or negative scopes are typed errors, never vacuous verdicts
+# ============================================================
+
+def _scope_error(capsys, *argv):
+    res, out = go(capsys, *argv)
+    assert res.status == 2
+    payload = json.loads(out)
+    assert payload["error"]["type"] == "ScopeError"
+    return payload["error"]["message"]
+
+
+def test_axioms_degree_zero_is_a_scope_error(capsys):
+    _scope_error(capsys, "axioms", "--degree", "0")
+
+
+def test_axioms_order_zero_is_a_scope_error(capsys):
+    _scope_error(capsys, "axioms", "--order", "0", "--degree", "1")
+
+
+def test_normalize_negative_order_is_a_scope_error(capsys):
+    _scope_error(capsys, "normalize", "delta(0,0)", "--order", "-5")
+
+
+def test_eigencheck_empty_test_set_is_a_scope_error(capsys):
+    # a wrong eigenvalue must not pass because no test monomial was tried
+    msg = _scope_error(capsys, "eigencheck", "1/2 * (q^2 + p^2)", "7",
+                       "density(gauss(1))", "--lambda", "1", "--test-degree", "-1")
+    assert "no test monomials" in msg
+    _scope_error(capsys, "eigencheck", "q", "7", "delta(1,0)", "--kind", "bullet",
+                 "--test-degree", "-1")

@@ -51,6 +51,11 @@ def test_dimension_checks():
         GaussPoly(CTX, {(-1, 0): 1})
     with pytest.raises(ValueError):
         GaussPoly(CTX, {(0, 0): 1}, alpha=-1)
+    q1 = GaussPoly.coordinate(PhaseContext(2), "q1")
+    with pytest.raises(DimensionMismatch):
+        Q + q1
+    with pytest.raises(DimensionMismatch):
+        Q * q1
 
 
 def test_unknown_coordinate():
@@ -285,3 +290,15 @@ def test_json_roundtrip(rng):
     for _ in range(20):
         f = rand_poly(rng, CTX, alpha=rng.choice([0, 1, Fraction(1, 2)]))
         assert gp_from_json(CTX, gp_to_json(f)) == f
+
+
+def test_unseparable_pi_value_is_a_typed_engine_error():
+    from starforge import EngineError, PiSeparationError
+
+    # a convergent of pi within 1e-16 cannot be told apart at 32 bits
+    near = PiScalar.pi() - Fraction(245850922, 78256779)
+    with pytest.raises(PiSeparationError) as err:
+        coeff_sign(near, max_bits=32)
+    assert isinstance(err.value, EngineError)
+    assert isinstance(err.value, ArithmeticError)
+    assert coeff_sign(near) == 1

@@ -349,3 +349,189 @@ def test_two_pair_commutators():
     assert star_commutator(S2, q2, p2) == iconst
     assert star_commutator(S2, q1, p2) == FormalFunction.zero(ctx2)
     assert star_commutator(S2, q1, q2) == FormalFunction.zero(ctx2)
+
+
+# ---- the shared-tower kernel against naive references ----
+
+def _naive_moyal_B(ctx, k, f, g):
+    # B_k = (1/k!) (i/2)^k (sum_i dq_i(f) dp_i(g) - dp_i(f) dq_i(g))^k, expanded
+    # by multinomial counts; every term takes fresh derivative chains
+    from math import factorial
+    from itertools import product
+
+    n = ctx.n
+    acc = GaussSum.zero(ctx)
+    for counts in product(range(k + 1), repeat=2 * n):
+        if sum(counts) != k:
+            continue
+        a, b = counts[:n], counts[n:]  # a: dq f * dp g, b: -dp f * dq g
+        weight = factorial(k)
+        for e in counts:
+            weight //= factorial(e)
+        c = HALF_I ** k * Fraction(weight * (-1) ** sum(b), factorial(k))
+        df, dg = f, g
+        for i in range(n):
+            for _ in range(a[i]):
+                df = df.diff(i)
+                dg = dg.diff(n + i)
+            for _ in range(b[i]):
+                df = df.diff(n + i)
+                dg = dg.diff(i)
+        acc = acc + GaussSum.of((df * dg).scale(c))
+    return acc
+
+
+def _factors(ctx):
+    # Gaussian-times-polynomial factors, polynomials and one two-width sum
+    names = ctx.names
+    x = [GaussPoly.coordinate(ctx, v) for v in names]
+    g_half = GaussPoly.gaussian(ctx, Fraction(1, 2))
+    g_one = GaussPoly.gaussian(ctx, 1)
+    return [
+        (x[0] + x[-1].scale(EC_I) * x[-1]) * g_half,
+        (x[-1] * x[0] - GaussPoly.constant(ctx, 2)) * g_one,
+        GaussPoly.gaussian(ctx, Fraction(3, 2)),
+        x[0] * x[0] * x[-1] + x[-1].scale(Fraction(-1, 3)),
+        GaussSum(ctx, [x[0] * g_one, x[-1] * x[-1]]),
+    ]
+
+
+@pytest.mark.parametrize("n,kmax", [(1, 6), (2, 6)])
+def test_B_matches_a_naive_multinomial_expansion(n, kmax):
+    ctx = PhaseContext(n)
+    fam = moyal_family(ctx)
+    fs = _factors(ctx)
+    for f, g in [(fs[0], fs[1]), (fs[1], fs[2]), (fs[3], fs[0]), (fs[4], fs[1])]:
+        parts = lambda x: x.parts if isinstance(x, GaussSum) else (x,)
+        for k in range(kmax + 1):
+            want = GaussSum.zero(ctx)
+            for fp in parts(f):
+                for gp in parts(g):
+                    want = want + _naive_moyal_B(ctx, k, fp, gp)
+            assert fam.B(k, f, g) == want, (n, k)
+
+
+@pytest.mark.parametrize("n,order", [(1, 6), (2, 3)])
+def test_star_mul_matches_the_naive_graded_sum(n, order):
+    ctx = PhaseContext(n)
+    fam = moyal_family(ctx)
+    fs = _factors(ctx)
+    F = FormalFunction(ctx, -1, (fs[0], fs[3], fs[4]))
+    G = FormalFunction(ctx, 0, (fs[1], fs[2]))
+    want = FormalFunction(ctx, 0, (), order)
+    for l, a in enumerate(F.coeffs):
+        for j, b in enumerate(G.coeffs):
+            base = F.valuation + l + G.valuation + j
+            for m in range(order - base + 1):
+                piece = GaussSum.zero(ctx)
+                for ap in a.parts:
+                    for bp in b.parts:
+                        piece = piece + _naive_moyal_B(ctx, m, ap, bp)
+                want = want + FormalFunction.of(piece, base + m)
+    got = star_mul(fam, F, G, order)
+    assert got.tail == order
+    assert got == want
+
+
+def _gauss_gauss_closed_form(a, b, n, order):
+    # (1 + ab lam^2)^(-n) exp(-(a+b) r^2 / (1 + ab lam^2)) through lam^order,
+    # as {lam power: {exponent tuple: Fraction}} times exp(-(a+b) r^2); plain
+    # Fraction arithmetic, nothing from the engine
+    from math import comb, factorial
+
+    top = order // 2
+    ab = a * b
+    # w = 1 - 1/(1+u) = u - u^2 + ...,  u = ab lam^2, as a series in u
+    w = [Fraction(0)] + [Fraction((-1) ** (j + 1)) for j in range(1, top + 1)]
+
+    def mul(x, y):
+        out = [Fraction(0)] * (top + 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                if i + j <= top:
+                    out[i + j] += xi * yj
+        return out
+
+    pref = [Fraction((-1) ** j * comb(n + j - 1, j)) for j in range(top + 1)]
+    # exp(X w) = sum_t X^t w^t / t!,  X = (a+b) r^2; coefficients indexed [u][t]
+    series = [[Fraction(0)] * (top + 1) for _ in range(top + 1)]
+    wt = [Fraction(1)] + [Fraction(0)] * top
+    for t in range(top + 1):
+        term = mul(pref, wt)
+        for j in range(top + 1):
+            series[j][t] += term[j] * (a + b) ** t / factorial(t)
+        wt = mul(wt, w)
+    dim = 2 * n
+    out = {}
+    for j in range(top + 1):
+        poly = {}
+        for t, c in enumerate(series[j]):
+            if not c:
+                continue
+            # r^(2t) = (sum x_i^2)^t by multinomials
+            for split in _compositions(t, dim):
+                m = factorial(t)
+                for e in split:
+                    m //= factorial(e)
+                key = tuple(2 * e for e in split)
+                poly[key] = poly.get(key, 0) + c * m * ab ** j
+        poly = {e: c for e, c in poly.items() if c}
+        if poly:
+            out[2 * j] = poly
+    return out
+
+
+def _compositions(total, slots):
+    if slots == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, slots - 1):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize("n,order,a,b", [(1, 10, Fraction(1, 2), Fraction(3, 2)),
+                                         (1, 10, Fraction(2), Fraction(1)),
+                                         (2, 6, Fraction(1), Fraction(1, 2))])
+def test_gaussian_pair_matches_the_closed_form(n, order, a, b):
+    ctx = PhaseContext(n)
+    F = star_mul(moyal_family(ctx), fn(GaussPoly.gaussian(ctx, a)),
+                 fn(GaussPoly.gaussian(ctx, b)), order)
+    assert F.tail == order
+    want = _gauss_gauss_closed_form(a, b, n, order)
+    for z in range(order + 1):
+        c = F.coefficient(z)
+        if z not in want:
+            assert not c, z
+            continue
+        (part,) = c.parts
+        assert part.alpha == a + b
+        assert {e: v.re for e, v in part.terms.items()} == want[z]
+        assert all(v.im == 0 for v in part.terms.values())
+
+
+def test_star_mul_takes_each_derivative_once(monkeypatch):
+    # one tower per factor: d^beta of each side is built once for every
+    # |beta| <= K, however many orders and terms reuse it
+    import starforge.star_products as sp
+
+    calls = []
+    real = sp.gp_diff
+    monkeypatch.setattr(sp, "gp_diff", lambda f, var: calls.append(var) or real(f, var))
+    K = 8
+    star_mul(MOYAL, fn(GAUSS), fn(GaussPoly.gaussian(CTX, 2)), K)
+    assert len(calls) == 2 * ((K + 1) * (K + 2) // 2 - 1)
+
+
+def test_corrupted_second_order_operator_pins_the_associativity_counterexample():
+    def bad_terms(k, ctx):
+        terms = MOYAL.terms(k)
+        if k == 2:
+            return tuple((c * 2, dl, dr) for c, dl, dr in terms)
+        return terms
+
+    rep = axiom_suite(StarFamily("bad", CTX, bad_terms), 2, 3)
+    failed = [k for k, e in rep.entries.items() if e["verdict"] == "fail"]
+    assert failed == [3]
+    assert rep.entries[3]["counterexample"] == {
+        "inputs": ["q", "q", "p^2"], "order": 2, "difference": "-1/2"}
