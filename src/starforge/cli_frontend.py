@@ -11,12 +11,16 @@ grammar:
     atom   := rational | 'I' | 'lam' | coord | 'gauss' '(' rational ')'
             | '(' expr ')'
 
+A Gaussian width must be nonnegative, and parenthesised groups nest at most
+MAX_NESTING deep.
+
 Functional arguments (positivity, normalize, eigencheck) extend the atoms
 with delta(point...), density(expr), and wigner(level).
 """
 
 import argparse
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -106,6 +110,9 @@ def tokenize(text):
 # Parser -> Expr (nested tuples)
 # ============================================================
 
+MAX_NESTING = 100
+
+
 class Parser(object):
     """Recursive descent over the expression grammar.
 
@@ -119,6 +126,7 @@ class Parser(object):
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
         self.functional = functional
 
     def peek(self):
@@ -224,7 +232,11 @@ class Parser(object):
                 return ("lam",)
             if t.text == "gauss":
                 self.expect_op("(")
+                start = self.peek()
                 alpha = self.rational()
+                if alpha < 0:
+                    raise ParseError(start.pos, "a nonnegative Gaussian width",
+                                     str(alpha))
                 self.expect_op(")")
                 return ("gauss", alpha)
             if self.functional and t.text == "delta":
@@ -238,10 +250,7 @@ class Parser(object):
                 self.expect_op(")")
                 return ("delta", tuple(point))
             if self.functional and t.text == "density":
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return ("density", inner)
+                return ("density", self.group())
             if self.functional and t.text == "wigner":
                 self.expect_op("(")
                 lvl = self.peek()
@@ -252,11 +261,19 @@ class Parser(object):
                 return ("wigner", int(lvl.text))
             return ("coord", t.text)
         if t.kind == OP and t.text == "(":
-            self.next()
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.group()
         raise ParseError(t.pos, "an atom", t.text)
+
+    def group(self):
+        """'(' expr ')', at most MAX_NESTING deep so recursion stays bounded."""
+        t = self.expect_op("(")
+        if self.depth == MAX_NESTING:
+            raise ParseError(t.pos, "at most %d nested groups" % MAX_NESTING, "(")
+        self.depth += 1
+        e = self.expr()
+        self.depth -= 1
+        self.expect_op(")")
+        return e
 
 
 def parse_expression(text, ctx=None, functional=False):
@@ -327,6 +344,27 @@ def _const_fn(ctx, c, power=0):
     return FormalFunction.of(GaussPoly.constant(ctx, c), power)
 
 
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": fs_bullet}
+
+
+def _lower_chain(e, ctx, lower, combine):
+    """Lower a +/-/* node.  Long chains parse left-deep, so walk the left
+    spine in a loop and recurse only into right operands, whose depth the
+    parser bounds."""
+    spine = []
+    while e[0] in _ARITH:
+        spine.append(e)
+        e = e[1]
+    out = lower(e, ctx)
+    for kind, _, right in reversed(spine):
+        out = combine(kind, out, lower(right, ctx))
+    return out
+
+
+def _arith(kind, left, right):
+    return _ARITH[kind](left, right)
+
+
 def lower_expression(e, ctx):
     """Expr -> FormalFunction (pointwise semantics; lam is the grading)."""
     kind = e[0]
@@ -342,12 +380,8 @@ def lower_expression(e, ctx):
         return FormalFunction.of(GaussPoly.gaussian(ctx, e[1]), 0)
     if kind == "neg":
         return -lower_expression(e[1], ctx)
-    if kind == "add":
-        return lower_expression(e[1], ctx) + lower_expression(e[2], ctx)
-    if kind == "sub":
-        return lower_expression(e[1], ctx) - lower_expression(e[2], ctx)
-    if kind == "mul":
-        return fs_bullet(lower_expression(e[1], ctx), lower_expression(e[2], ctx))
+    if kind in _ARITH:
+        return _lower_chain(e, ctx, lower_expression, _arith)
     if kind == "pow":
         base = lower_expression(e[1], ctx)
         k = e[2]
@@ -412,36 +446,33 @@ def lower_functional(e, ctx):
         return ("functional", wigner_state(ctx, e[1]))
     if kind == "neg":
         tag, v = lower_functional(e[1], ctx)
-        if tag == "functional":
-            return (tag, -v)
         return (tag, -v)
-    if kind in ("add", "sub"):
-        t1, v1 = lower_functional(e[1], ctx)
-        t2, v2 = lower_functional(e[2], ctx)
-        if t1 != t2:
-            raise EngineError("cannot add a functional to a plain function")
-        if kind == "add":
-            return (t1, v1 + v2)
-        return (t1, v1 - v2)
-    if kind == "mul":
-        t1, v1 = lower_functional(e[1], ctx)
-        t2, v2 = lower_functional(e[2], ctx)
-        if t1 == t2 == "function":
-            return ("function", fs_bullet(v1, v2))
-        if t1 == t2:
-            raise EngineError("cannot multiply two functionals here")
-        func = v1 if t1 == "functional" else v2
-        other = v2 if t1 == "functional" else v1
-        scal = function_to_scalar(other)
-        if scal is None:
-            raise EngineError("functionals can only be scaled by lam-scalars here")
-        return ("functional", func.scale_by_scalar(scal))
+    if kind in _ARITH:
+        return _lower_chain(e, ctx, lower_functional, _combine_lowered)
     if kind == "pow":
         tag, v = lower_functional(e[1], ctx)
         if tag == "functional":
             raise EngineError("functionals cannot be raised to powers")
         return ("function", lower_expression(e, ctx))
     return ("function", lower_expression(e, ctx))
+
+
+def _combine_lowered(kind, left, right):
+    """Combine two lower_functional results under +, - or *."""
+    t1, v1 = left
+    t2, v2 = right
+    if kind != "mul" or t1 == t2 == "function":
+        if t1 != t2:
+            raise EngineError("cannot add a functional to a plain function")
+        return (t1, _arith(kind, v1, v2))
+    if t1 == t2:
+        raise EngineError("cannot multiply two functionals here")
+    func = v1 if t1 == "functional" else v2
+    other = v2 if t1 == "functional" else v1
+    scal = function_to_scalar(other)
+    if scal is None:
+        raise EngineError("functionals can only be scaled by lam-scalars here")
+    return ("functional", func.scale_by_scalar(scal))
 
 
 def parse_functional(text, ctx):

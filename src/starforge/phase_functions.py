@@ -15,8 +15,6 @@ rational bounds on pi.
 from fractions import Fraction
 from operator import add
 
-from mpmath import libmp
-
 from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE,
                              as_coeff, _frac)
 
@@ -102,12 +100,80 @@ def monomial_key(exps):
 # pi bounds (for sign decisions only; values stay symbolic)
 # ============================================================
 
+def _atan_inv(m, x, work):
+    """(S, E) with |S - m * 2^work * atan(1/x)| < E, for integers m >= 1, x >= 2.
+
+    atan(1/x) = sum_k (-1)^k / ((2k+1) x^(2k+1)).  Let a_k be the k-th term
+    times m * 2^work.  t runs through floor(m 2^work / x^(2k+1)) exactly,
+    because floor(floor(y) / n) = floor(y / n) for a positive integer n; by
+    the same identity t // (2k+1) = floor(a_k), so each kept term is off by
+    less than one unit.  The loop stops at the first K with t = 0, that is
+    m 2^work < x^(2K+1), so a_K < 1; the dropped tail alternates with
+    decreasing terms and is therefore smaller than a_K.  With K terms kept
+    the error is below K + 1 = E.
+    """
+    x2 = x * x
+    t = (m << work) // x
+    s = 0
+    k = 0
+    while t:
+        s += -(t // (2 * k + 1)) if k & 1 else t // (2 * k + 1)
+        t //= x2
+        k += 1
+    return s, k + 1
+
+
+# (w, floor(pi * 2^w)) for the widest w computed so far.  Every cached value
+# is exact, so the cache never changes a result: two threads racing on it can
+# at worst repeat a computation.
+_pi_floor = (0, 3)
+
+
+def _pi_floor_at(w):
+    """floor(pi * 2^w), exactly.
+
+    Gauss's formula pi = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239)
+    gives P with |P - pi * 2^(w+g)| < E, E the sum of the three series'
+    bounds from _atan_inv.  floor is monotone, so floor(pi * 2^w) lies
+    between (P - E) >> g and (P + E) >> g; when the two agree that is the
+    answer, otherwise g doubles and the sum is redone.  18^2 > 2^8, so each
+    series keeps fewer than (w+g)/8 + 2 terms and E < (w+g)/2 + 9, while the
+    guard g = 2 log2(w) + 16 makes 2^g > 2^16 w^2.  The two ends can only
+    disagree if pi * 2^(w+g) is within E of a multiple of 2^g, i.e. if pi's
+    binary expansion has a run of about g - log2(w) equal bits right after
+    bit w.
+    """
+    global _pi_floor
+    top, floor_top = _pi_floor
+    if w <= top:
+        return floor_top >> (top - w)
+    g = 2 * w.bit_length() + 16
+    while True:
+        work = w + g
+        s18, e18 = _atan_inv(48, 18, work)
+        s57, e57 = _atan_inv(32, 57, work)
+        s239, e239 = _atan_inv(20, 239, work)
+        p = s18 + s57 - s239
+        e = e18 + e57 + e239
+        lo = (p - e) >> g
+        if lo == (p + e) >> g:
+            _pi_floor = (w, lo)
+            return lo
+        g *= 2
+
+
 def pi_bounds(bits):
-    """Exact rational lo <= pi <= hi with roughly `bits` bits of agreement."""
-    work = bits + 8
-    fixed = libmp.pi_fixed(work)
-    scale = 1 << work
-    return Fraction(fixed - 16, scale), Fraction(fixed + 16, scale)
+    """Exact rationals lo < pi < hi with hi - lo = 2^-(bits+8).
+
+    lo = floor(pi * 2^(bits+8)) / 2^(bits+8) and hi = lo + 2^-(bits+8);
+    pi is irrational, so both inequalities are strict.  The intervals are
+    nested as bits grows, and repeat calls shift one cached value.
+    """
+    if not isinstance(bits, int) or isinstance(bits, bool) or bits < 1:
+        raise ValueError("bits must be a positive integer, got %r" % (bits,))
+    w = bits + 8
+    f = _pi_floor_at(w)
+    return Fraction(f, 1 << w), Fraction(f + 1, 1 << w)
 
 
 def _real_poly_interval(coeffs, lo, hi):

@@ -237,6 +237,11 @@ def star_mul(S, F, G, order=None):
         if order is None:
             raise TruncationRequired(
                 "star product does not terminate here; pass a truncation order")
+        if order < F.valuation + G.valuation:
+            raise ScopeError(
+                "truncation order %d is below the product's lowest power %d, "
+                "so no coefficient would be known"
+                % (order, F.valuation + G.valuation))
         t = tail_min(t, order)
 
     lo = F.valuation + G.valuation

@@ -348,3 +348,74 @@ def test_eigencheck_empty_test_set_is_a_scope_error(capsys):
     assert "no test monomials" in msg
     _scope_error(capsys, "eigencheck", "q", "7", "delta(1,0)", "--kind", "bullet",
                  "--test-degree", "-1")
+
+
+def test_star_order_below_the_lowest_power_is_a_scope_error(capsys):
+    # a non-terminating product truncated below lam^0 would certify nothing
+    msg = _scope_error(capsys, "star", "gauss(1)", "gauss(1)", "--order", "-3")
+    assert "below the product's lowest power 0" in msg
+    _scope_error(capsys, "commutator", "gauss(1)", "gauss(1)", "--order", "-1")
+    res, out = go(capsys, "star", "lam^-2 * gauss(1)", "gauss(1)", "--order", "-2")
+    assert (res.status, out) == (0, '{"result": "exp(-2*r^2)*lam^-2 + O(lam^-1)"}\n')
+
+
+# ============================================================
+# Pathological input stops with a typed error, never a traceback
+# ============================================================
+
+def test_negative_gaussian_width_is_a_parse_error(capsys):
+    res, out = go(capsys, "star", "gauss(-1)", "q")
+    assert res.status == 2
+    assert out == ('{"error": {"expected": "a nonnegative Gaussian width",'
+                   ' "message": "at offset 6: expected a nonnegative Gaussian'
+                   ' width, found \'-1\'", "offset": 6, "type": "ParseError"}}\n')
+    res, out = go(capsys, "normalize", "density(gauss(-1/2))")
+    assert res.status == 2
+    assert json.loads(out)["error"]["offset"] == 14
+
+
+def test_negative_gaussian_width_exits_2_without_a_traceback():
+    proc = _run_proc([sys.executable, "-m", "starforge", "star", "gauss(-1)", "q"])
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+
+
+def _nested(depth, inner="q"):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_nesting_at_the_limit_parses():
+    from starforge.cli_frontend import MAX_NESTING
+
+    assert parse_expression(_nested(MAX_NESTING)) == ("coord", "q")
+    tree = parse_expression("-" + _nested(MAX_NESTING - 1, "-(q)"))
+    for _ in range(2):
+        assert tree[0] == "neg"
+        tree = tree[1]
+
+
+def test_nesting_past_the_limit_is_a_parse_error(capsys):
+    from starforge.cli_frontend import MAX_NESTING
+
+    with pytest.raises(ParseError) as err:
+        parse_expression(_nested(MAX_NESTING + 1))
+    assert err.value.offset == MAX_NESTING
+    assert err.value.expected == "at most %d nested groups" % MAX_NESTING
+    # density(...) counts as a group as well
+    with pytest.raises(ParseError):
+        parse_expression("density(%s)" % _nested(MAX_NESTING), functional=True)
+    res, out = go(capsys, "star", _nested(2000), "p")
+    assert res.status == 2
+    assert json.loads(out)["error"]["offset"] == MAX_NESTING
+
+
+def test_long_flat_chains_lower_without_deep_recursion(capsys):
+    res, out = go(capsys, "star", "+".join(["q"] * 3000), "p")
+    assert (res.status, out) == (0, '{"result": "3000*q*p + 1500*I*lam"}\n')
+    res, out = go(capsys, "integrate", "*".join(["gauss(1/2)"] * 3000))
+    assert (res.status, out) == (0, '{"result": "1/1500*pi"}\n')
+    want = go(capsys, "positivity", "1500*delta(0,0)", "q + I*p", "--json")
+    got = go(capsys, "positivity", "+".join(["delta(0,0)"] * 1500), "q + I*p",
+             "--json")
+    assert (got[0].status, got[1]) == (want[0].status, want[1])

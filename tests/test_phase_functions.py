@@ -277,6 +277,71 @@ def test_pi_bounds_bracket_pi():
     assert lo <= lo2 < hi2 <= hi
 
 
+PI_LEVELS = [1 << k for k in range(5, 14)]  # 32 .. 8192 bits
+
+
+def test_pi_bounds_contain_pi_to_ten_thousand_bits():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(10240):
+        man, exp = (+mpmath.pi).man_exp
+    ref = Fraction(man, 1 << -exp)
+    slack = Fraction(1, 1 << 10200)  # far above mpmath's rounding error
+    for bits in PI_LEVELS:
+        lo, hi = pi_bounds(bits)
+        assert lo < ref - slack and ref + slack < hi, bits
+
+
+def test_pi_bounds_width_and_nesting():
+    prev = None
+    for bits in PI_LEVELS:
+        lo, hi = pi_bounds(bits)
+        assert hi - lo <= Fraction(1, 1 << (bits + 3))
+        if prev is not None:
+            assert prev[0] <= lo < hi <= prev[1]
+        prev = (lo, hi)
+
+
+def test_pi_bounds_from_the_cache_match_fresh_ones(monkeypatch):
+    from starforge import phase_functions
+
+    pi_bounds(8192)
+    levels = (1, 32, 100, 4096, 8192)
+    cached = [pi_bounds(bits) for bits in levels]
+    monkeypatch.setattr(phase_functions, "_pi_floor", (0, 3))
+    assert [pi_bounds(bits) for bits in levels] == cached
+
+
+def test_pi_bounds_leading_hex_digits():
+    lo, hi = pi_bounds(600)
+    digits = ("243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89"
+              "452821E638D01377BE5466CF34E90C6CC0AC29B7C97C50DD3F84D5B5B5470917"
+              "9216D5D98979FB1B")
+    scale = 16 ** len(digits)
+    assert int(lo * scale) == int(hi * scale) == int("3" + digits, 16)
+
+
+@pytest.mark.parametrize("bits", [0, -1, 1.5, "64", True, None])
+def test_pi_bounds_rejects_bad_bit_levels(bits):
+    with pytest.raises(ValueError):
+        pi_bounds(bits)
+
+
+def test_importing_starforge_does_not_load_mpmath():
+    import os
+    import subprocess
+    import sys
+
+    import starforge
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, starforge; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 # ---- rendering and JSON ----
 
 def test_render_examples():

@@ -125,6 +125,22 @@ def test_unbounded_product_requires_an_order():
         star_mul(MOYAL, fn(GAUSS), fn(GAUSS))
 
 
+def test_order_below_the_lowest_power_is_a_scope_error():
+    from starforge import ScopeError
+
+    F = fn(GAUSS).shift(-2)
+    with pytest.raises(ScopeError):
+        star_mul(MOYAL, F, fn(GAUSS), order=-3)
+    with pytest.raises(ScopeError):
+        star_commutator(MOYAL, fn(GAUSS), fn(GAUSS), order=-1)
+    # at the lowest power itself one coefficient is certified
+    G = star_mul(MOYAL, F, fn(GAUSS), order=-2)
+    assert (G.valuation, G.tail) == (-2, -2)
+    assert G.coefficient(-2) == GaussSum.of(GAUSS * GAUSS)
+    # a terminating product ignores the order, as before
+    assert star_mul(MOYAL, fn(Q), fn(P), order=-5) == star_mul(MOYAL, fn(Q), fn(P))
+
+
 def test_polynomial_products_are_exact():
     F = star_mul(MOYAL, fn(Q * Q), fn(P * P))
     assert F.tail is None
