@@ -50,6 +50,17 @@ class ParseError(EngineError):
         super(ParseError, self).__init__(msg)
 
 
+class UsageError(EngineError):
+    """The argv does not fit the command grammar (argparse's usage errors)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints usage to stderr and exits; raise instead, so that
+    # run_command reports the error as its one JSON line (-h still exits 0)
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 # ============================================================
 # Tokens
 # ============================================================
@@ -282,7 +293,27 @@ def parse_expression(text, ctx=None, functional=False):
 
 
 def render_expr(e):
-    """Canonical text for an Expr; reparses to the identical tree."""
+    """Canonical text for an Expr; reparses to the identical tree.
+
+    Long chains parse left-deep, so the left spine of +, - and * is walked
+    in a loop; only right operands and bracketed groups recurse.
+    """
+    spine = []
+    while e[0] in _ARITH:
+        spine.append(e)
+        e = e[1]
+    out = _render_operand(e)
+    for kind, left, right in reversed(spine):
+        if kind == "mul":
+            if left[0] in ("add", "sub", "neg"):
+                out = "(%s)" % out
+            out = "%s*%s" % (out, _wrap_factor(right))
+        else:
+            out = "%s %s %s" % (out, "+" if kind == "add" else "-", _wrap_chain(right))
+    return out
+
+
+def _render_operand(e):
     kind = e[0]
     if kind == "num":
         return str(e[1])
@@ -299,12 +330,6 @@ def render_expr(e):
         if e[1][0] in ("add", "sub", "neg"):
             return "-(%s)" % body
         return "-" + body
-    if kind == "add":
-        return "%s + %s" % (render_expr(e[1]), _wrap_chain(e[2]))
-    if kind == "sub":
-        return "%s - %s" % (render_expr(e[1]), _wrap_chain(e[2]))
-    if kind == "mul":
-        return "%s*%s" % (_wrap_chain(e[1]), _wrap_factor(e[2]))
     if kind == "pow":
         return "%s^%d" % (_wrap_pow_base(e[1]), e[2])
     if kind == "delta":
@@ -517,8 +542,7 @@ def _scalar_payload(value, full):
 
 
 def _make_parser():
-    top = argparse.ArgumentParser(prog="starforge",
-                                  description="exact deformation-quantization toolkit")
+    top = _Parser(prog="starforge", description="exact deformation-quantization toolkit")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pairs", type=int, default=1, metavar="N",
                         help="number of coordinate pairs (default 1)")
@@ -573,8 +597,9 @@ def _binding(args):
 
 def run_command(argv):
     """Parse argv, run the engine, print one canonical JSON line."""
-    args = _make_parser().parse_args(argv)
+    args = None
     try:
+        args = _make_parser().parse_args(argv)
         payload, status = _dispatch(args)
     except EngineError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -582,7 +607,7 @@ def run_command(argv):
             payload["error"]["offset"] = exc.offset
             payload["error"]["expected"] = exc.expected
         _emit(payload)
-        return CommandResult(args.command, payload, 2)
+        return CommandResult(args and args.command, payload, 2)
     _emit(payload)
     return CommandResult(args.command, payload, status)
 

@@ -8,6 +8,7 @@ floating point anywhere.
 """
 
 from fractions import Fraction
+from math import gcd
 
 _INF = float("inf")
 
@@ -47,92 +48,108 @@ def _frac(x):
 
 
 class ExactComplex(object):
-    """A Gaussian rational re + im*I with Fraction parts."""
+    """A Gaussian rational (a + b*I)/d held as three ints.
 
-    __slots__ = ("re", "im")
+    Canonical form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1) and
+    equal values have equal slots.  Every operation reduces its result with
+    one math.gcd(a, b, d).  `re` and `im` read the parts as Fractions.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re=0, im=0):
+        re, im = _frac(re), _frac(im)
+        return _reduced(re.numerator * im.denominator, im.numerator * re.denominator,
+                        re.denominator * im.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
+
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def is_zero(self):
         return not self
 
     def is_real(self):
-        return self.im == 0
+        return self.b == 0
 
     def conj(self):
-        return _ec(self.re, -self.im)
+        return _ec(self.a, -self.b, self.d)
 
     def reciprocal(self):
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        a, b = self.a, self.b
+        n = a * a + b * b
+        if n == 0:
             raise ZeroDivisionError("division by exact zero")
-        return _ec(self.re / d, -self.im / d)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExactComplex):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExactComplex(other)
-        return None
+        d = self.d
+        return _reduced(d * a, -d * b, n)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return _ec(self.re + o.re, self.im + o.im)
+        oa, ob, od = o
+        d = self.d
+        if d == od:
+            return _reduced(self.a + oa, self.b + ob, d)
+        return _reduced(self.a * od + oa * d, self.b * od + ob * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return _ec(self.re - o.re, self.im - o.im)
+        oa, ob, od = o
+        d = self.d
+        if d == od:
+            return _reduced(self.a - oa, self.b - ob, d)
+        return _reduced(self.a * od - oa * d, self.b * od - ob * d, d * od)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _ec(*o) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _ec(self.re * other, self.im * other)
-        if not isinstance(other, ExactComplex):
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        # a real factor on either side halves the Fraction work
-        if not other.im:
-            return _ec(self.re * other.re, self.im * other.re)
-        if not self.im:
-            return _ec(self.re * other.re, self.re * other.im)
-        return _ec(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        oa, ob, od = o
+        a, b = self.a, self.b
+        # a real factor on either side halves the integer work
+        if not ob:
+            return _reduced(a * oa, b * oa, self.d * od)
+        if not b:
+            return _reduced(a * oa, a * ob, self.d * od)
+        return _reduced(a * oa - b * ob, a * ob + b * oa, self.d * od)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self * o.reciprocal()
+        return self * _ec(*o).reciprocal()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o * self.reciprocal()
+        return _ec(*o) * self.reciprocal()
 
     def __neg__(self):
-        return _ec(-self.re, -self.im)
+        return _ec(-self.a, -self.b, self.d)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -146,35 +163,36 @@ class ExactComplex(object):
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        if type(other) is ExactComplex:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self.a, self.b, self.d) == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the rational it equals, so 2, Fraction(2)
+        # and ExactComplex(2) fall into one set slot
+        if self.b == 0:
+            return hash(self.re)
+        return hash((self.a, self.b, self.d))
 
     def __str__(self):
         # canonical flat form; callers parenthesise when embedding in products
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "I"
-            if self.im == -1:
-                return "-I"
-            return "%s*I" % self.im
-        im = "I" if self.im == 1 else ("-I" if self.im == -1 else "%s*I" % self.im)
-        if self.im > 0 or im.startswith("-"):
-            return "%s%s%s" % (self.re, "" if im.startswith("-") else "+", im)
-        return "%s+%s" % (self.re, im)
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        ims = "I" if im == 1 else ("-I" if im == -1 else "%s*I" % im)
+        if re == 0:
+            return ims
+        return "%s%s%s" % (re, "" if im < 0 else "+", ims)
 
     def __repr__(self):
         return "ExactComplex(%s)" % self
 
     def to_json(self):
-        return [self.re.numerator, self.re.denominator,
-                self.im.numerator, self.im.denominator]
+        re, im = self.re, self.im
+        return [re.numerator, re.denominator, im.numerator, im.denominator]
 
     @staticmethod
     def from_json(data):
@@ -182,17 +200,62 @@ class ExactComplex(object):
         return ExactComplex(Fraction(rn, rd), Fraction(im_n, im_d))
 
 
-_set_re = ExactComplex.re.__set__
-_set_im = ExactComplex.im.__set__
+_set_a = ExactComplex.a.__set__
+_set_b = ExactComplex.b.__set__
+_set_d = ExactComplex.d.__set__
+_new = object.__new__
 
 
-def _ec(re, im):
-    # trusted constructor for parts the arithmetic has just computed
-    # (always Fractions), skipping the public constructor's coercion
-    x = object.__new__(ExactComplex)
-    _set_re(x, re)
-    _set_im(x, im)
+def _ec(a, b, d):
+    # trusted constructor for ints already in canonical form
+    x = _new(ExactComplex)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
     return x
+
+
+def _reduced(a, b, d):
+    # trusted constructor for freshly computed ints with d > 0: one gcd
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(ExactComplex)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _accumulate(out, key, a, b, d):
+    # out[key] += (a + b*I)/d for freshly computed ints with d > 0: the sum
+    # is formed unreduced and reduced with one gcd
+    prev = out.get(key)
+    if prev is not None:
+        pd = prev.d
+        if pd == d:
+            a += prev.a
+            b += prev.b
+        else:
+            a = a * pd + prev.a * d
+            b = b * pd + prev.b * d
+            d *= pd
+    out[key] = _reduced(a, b, d)
+
+
+def _parts(x):
+    # (a, b, d) of an exact operand, or None for anything else; ExactComplex
+    # comes first because isinstance(x, Fraction) is an ABC check for it
+    if type(x) is ExactComplex:
+        return x.a, x.b, x.d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 EC_ZERO = ExactComplex(0)
@@ -202,7 +265,7 @@ EC_I = ExactComplex(0, 1)
 
 def as_coeff(c):
     """Coerce ints/Fractions to ExactComplex; pass richer coefficient algebras through."""
-    if isinstance(c, (int, Fraction)):
+    if type(c) is not ExactComplex and isinstance(c, (int, Fraction)):
         return ExactComplex(c)
     return c
 
@@ -381,7 +444,7 @@ class FormalScalar(object):
     # ---- comparison ----
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ExactComplex)):
+        if isinstance(other, (int, ExactComplex, Fraction)):
             other = FormalScalar.from_const(other)
         if not isinstance(other, FormalScalar):
             return NotImplemented

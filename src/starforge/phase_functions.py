@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 
 from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE,
-                             as_coeff, _frac)
+                             as_coeff, _frac, _reduced, _accumulate)
 
 _ZERO = Fraction(0)
 
@@ -255,7 +255,7 @@ class PiRational(object):
     def _coerce(other):
         if isinstance(other, PiRational):
             return other
-        if isinstance(other, (int, Fraction, ExactComplex)):
+        if isinstance(other, (int, ExactComplex, Fraction)):
             return PiRational(as_coeff(other), 0)
         return None
 
@@ -297,7 +297,7 @@ class PiRational(object):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, ExactComplex)):
+        if isinstance(other, (int, ExactComplex, Fraction)):
             return PiRational(self.coeff / as_coeff(other), self.pi_power)
         if isinstance(other, PiRational):
             return self.promote() / other.promote()
@@ -314,8 +314,9 @@ class PiRational(object):
         return self.coeff == o.coeff and self.pi_power == o.pi_power
 
     def __hash__(self):
-        if not self:
-            return hash(EC_ZERO)
+        # a pi-free value hashes as its coefficient, which equals it
+        if not self.pi_power:
+            return hash(self.coeff)
         return hash((self.coeff, self.pi_power))
 
     def __str__(self):
@@ -453,7 +454,7 @@ class PiScalar(object):
             return other
         if isinstance(other, PiRational):
             return other.promote()
-        if isinstance(other, (int, Fraction, ExactComplex)):
+        if isinstance(other, (int, ExactComplex, Fraction)):
             return PiScalar.const(other)
         return None
 
@@ -548,6 +549,11 @@ class PiScalar(object):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a constant or monomial hashes as the PiRational it equals
+        if self.den == (EC_ONE,) and not any(self.num[:-1]):
+            if not self.num:
+                return hash(EC_ZERO)
+            return hash(PiRational(self.num[-1], len(self.num) - 1))
         return hash((self.num, self.den))
 
     def sign(self, max_bits=4096):
@@ -804,33 +810,45 @@ def _check_same_ctx(f, g):
 
 
 def gp_mul_into(out, coeff, left, right):
-    """out[e1 + e2] += coeff * c1 * c2 over two term dicts; zeros may remain."""
+    """out[e1 + e2] += coeff * c1 * c2 over two term dicts; zeros may remain.
+
+    Works on the (a, b, d) ints of the coefficients: each product is added
+    to its slot unreduced and the sum is reduced once.
+    """
     for e1, c1 in left.items():
         c1 = coeff * c1
+        a1, b1, d1 = c1.a, c1.b, c1.d
         for e2, c2 in right.items():
             key = tuple(map(add, e1, e2))
-            v = c1 * c2
-            prev = out.get(key)
-            out[key] = v if prev is None else prev + v
+            a2, b2, d = c2.a, c2.b, c2.d
+            d *= d1
+            if not b2:
+                a, b = a1 * a2, b1 * a2
+            elif not b1:
+                a, b = a1 * a2, a1 * b2
+            else:
+                a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            _accumulate(out, key, a, b, d)
 
 
 def gp_diff(f, var):
-    """Exact partial derivative, chain rule through the Gaussian factor."""
+    """Exact partial derivative, chain rule through the Gaussian factor.
+
+    d/dx (c x^e exp(-alpha r^2)) = c e x^(e-1) - 2 alpha c x^(e+1), both
+    terms times the Gaussian; sums are formed on the coefficients' ints and
+    reduced once per slot.
+    """
     i = f.ctx.index(var)
     out = {}
     m2a = -2 * f.alpha
+    mn, md = m2a.numerator, m2a.denominator
     for exps, c in f.terms.items():
+        a, b, d = c.a, c.b, c.d
         e = exps[i]
         if e:
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            v = c * e
-            prev = out.get(key)
-            out[key] = v if prev is None else prev + v
-        if m2a:
-            key = exps[:i] + (e + 1,) + exps[i + 1:]
-            v = c * m2a
-            prev = out.get(key)
-            out[key] = v if prev is None else prev + v
+            _accumulate(out, exps[:i] + (e - 1,) + exps[i + 1:], a * e, b * e, d)
+        if mn:
+            _accumulate(out, exps[:i] + (e + 1,) + exps[i + 1:], a * mn, b * mn, d * md)
     return _gp(f.ctx, out, f.alpha)
 
 
@@ -860,16 +878,20 @@ def gp_integrate(f):
         if not f.terms:
             return PiRational(EC_ZERO, 0)
         raise NotIntegrable("a nonzero polynomial is not summable over phase space")
+    # with alpha = u/v a monomial's factor is prod (e-1)!! * v^m / (2u)^m,
+    # m = half its total degree
+    u2, v = 2 * f.alpha.numerator, f.alpha.denominator
     total = EC_ZERO
     for exps, c in f.terms.items():
         if any(e % 2 for e in exps):
             continue
-        factor = Fraction(1)
+        num = 1
         for e in exps:
-            m = e // 2
-            if m:
-                factor *= Fraction(_double_factorial(e - 1), (2 * f.alpha) ** m)
-        total = total + c * factor
+            if e:
+                num *= _double_factorial(e - 1)
+        m = sum(exps) // 2
+        num *= v ** m
+        total = total + _reduced(c.a * num, c.b * num, c.d * u2 ** m)
     if not total:
         return PiRational(EC_ZERO, 0)
     scale = Fraction(1, f.alpha ** f.ctx.n)

@@ -419,3 +419,67 @@ def test_long_flat_chains_lower_without_deep_recursion(capsys):
     got = go(capsys, "positivity", "+".join(["delta(0,0)"] * 1500), "q + I*p",
              "--json")
     assert (got[0].status, got[1]) == (want[0].status, want[1])
+
+
+def _same_tree(a, b):
+    # tuple == recurses once per level, which a 3000-term chain overflows
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is tuple and type(y) is tuple:
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif type(x) is not type(y) or x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["q"] * 3000),
+    "*".join(["q"] * 3000),
+    "-".join(["q", "2*p"] * 1500),
+    "+".join(["(q - 1)*p*gauss(1/2)"] * 1000),
+])
+def test_render_walks_long_chains_and_reparses(text):
+    tree = parse_expression(text)
+    rendered = render_expr(tree)
+    assert _same_tree(parse_expression(rendered), tree)
+    assert not _same_tree(parse_expression(rendered + " + q"), tree)
+
+
+# ============================================================
+# argparse usage errors keep the one-JSON-line contract
+# ============================================================
+
+@pytest.mark.parametrize("argv,message", [
+    (["star", "q"], "starforge star: the following arguments are required: right"),
+    (["star", "q", "p", "--order", "x"],
+     "starforge star: argument --order: invalid int value: 'x'"),
+    ([], "starforge: the following arguments are required: command"),
+    (["axioms", "--frobnicate"], "starforge: unrecognized arguments: --frobnicate"),
+])
+def test_usage_errors_are_json_errors(capsys, argv, message):
+    res, out = go(capsys, *argv)
+    assert res.status == 2
+    assert out == json.dumps({"error": {"message": message, "type": "UsageError"}},
+                             sort_keys=True) + "\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_usage_error_exits_2_without_usage_text():
+    proc = _run_proc([sys.executable, "-m", "starforge", "star", "q"])
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": {
+        "message": "starforge star: the following arguments are required: right",
+        "type": "UsageError"}}
+
+
+def test_help_still_prints_usage_and_exits_0():
+    proc = _run_proc([sys.executable, "-m", "starforge", "star", "-h"])
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: starforge star")
+    with pytest.raises(SystemExit) as stop:
+        run_command(["--help"])
+    assert stop.value.code == 0

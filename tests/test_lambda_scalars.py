@@ -1,6 +1,7 @@
 """Laurent scalars: frozen arithmetic examples, tail bookkeeping, field laws."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,8 @@ from starforge import (
     FormalModeError,
     FormalScalar,
     LambdaBinding,
+    PiRational,
+    PiScalar,
     TruncatedTailError,
     ZeroNotInvertible,
     agree,
@@ -60,6 +63,157 @@ def test_exact_complex_reciprocal_and_pow():
 def test_exact_complex_json_roundtrip():
     c = ExactComplex(Fraction(-7, 3), Fraction(5, 11))
     assert ExactComplex.from_json(c.to_json()) == c
+
+
+# ---- ExactComplex against a plain (Fraction, Fraction) reference ----
+# The reference below is the oracle: pair arithmetic written out here, with
+# the rendering rules spelled out on Fractions, independent of how
+# ExactComplex stores its parts.
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_reciprocal(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+def ref_str(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    unit = {1: "I", -1: "-I"}.get(im, "%s*I" % im)
+    if re == 0:
+        return unit
+    return "%s%s%s" % (re, "" if unit.startswith("-") else "+", unit)
+
+
+def assert_matches(value, want):
+    """value is the canonical ExactComplex of the pair want, in every view."""
+    assert type(value) is ExactComplex
+    a, b, d = value.a, value.b, value.d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == want
+    assert (value.re, value.im) == want
+    twin = ExactComplex(*want)
+    assert value == twin and hash(value) == hash(twin)
+    if want[1] == 0:
+        assert value == want[0] and hash(value) == hash(want[0])
+    else:
+        assert value != want[0]
+    assert str(value) == ref_str(want)
+    assert value.to_json() == [want[0].numerator, want[0].denominator,
+                               want[1].numerator, want[1].denominator]
+    assert bool(value) == (want != (0, 0))
+    assert value.is_real() == (want[1] == 0)
+
+
+big = st.integers(-10 ** 30, 10 ** 30)
+ref_fracs = st.builds(Fraction, st.integers(-40, 40) | big,
+                      st.integers(1, 60) | st.integers(1, 10 ** 20))
+ref_pairs = st.tuples(ref_fracs, ref_fracs)
+# an operand and its reference pair: ExactComplex, int or Fraction
+operands = st.one_of(
+    ref_pairs.map(lambda x: (ExactComplex(*x), x)),
+    (st.integers(-40, 40) | big).map(lambda n: (n, (Fraction(n), Fraction(0)))),
+    ref_fracs.map(lambda f: (f, (f, Fraction(0)))),
+)
+
+
+@given(ref_pairs, operands)
+def test_binary_operations_match_the_pair_reference(x, y):
+    ex = ExactComplex(*x)
+    other, y = y
+    assert_matches(ex + other, ref_add(x, y))
+    assert_matches(other + ex, ref_add(y, x))
+    assert_matches(ex - other, ref_sub(x, y))
+    assert_matches(other - ex, ref_sub(y, x))
+    assert_matches(ex * other, ref_mul(x, y))
+    assert_matches(other * ex, ref_mul(y, x))
+    if y == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            ex / other
+    else:
+        assert_matches(ex / other, ref_mul(x, ref_reciprocal(y)))
+    if x == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            other / ex
+    else:
+        assert_matches(other / ex, ref_mul(y, ref_reciprocal(x)))
+    assert (ex == other) == (x == y) == (other == ex)
+    assert (ex != other) == (x != y)
+    if x == y:
+        assert hash(ex) == hash(other)
+
+
+@given(ref_pairs, st.integers(0, 6))
+def test_unary_operations_match_the_pair_reference(x, k):
+    ex = ExactComplex(*x)
+    assert_matches(ex, x)
+    assert_matches(-ex, (-x[0], -x[1]))
+    assert_matches(ex.conj(), (x[0], -x[1]))
+    assert_matches(ex ** k, ref_pow(x, k))
+    assert_matches(ExactComplex.from_json(ex.to_json()), x)
+    if x == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            ex.reciprocal()
+    else:
+        assert_matches(ex.reciprocal(), ref_reciprocal(x))
+
+
+def test_exact_complex_constructor_validates():
+    assert_matches(ExactComplex("6/4", "-2"), (Fraction(3, 2), Fraction(-2)))
+    assert_matches(ExactComplex(), (Fraction(0), Fraction(0)))
+    assert (EC_ZERO.a, EC_ZERO.b, EC_ZERO.d) == (0, 0, 1)
+    for bad in (0.5, 1j, None, [1]):
+        with pytest.raises(TypeError):
+            ExactComplex(bad)
+        with pytest.raises(TypeError):
+            ExactComplex(1, bad)
+    with pytest.raises(AttributeError):
+        EC_ONE.a = 2
+    with pytest.raises(AttributeError):
+        EC_ONE.re = 2
+
+
+def test_equal_values_hash_equal_across_the_coefficient_floors():
+    cases = [
+        (ExactComplex(2), 2),
+        (ExactComplex(Fraction(5, 3)), Fraction(5, 3)),
+        (PiRational(ExactComplex(3), 0), 3),
+        (PiRational(ExactComplex(3), 0), ExactComplex(3)),
+        (PiScalar.const(3), 3),
+        (PiScalar.const(3), ExactComplex(3)),
+        (PiScalar.const(3), PiRational(ExactComplex(3), 0)),
+        (PiScalar.const(ExactComplex(1, 2)), ExactComplex(1, 2)),
+        (PiScalar.pi(2) * Fraction(-1, 3), PiRational(Fraction(-1, 3), 2)),
+        (PiScalar.const(0), 0),
+        (PiRational(0, 4), EC_ZERO),
+    ]
+    for left, right in cases:
+        assert left == right and right == left, (left, right)
+        assert hash(left) == hash(right), (left, right)
+        assert len({left, right}) == 1, (left, right)
+    assert len({2, Fraction(2), ExactComplex(2), PiRational(2, 0), PiScalar.const(2)}) == 1
+    # values that differ stay apart
+    assert len({PiRational(3, 1), PiScalar.const(3), ExactComplex(3, 1)}) == 3
 
 
 # ---- construction and canonical form ----
