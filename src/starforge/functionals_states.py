@@ -412,8 +412,9 @@ class FormalFunctional(object):
                 return False
         return True
 
-    def __hash__(self):
-        return hash((self.valuation, self.coeffs, self.tail))
+    # equality is agreement up to the shorter known tail, which is not
+    # transitive, so no hash can be consistent with it
+    __hash__ = None
 
     def __str__(self):
         if not self.coeffs:
@@ -745,6 +746,11 @@ def positivity_check(S, T, witness_fns, order=None, lambda_samples=DEFAULT_SAMPL
     strictly negative total is a negativity certificate.  The verdict only
     covers the finite witness set and sample list.
     """
+    witness_fns = list(witness_fns)
+    if not witness_fns:
+        raise ScopeError("positivity needs at least one witness function")
+    if not lambda_samples:
+        raise ScopeError("positivity needs at least one lambda sample")
     details = []
     negativity = None
     for f in witness_fns:

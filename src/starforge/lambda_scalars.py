@@ -450,8 +450,9 @@ class FormalScalar(object):
             return NotImplemented
         return agree(self, other)
 
-    def __hash__(self):
-        return hash((self.valuation, self.coeffs, self.tail))
+    # equality is agreement up to the shorter known tail, which is not
+    # transitive and also matches plain numbers, so no hash can be consistent
+    __hash__ = None
 
     def __str__(self):
         return render_scalar(self)
@@ -650,8 +651,18 @@ def converges_per_power(family, limit, powers):
 # ============================================================
 
 def _coeff_str(c):
+    # brackets for a sum, and for a quotient with a sum in it; a product such
+    # as "(1+2*I)*pi" brackets its own sums
     s = str(c)
-    return "(%s)" % s if ("+" in s[1:] or "-" in s[1:]) else s
+    depth, top = 0, ""
+    for ch in s:
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            top += ch
+    signed = "+" in s[1:] or "-" in s[1:]
+    if "+" in top[1:] or "-" in top[1:] or (signed and "/" in top):
+        return "(%s)" % s
+    return s
 
 
 def render_scalar(a):

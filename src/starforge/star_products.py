@@ -9,16 +9,17 @@ polynomial — that termination is what makes the oscillator checks exact.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ONE,
-                             tail_min, mul_tail)
+                             tail_min, mul_tail, _accumulate)
 from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_poisson,
                               gp_mul_into, render_gausspoly, monomial_key,
                               _gp)
 from .formal_series import GaussSum, FormalFunction, fs_bullet, fs_integrate
 
 UNBOUNDED = float("inf")
+_ZERO = Fraction(0)
 
 
 class TruncationRequired(EngineError):
@@ -35,21 +36,25 @@ def _multi_indices(total, slots):
 
 
 class DerivativeTower(object):
-    """Memoised partial derivatives d^beta of one function.
+    """Memoised partial derivatives d^beta of a function's polynomial part.
 
-    tower[beta] is the tuple of nonzero GaussPoly parts of d^beta f, one per
-    Gaussian width.  Each entry is built from its prefix (beta with its last
-    nonzero exponent lowered by one) with a single gp_diff per part, so one
-    tower shared across the terms and orders of B_k takes every derivative
-    once.
+    base is the whole function as a GaussSum, poly its polynomial (alpha = 0)
+    part or None, gauss its Gaussian parts.  tower[beta] is d^beta of poly;
+    each entry is built from its prefix (beta with its last nonzero exponent
+    lowered by one) with a single gp_diff, so one tower shared across the
+    terms and orders of B_k takes every derivative once.  Gaussian parts are
+    never expanded here: B multiplies them coordinate by coordinate.
     """
 
-    __slots__ = ("base", "_memo")
+    __slots__ = ("base", "poly", "gauss", "_memo")
 
     def __init__(self, f):
         base = f if isinstance(f, GaussSum) else GaussSum.of(f)
+        parts = base.parts
         self.base = base
-        self._memo = {(0,) * base.ctx.dim: base.parts}
+        self.poly = parts[0] if parts and not parts[0].alpha else None
+        self.gauss = parts if self.poly is None else parts[1:]
+        self._memo = {(0,) * base.ctx.dim: self.poly}
 
     def __getitem__(self, beta):
         memo = self._memo
@@ -62,15 +67,135 @@ class DerivativeTower(object):
                 i -= 1
             chain.append((beta, i))
             beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-        parts = memo[beta]
+        poly = memo[beta]
         for beta, i in reversed(chain):
-            parts = tuple(d for d in (gp_diff(p, i) for p in parts) if d)
-            memo[beta] = parts
-        return parts
+            poly = memo[beta] = gp_diff(poly, i)
+        return poly
 
 
-def _tower(f):
-    return f if isinstance(f, DerivativeTower) else DerivativeTower(f)
+def _q_next(row, u, v):
+    # v^(j+1) Q_{j+1} from v^j Q_j, with Q_{j+1} = Q_j' - 2(u/v) x Q_j
+    acc = {}
+    for p, c in row:
+        if p:
+            acc[p - 1] = acc.get(p - 1, 0) + v * p * c
+        if u:
+            acc[p + 1] = acc.get(p + 1, 0) - 2 * u * c
+    return tuple((p, c) for p, c in acc.items() if c)
+
+
+def _row_mul(x, y):
+    # the product of two one-variable rows
+    acc = {}
+    for p, c in x:
+        for r, d in y:
+            acc[p + r] = acc.get(p + r, 0) + c * d
+    return tuple((p, c) for p, c in acc.items() if c)
+
+
+class CoordinateTables(object):
+    """One-variable derivative tables for the Gaussian pairs of StarFamily.B.
+
+    A term c x^e exp(-a r^2) is a product over coordinates of the pieces
+    x_i^e_i exp(-a x_i^2), and a derivative d^beta acts on each piece alone:
+    d^j (x^e exp(-a x^2)) = Q_j(x) exp(-a x^2) with Q_0 = x^e and
+    Q_{j+1} = Q_j' - 2a x Q_j.  For a = u/v the polynomial v^j Q_j has
+    integer coefficients; rows hold them as ((power, int), ...).  So every
+    term of B_k on a pair of parts is a product over coordinates of one
+    product of two such rows.  Keys are ints; an instance lives as long as
+    one product and is shared by every B call of it.
+    """
+
+    __slots__ = ("_q", "_products")
+
+    def __init__(self):
+        self._q = {}         # (u, v, e) -> [v^j Q_j for j = 0, 1, ...]
+        self._products = {}  # (u, v, w, z) -> {(e1, j1, e2, j2): row}
+
+    def q(self, u, v, e, j):
+        rows = self._q.get((u, v, e))
+        if rows is None:
+            rows = self._q[(u, v, e)] = [((e, 1),)]
+        while len(rows) <= j:
+            rows.append(_q_next(rows[-1], u, v))
+        return rows[j]
+
+    def products(self, u, v, w, z):
+        """{(e1, j1, e2, j2): v^j1 z^j2 Q_j1(x^e1; u/v) Q_j2(x^e2; w/z)}, filled by B."""
+        return self._products.setdefault((u, v, w, z), {})
+
+
+def _split(f):
+    # (tower of the polynomial part or None, Gaussian parts) of one operand
+    # of B; a tower is built only where there is a polynomial part
+    if not isinstance(f, DerivativeTower):
+        parts = f.parts if isinstance(f, GaussSum) else ((f,) if f else ())
+        if not parts or parts[0].alpha:
+            return None, parts
+        f = DerivativeTower(f)
+    return (None if f.poly is None else f), f.gauss
+
+
+def _operand(f):
+    # f as B should receive it when it is called on f many times
+    return _split(f)[0] or f
+
+
+def _expand(rows, c):
+    # the tensor product of one-variable rows: (exponent tuple, c * coefficient)
+    out = [((p,), c * x) for p, x in rows[0]]
+    for row in rows[1:]:
+        out = [(e + (p,), y * x) for e, y in out for p, x in row]
+    return out
+
+
+def _gauss_pair_into(out, terms, fp, gp, tables):
+    """out[exps] += the terms of one B_k on a pair of parts with a Gaussian
+    factor, each a product over coordinates of rows from `tables`.
+
+    Every contribution is put over one common denominator d and summed as
+    ints; each slot of out then takes one _accumulate.
+    """
+    u, v = fp.alpha.numerator, fp.alpha.denominator
+    w, z = gp.alpha.numerator, gp.alpha.denominator
+    table = tables.products(u, v, w, z)
+    # c * d^dl(x^es) d^dr(x^et) sits over c.d * v^|dl| * z^|dr| * cs.d * ct.d
+    dens = [c.d * v ** sum(dl) * z ** sum(dr) for c, dl, dr in terms]
+    l_op = lcm(*dens)
+    ops = [(c.a * (l_op // m), c.b * (l_op // m), dl, dr)
+           for (c, dl, dr), m in zip(terms, dens)]
+    l_s = lcm(*(c.d for c in fp.terms.values()))
+    fterms = [(e, c.a * (l_s // c.d), c.b * (l_s // c.d)) for e, c in fp.terms.items()]
+    l_t = lcm(*(c.d for c in gp.terms.values()))
+    gterms = [(e, c.a * (l_t // c.d), c.b * (l_t // c.d)) for e, c in gp.terms.items()]
+    re, im = {}, {}
+    for ca, cb, dl, dr in ops:
+        for es, sa, sb in fterms:
+            xa, xb = ca * sa - cb * sb, ca * sb + cb * sa
+            for et, ta, tb in gterms:
+                rows = []
+                for key in zip(es, dl, et, dr):
+                    row = table.get(key)
+                    if row is None:
+                        e1, j1, e2, j2 = key
+                        row = table[key] = _row_mul(tables.q(u, v, e1, j1),
+                                                    tables.q(w, z, e2, j2))
+                    if not row:
+                        break
+                    rows.append(row)
+                else:
+                    a, b = xa * ta - xb * tb, xa * tb + xb * ta
+                    if a:
+                        for e, x in _expand(rows, a):
+                            re[e] = re.get(e, 0) + x
+                    if b:
+                        for e, x in _expand(rows, b):
+                            im[e] = im.get(e, 0) + x
+    d = l_op * l_s * l_t
+    for e, a in re.items():
+        _accumulate(out, e, a, im.pop(e, 0), d)
+    for e, b in im.items():
+        _accumulate(out, e, 0, b, d)
 
 
 def _poly_bound(x):
@@ -118,32 +243,52 @@ class StarFamily(object):
                                    for c, dl, dr in self._term_fn(k, self.ctx))
         return self._cache[k]
 
-    def B(self, k, f, g):
+    def B(self, k, f, g, tables=None):
         """The k-th bidifferential operator applied to a pair of functions.
 
-        f and g are GaussPoly, GaussSum or DerivativeTower; pass towers to
-        share derivatives between calls.  Every term c * (d^beta f)(d^gamma g)
-        is accumulated straight into one term dict per Gaussian width.
+        f and g are GaussPoly, GaussSum or DerivativeTower.  The pair of
+        polynomial parts multiplies the towers' memoised derivatives; every
+        pair of parts with a Gaussian factor is multiplied coordinate by
+        coordinate through `tables`, a CoordinateTables (a fresh one when
+        None).  Pass towers and one tables object to share that work between
+        calls.  Every term c * (d^beta f)(d^gamma g) is accumulated straight
+        into one term dict per Gaussian width.
         """
-        ft, gt = _tower(f), _tower(g)
-        by_alpha = {}
-        for coeff, dleft, dright in self.terms(k):
-            left = ft[dleft]
-            if not left:
-                continue
-            right = gt[dright]
-            for fp in left:
-                for gp in right:
-                    alpha = fp.alpha + gp.alpha
-                    out = by_alpha.get(alpha)
-                    if out is None:
-                        out = by_alpha[alpha] = {}
-                    gp_mul_into(out, coeff, fp.terms, gp.terms)
+        terms = self.terms(k)
+        ft, fgauss = _split(f)
+        gt, ggauss = _split(g)
         parts = []
-        for alpha in sorted(by_alpha):
-            part = _gp(self.ctx, by_alpha[alpha], alpha)
-            if part:
-                parts.append(part)
+        if ft is not None and gt is not None:
+            out = {}
+            for coeff, dleft, dright in terms:
+                left = ft[dleft]
+                if left:
+                    right = gt[dright]
+                    if right:
+                        gp_mul_into(out, coeff, left.terms, right.terms)
+            if out:
+                part = _gp(self.ctx, out, _ZERO)
+                if part:
+                    parts.append(part)
+        if fgauss or ggauss:
+            pairs = [(fp, gp) for fp in fgauss for gp in ggauss]
+            if ft is not None:
+                pairs += [(ft.poly, gp) for gp in ggauss]
+            if gt is not None:
+                pairs += [(fp, gt.poly) for fp in fgauss]
+            if tables is None:
+                tables = CoordinateTables()
+            by_alpha = {}
+            for fp, gp in pairs:
+                alpha = fp.alpha + gp.alpha
+                out = by_alpha.get(alpha)
+                if out is None:
+                    out = by_alpha[alpha] = {}
+                _gauss_pair_into(out, terms, fp, gp, tables)
+            for alpha in sorted(by_alpha):
+                part = _gp(self.ctx, by_alpha[alpha], alpha)
+                if part:
+                    parts.append(part)
         return GaussSum._trusted(self.ctx, parts)
 
     def termination_bound(self, f, g):
@@ -251,14 +396,16 @@ def star_mul(S, F, G, order=None):
     if hi < lo:
         return FormalFunction(ctx, t + 1 if t is not None else 0, (), t)
     acc = [GaussSum.zero(ctx) for _ in range(hi - lo + 1)]
-    # one derivative tower per coefficient, shared by every (l, j) and order m
-    left = {l: DerivativeTower(F.coeffs[l]) for l, _ in bounds}
-    right = {j: DerivativeTower(G.coeffs[j]) for _, j in bounds}
+    # one tower per coefficient with a polynomial part and one set of 1-D
+    # tables, shared by every (l, j) and order m
+    left = {l: _operand(F.coeffs[l]) for l, _ in bounds}
+    right = {j: _operand(G.coeffs[j]) for _, j in bounds}
+    tables = CoordinateTables()
     for (l, j), k_bound in bounds.items():
         base = F.valuation + l + G.valuation + j
         m_max = hi - base if k_bound == UNBOUNDED else min(k_bound, hi - base)
         for m in range(0, m_max + 1):
-            piece = S.B(m, left[l], right[j])
+            piece = S.B(m, left[l], right[j], tables)
             if piece:
                 acc[base + m - lo] = acc[base + m - lo] + piece
     return FormalFunction(ctx, lo, acc, t)
@@ -309,9 +456,9 @@ def closedness_check(S, f, g, maxk):
     if f.alpha + g.alpha == 0:
         raise NotIntegrable("closedness needs a Gaussian factor on at least one side")
     values = {}
-    ft, gt = DerivativeTower(f), DerivativeTower(g)
+    ft, gt, tables = _operand(f), _operand(g), CoordinateTables()
     for k in range(0, maxk + 1):
-        values[k] = S.B(k, ft, gt).integrate()
+        values[k] = S.B(k, ft, gt, tables).integrate()
     pointwise = (GaussSum.of(f) * GaussSum.of(g)).integrate()
     return ClosednessReport(values, values[0], pointwise)
 

@@ -6,6 +6,7 @@ payload shape shows up as a diff, not just a semantic mismatch.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -259,7 +260,13 @@ def test_eigencheck_classical_full_report(capsys):
 # ============================================================
 
 def _run_proc(argv):
-    return subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    # the child imports the starforge this suite imported, from any caller
+    import starforge
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starforge.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
 
 
 def test_module_entry_point():

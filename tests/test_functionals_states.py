@@ -276,6 +276,15 @@ def test_reality_witnesses_must_be_real():
         reality_check(DELTA, [fn(Q) + fn(P).scale(EC_I)])
 
 
+def test_formal_functionals_are_unhashable():
+    # equal up to the shorter known tail, which no hash can follow
+    truncated = DELTA.shift(1).truncate(0)
+    assert truncated == FormalFunctional.zero(CTX).truncate(0)
+    for T in (truncated, DELTA, FormalFunctional.zero(CTX)):
+        with pytest.raises(TypeError):
+            hash(T)
+
+
 # ---- positivity ----
 
 def test_delta_is_negative_over_moyal():
@@ -339,6 +348,20 @@ def test_per_power_positivity_is_the_wrong_reading():
     # while the adopted partial-sum reading accepts both witnesses
     rep = positivity_check(BULLET, DELTA, [up, down])
     assert rep.verdict == "positive_on_samples"
+
+
+def test_positivity_without_a_witness_is_a_scope_error():
+    from starforge import ScopeError
+
+    with pytest.raises(ScopeError):
+        positivity_check(MOYAL, DELTA, [])
+
+
+def test_positivity_without_a_lambda_sample_is_a_scope_error():
+    from starforge import ScopeError
+
+    with pytest.raises(ScopeError):
+        positivity_check(MOYAL, DELTA, [fn(Q)], lambda_samples=())
 
 
 # ---- normalization ----

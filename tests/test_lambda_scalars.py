@@ -216,6 +216,30 @@ def test_equal_values_hash_equal_across_the_coefficient_floors():
     assert len({PiRational(3, 1), PiScalar.const(3), ExactComplex(3, 1)}) == 3
 
 
+def test_formal_scalars_are_unhashable():
+    # truncated agreement: both pairs are equal, and no hash could follow
+    # an equality that is not transitive
+    assert FormalScalar(0, [1, 2], 1) == FormalScalar(0, [1], 0)
+    assert FormalScalar.from_const(3) == 3
+    for value in (FormalScalar(0, [1, 2], 1), FormalScalar.from_const(3), FormalScalar.zero()):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_coefficient_brackets_in_rendered_scalars():
+    def render(c):
+        return render_scalar(FormalScalar(0, [c], None)), render_scalar(FormalScalar(1, [c], None))
+
+    # a product brackets its own sum; a sum or a quotient with a sum is bracketed
+    assert render(PiRational(ExactComplex(Fraction(44, 63), Fraction(16, 27)), 1)) == (
+        "(44/63+16/27*I)*pi", "(44/63+16/27*I)*pi*lam")
+    assert render(ExactComplex(1, -2)) == ("(1-2*I)", "(1-2*I)*lam")
+    assert render(PiScalar((EC_ONE, EC_ONE))) == ("(1 + pi)", "(1 + pi)*lam")
+    assert render(PiScalar((EC_ONE,), (ExactComplex(-1), EC_ONE))) == (
+        "(1/(-1 + pi))", "(1/(-1 + pi))*lam")
+    assert render(PiRational(Fraction(-3, 4), 2)) == ("-3/4*pi^2", "-3/4*pi^2*lam")
+
+
 # ---- construction and canonical form ----
 
 def test_leading_zeros_are_pruned():

@@ -367,7 +367,7 @@ def test_two_pair_commutators():
     assert star_commutator(S2, q1, q2) == FormalFunction.zero(ctx2)
 
 
-# ---- the shared-tower kernel against naive references ----
+# ---- both product paths of B against naive references ----
 
 def _naive_moyal_B(ctx, k, f, g):
     # B_k = (1/k!) (i/2)^k (sum_i dq_i(f) dp_i(g) - dp_i(f) dq_i(g))^k, expanded
@@ -397,8 +397,41 @@ def _naive_moyal_B(ctx, k, f, g):
     return acc
 
 
+def _naive_table_B(fam, k, f, g):
+    # sum c * (d^dl f)(d^dr g) over the family's operator table, every
+    # derivative taken afresh and every product expanded in all 2n variables
+    f = f if isinstance(f, GaussSum) else GaussSum.of(f)
+    g = g if isinstance(g, GaussSum) else GaussSum.of(g)
+    acc = GaussSum.zero(fam.ctx)
+    for c, dl, dr in fam.terms(k):
+        df, dg = f, g
+        for i, (a, b) in enumerate(zip(dl, dr)):
+            for _ in range(a):
+                df = df.diff(i)
+            for _ in range(b):
+                dg = dg.diff(i)
+        acc = acc + (df * dg).scale(c)
+    return acc
+
+
+def _corrupted_family(ctx):
+    # Moyal with B_1 doubled and an unbalanced complex term added to B_2
+    moyal = moyal_family(ctx)
+    zeros = (0,) * (ctx.dim - 1)
+    extra = (ExactComplex(1, 3), (2,) + zeros, zeros + (1,))
+
+    def terms(k, ctx):
+        t = moyal.terms(k)
+        if k == 1:
+            return tuple((c * 2, dl, dr) for c, dl, dr in t)
+        return t + (extra,) if k == 2 else t
+
+    return StarFamily("corrupted", ctx, terms)
+
+
 def _factors(ctx):
-    # Gaussian-times-polynomial factors, polynomials and one two-width sum
+    # Gaussian-times-polynomial factors, polynomials and one sum of a
+    # Gaussian part and a polynomial part
     names = ctx.names
     x = [GaussPoly.coordinate(ctx, v) for v in names]
     g_half = GaussPoly.gaussian(ctx, Fraction(1, 2))
@@ -415,16 +448,29 @@ def _factors(ctx):
 @pytest.mark.parametrize("n,kmax", [(1, 6), (2, 6)])
 def test_B_matches_a_naive_multinomial_expansion(n, kmax):
     ctx = PhaseContext(n)
-    fam = moyal_family(ctx)
     fs = _factors(ctx)
-    for f, g in [(fs[0], fs[1]), (fs[1], fs[2]), (fs[3], fs[0]), (fs[4], fs[1])]:
-        parts = lambda x: x.parts if isinstance(x, GaussSum) else (x,)
-        for k in range(kmax + 1):
-            want = GaussSum.zero(ctx)
-            for fp in parts(f):
-                for gp in parts(g):
-                    want = want + _naive_moyal_B(ctx, k, fp, gp)
-            assert fam.B(k, f, g) == want, (n, k)
+    parts = lambda x: x.parts if isinstance(x, GaussSum) else (x,)
+
+    def multinomial(k, f, g):
+        want = GaussSum.zero(ctx)
+        for fp in parts(f):
+            for gp in parts(g):
+                want = want + _naive_moyal_B(ctx, k, fp, gp)
+        return want
+
+    bullet, corrupted = bullet_family(ctx), _corrupted_family(ctx)
+    references = [(moyal_family(ctx), multinomial),
+                  (bullet, lambda k, f, g: _naive_table_B(bullet, k, f, g)),
+                  (corrupted, lambda k, f, g: _naive_table_B(corrupted, k, f, g))]
+    # fs[4] mixes a polynomial part and a Gaussian part: its pairs with the
+    # polynomial fs[3], with itself and with Gaussians cross the boundary
+    # between the tower path and the per-coordinate path
+    pairs = [(fs[0], fs[1]), (fs[1], fs[2]), (fs[3], fs[0]), (fs[4], fs[1]),
+             (fs[4], fs[3]), (fs[3], fs[4]), (fs[4], fs[4])]
+    for fam, naive in references:
+        for f, g in pairs:
+            for k in range(kmax + 1):
+                assert fam.B(k, f, g) == naive(k, f, g), (fam.name, n, k)
 
 
 @pytest.mark.parametrize("n,order", [(1, 6), (2, 3)])
@@ -508,7 +554,11 @@ def _compositions(total, slots):
 
 @pytest.mark.parametrize("n,order,a,b", [(1, 10, Fraction(1, 2), Fraction(3, 2)),
                                          (1, 10, Fraction(2), Fraction(1)),
-                                         (2, 6, Fraction(1), Fraction(1, 2))])
+                                         (2, 6, Fraction(1), Fraction(1, 2)),
+                                         (1, 24, Fraction(1), Fraction(1)),
+                                         (1, 24, Fraction(2, 3), Fraction(5, 2)),
+                                         (2, 10, Fraction(1), Fraction(1)),
+                                         (2, 10, Fraction(3, 2), Fraction(1, 3))])
 def test_gaussian_pair_matches_the_closed_form(n, order, a, b):
     ctx = PhaseContext(n)
     F = star_mul(moyal_family(ctx), fn(GaussPoly.gaussian(ctx, a)),
@@ -527,16 +577,41 @@ def test_gaussian_pair_matches_the_closed_form(n, order, a, b):
 
 
 def test_star_mul_takes_each_derivative_once(monkeypatch):
-    # one tower per factor: d^beta of each side is built once for every
-    # |beta| <= K, however many orders and terms reuse it
+    # one tower per factor with a polynomial part: d^beta of each side's
+    # polynomial is built once for every |beta| <= K, however many orders and
+    # terms reuse it; the Gaussian parts go through the 1-D tables instead
     import starforge.star_products as sp
 
     calls = []
     real = sp.gp_diff
     monkeypatch.setattr(sp, "gp_diff", lambda f, var: calls.append(var) or real(f, var))
     K = 8
-    star_mul(MOYAL, fn(GAUSS), fn(GaussPoly.gaussian(CTX, 2)), K)
+    poly = GaussPoly.monomial(CTX, (K, K))
+    f = GaussSum.of(poly) + GaussSum.of(GAUSS)
+    g = GaussSum.of(poly) + GaussSum.of(GaussPoly.gaussian(CTX, 2))
+    star_mul(MOYAL, fn(f), fn(g), K)
     assert len(calls) == 2 * ((K + 1) * (K + 2) // 2 - 1)
+
+
+def test_star_mul_builds_each_one_dimensional_factor_once(monkeypatch):
+    # one set of 1-D tables per product.  gauss(1) * gauss(2) at n = 1 to
+    # order K needs Q_j(x^0) for j <= K at each width (K + 1 rows each, the
+    # first given, so 2K built) and one row product per pair (j1, j2) with
+    # j1 + j2 <= K, which both coordinates share; no 2-variable derivative
+    # is ever expanded
+    import starforge.star_products as sp
+
+    steps, products = [], []
+    real_step, real_mul = sp._q_next, sp._row_mul
+    monkeypatch.setattr(sp, "_q_next",
+                        lambda row, u, v: steps.append((u, v)) or real_step(row, u, v))
+    monkeypatch.setattr(sp, "_row_mul",
+                        lambda x, y: products.append((x, y)) or real_mul(x, y))
+    monkeypatch.setattr(sp, "gp_diff", None)
+    K = 8
+    star_mul(MOYAL, fn(GAUSS), fn(GaussPoly.gaussian(CTX, 2)), K)
+    assert sorted(steps) == [(1, 1)] * K + [(2, 1)] * K
+    assert len(products) == (K + 1) * (K + 2) // 2
 
 
 def test_corrupted_second_order_operator_pins_the_associativity_counterexample():
