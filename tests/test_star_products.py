@@ -6,6 +6,7 @@ import pytest
 
 from starforge import (
     EC_I,
+    EC_ONE,
     ExactComplex,
     FormalFunction,
     GaussPoly,
@@ -68,6 +69,15 @@ def test_moyal_term_helper():
     assert moyal_term(2, Q * Q, P * P) == GaussSum.of(GaussPoly.constant(CTX, Fraction(-1, 2)))
     with pytest.raises(ValueError):
         moyal_term(-1, Q, P)
+
+
+def test_negative_order_is_rejected_at_the_family():
+    # both tables are empty at k = -1, so only the explicit check raises
+    for fam in (MOYAL, BULLET):
+        with pytest.raises(ValueError):
+            fam.B(-1, Q, P)
+        with pytest.raises(ValueError):
+            fam.B_into({}, -1, Q, P)
 
 
 def test_b1_matches_the_poisson_bracket(rng):
@@ -626,3 +636,129 @@ def test_corrupted_second_order_operator_pins_the_associativity_counterexample()
     assert failed == [3]
     assert rep.entries[3]["counterexample"] == {
         "inputs": ["q", "q", "p^2"], "order": 2, "difference": "-1/2"}
+
+
+# ---- B_into: accumulation into a caller-owned term dict ----
+
+def _mixed_operands():
+    # polynomial parts plus Gaussian parts of widths 1/2 and 1
+    f = GaussSum(CTX, [Q * GaussPoly.gaussian(CTX, Fraction(1, 2)),
+                       P * P + Q.scale(Fraction(1, 3))])
+    g = GaussSum(CTX, [(P + Q.scale(EC_I)) * GAUSS, Q * P])
+    return f, g
+
+
+def test_B_into_accumulates_the_sum_of_B():
+    f, g = _mixed_operands()
+    out, want = {}, GaussSum.zero(CTX)
+    for k in range(4):
+        for a, b in ((f, g), (g, f), (f, f)):
+            MOYAL.B_into(out, k, a, b)
+            want = want + MOYAL.B(k, a, b)
+    # the polynomial part is keyed by the int 0, every Gaussian by its width
+    assert sorted(out) == [0, Fraction(1, 2), 1, Fraction(3, 2)]
+    assert [w for w in out if type(w) is int] == [0]
+    got = GaussSum(CTX, [GaussPoly(CTX, terms, w) for w, terms in out.items()])
+    assert got == want
+    assert len(want.parts) == 4
+
+
+def test_B_into_cancels_to_zero_slots_that_the_wrapper_drops():
+    from starforge.star_products import _sum_of
+
+    f, g = _mixed_operands()
+    out = {}
+    MOYAL.B_into(out, 2, f, g)
+    MOYAL.B_into(out, 2, -f, g)
+    assert out and all(not c for terms in out.values() for c in terms.values())
+    assert _sum_of(CTX, out).parts == ()
+
+
+def test_B_into_leaves_the_dict_alone_on_an_empty_operator_table():
+    f, g = _mixed_operands()
+    out = {0: {(1, 0): ExactComplex(3)}}
+    BULLET.B_into(out, 1, f, g)
+    StarFamily("empty", CTX, lambda k, ctx: ()).B_into(out, 0, f, g)
+    assert out == {0: {(1, 0): ExactComplex(3)}}
+
+
+# ---- every reported counterexample is a real one ----
+
+def _moyal_with(k_bad, table):
+    # Moyal with the operator table of order k_bad replaced by table(moyal's)
+    def terms(k, ctx):
+        t = MOYAL.terms(k)
+        return table(t) if k == k_bad else t
+    return terms
+
+
+_HALF = ExactComplex(Fraction(1, 2))
+_BROKEN = {
+    "doubled_B1": (_moyal_with(1, lambda t: tuple((c * 2, l, r) for c, l, r in t)),
+                   [3, 6]),
+    "doubled_B2": (_moyal_with(2, lambda t: tuple((c * 2, l, r) for c, l, r in t)),
+                   [3]),
+    # B_0(f, g) = fg + f_q g: B_0(1, f) = f still, but B_0(f, 1) != f
+    "skewed_B0": (_moyal_with(0, lambda t: t + ((EC_ONE, (1, 0), (0, 0)),)),
+                  [3, 4, 5, 7, 9]),
+    # B_1 = (1/2)(f_q g_p - f_p g_q), real where Moyal's is imaginary
+    "real_B1": (_moyal_with(1, lambda t: ((_HALF, (1, 0), (0, 1)),
+                                          (-_HALF, (0, 1), (1, 0)))),
+                [3, 6, 7]),
+}
+
+
+def _input(s):
+    from starforge.cli_frontend import lower_expression, parse_expression
+
+    F = lower_expression(parse_expression(s), CTX)
+    assert F.valuation == 0 and len(F.coeffs) == 1 and len(F.coeffs[0].parts) == 1
+    return F.coeffs[0].parts[0]
+
+
+def _difference(S, axiom, xs, k):
+    # the axiom's defect on these inputs, from B and GaussSum alone
+    B, zero = S.B, GaussSum.zero(CTX)
+    if axiom == 3:
+        f, g, h = xs
+        lhs = rhs = zero
+        for l in range(k + 1):
+            lhs = lhs + B(l, B(k - l, f, g), h)
+            rhs = rhs + B(l, f, B(k - l, g, h))
+        return lhs - rhs
+    if axiom == 4:
+        f, g = xs
+        return B(0, f, g) - GaussSum.of(f * g)
+    if axiom == 5:
+        (f,) = xs
+        want = GaussSum.of(f) if k == 0 else zero
+        one = GaussPoly.constant(CTX, 1)
+        left, right = B(k, one, f) - want, B(k, f, one) - want
+        return left if left else right
+    if axiom == 6:
+        f, g = xs
+        return B(1, f, g) - B(1, g, f) - GaussSum.of(gp_poisson(f, g).scale(EC_I))
+    assert axiom == 7
+    f, g = xs
+    return B(k, f, g).conj() - B(k, g.conj(), f.conj())
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN) + ["bullet"])
+def test_every_counterexample_is_a_real_one(name):
+    if name == "bullet":
+        S, failing = BULLET, [6]
+    else:
+        terms, failing = _BROKEN[name]
+        S = StarFamily(name, CTX, terms)
+    rep = axiom_suite(S, 2, 2)
+    assert sorted(k for k, e in rep.entries.items() if e["verdict"] == "fail") == failing
+    for axiom in failing:
+        ce = rep.entries[axiom]["counterexample"]
+        k = ce["order"]
+        if axiom == 9:
+            left = max(sum(dl) for _, dl, _ in S.terms(k))
+            assert left > k and ce["difference"].startswith("left order %d" % left)
+            continue
+        diff = _difference(S, axiom, [_input(s) for s in ce["inputs"]], k)
+        assert diff, (name, axiom)
+        assert str(diff) == ce["difference"], (name, axiom)
