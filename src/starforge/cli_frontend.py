@@ -453,7 +453,7 @@ def function_to_scalar(F):
         if part.alpha != 0 or set(part.terms) - {zero_exps}:
             return None
         vals.append(part.terms.get(zero_exps, ExactComplex(0)))
-    return FormalScalar(F.valuation if F.coeffs else 0, vals, F.tail)
+    return FormalScalar(F.valuation, vals, F.tail)
 
 
 def lower_functional(e, ctx):

@@ -7,10 +7,11 @@ convolution with pointwise products — the trivial commutative extension of
 multiplication to series.
 """
 
-from .lambda_scalars import (EC_ZERO, as_coeff, FormalScalar,
-                             tail_min, mul_tail)
+from .lambda_scalars import (EC_ZERO, as_coeff, FormalScalar, LaurentSeries,
+                             graded_product, mul_add, render_series,
+                             series_to_json, tail_from_json)
 from .phase_functions import (GaussPoly, PiRational, NotIntegrable,
-                              render_gausspoly)
+                              render_gausspoly, gp_to_json, gp_from_json)
 
 
 # ============================================================
@@ -140,49 +141,29 @@ class GaussSum(object):
 # FormalFunction
 # ============================================================
 
-class FormalFunction(object):
+def _as_sum(c):
+    if isinstance(c, GaussPoly):
+        return GaussSum.of(c)
+    if not isinstance(c, GaussSum):
+        raise TypeError("coefficients must be GaussSum/GaussPoly")
+    return c
+
+
+class FormalFunction(LaurentSeries):
     """Laurent series in lam with GaussSum coefficients and a finite principal part."""
 
-    __slots__ = ("ctx", "valuation", "coeffs", "tail")
+    __slots__ = ("ctx",)
+    _norm = staticmethod(_as_sum)
 
     def __init__(self, ctx, valuation, coeffs, tail=None):
-        if not isinstance(valuation, int):
-            raise ValueError("valuation must be a finite integer")
-        clean = []
-        for c in coeffs:
-            if isinstance(c, GaussPoly):
-                c = GaussSum.of(c)
-            if not isinstance(c, GaussSum):
-                raise TypeError("coefficients must be GaussSum/GaussPoly")
-            clean.append(c)
-        while clean and not clean[0]:
-            clean.pop(0)
-            valuation += 1
-        if tail is None:
-            while clean and not clean[-1]:
-                clean.pop()
-            if not clean:
-                valuation = 0
-        else:
-            tail = int(tail)
-            keep = tail - valuation + 1
-            if keep < 0:
-                clean = []
-            else:
-                del clean[keep:]
-                clean.extend([GaussSum.zero(ctx)] * (keep - len(clean)))
-            while clean and not clean[0]:
-                clean.pop(0)
-                valuation += 1
-            if not clean:
-                valuation = tail + 1
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "coeffs", tuple(clean))
-        object.__setattr__(self, "tail", tail)
+        self._set(valuation, coeffs, tail)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalFunction is immutable")
+    def _like(self, valuation, coeffs, tail):
+        return FormalFunction(self.ctx, valuation, coeffs, tail)
+
+    def _zero(self):
+        return GaussSum.zero(self.ctx)
 
     # ---- constructors ----
 
@@ -204,136 +185,39 @@ class FormalFunction(object):
     def coordinate(ctx, var):
         return FormalFunction.of(GaussPoly.coordinate(ctx, var))
 
-    # ---- queries ----
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def end(self):
-        return self.valuation + len(self.coeffs) - 1
-
-    def coefficient(self, z):
-        """GaussSum at lam^z, or None beyond the known tail."""
-        if self.tail is not None and z > self.tail:
-            return None
-        if self.valuation <= z <= self.end():
-            return self.coeffs[z - self.valuation]
-        return GaussSum.zero(self.ctx)
+    # ---- queries and arithmetic ----
 
     def is_poly(self):
         return all(c.is_poly() for c in self.coeffs)
 
-    # ---- arithmetic ----
-
-    def __add__(self, other):
-        if not isinstance(other, FormalFunction):
-            return NotImplemented
-        t = tail_min(self.tail, other.tail)
-        if not self.coeffs and not other.coeffs:
-            return FormalFunction(self.ctx, 0 if t is None else t + 1, (), t)
-        lo = min(self.valuation, other.valuation)
-        hi = max(self.end(), other.end())
-        if t is not None:
-            hi = min(hi, t)
-        out = []
-        for z in range(lo, hi + 1):
-            a = self.coefficient(z)
-            b = other.coefficient(z)
-            a = GaussSum.zero(self.ctx) if a is None else a
-            b = GaussSum.zero(self.ctx) if b is None else b
-            out.append(a + b)
-        return FormalFunction(self.ctx, lo, out, t)
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return FormalFunction(self.ctx, self.valuation,
-                              tuple(-c for c in self.coeffs), self.tail)
-
     def scale(self, c):
         c = as_coeff(c)
-        if not c:
-            return FormalFunction(self.ctx, 0, (), self.tail) if self.tail is not None \
-                else FormalFunction.zero(self.ctx)
-        return FormalFunction(self.ctx, self.valuation,
-                              tuple(s.scale(c) for s in self.coeffs), self.tail)
-
-    def shift(self, k):
-        t = None if self.tail is None else self.tail + k
-        return FormalFunction(self.ctx, self.valuation + k, self.coeffs, t)
-
-    def conj(self):
-        return FormalFunction(self.ctx, self.valuation,
-                              tuple(c.conj() for c in self.coeffs), self.tail)
-
-    def truncate(self, order):
-        return FormalFunction(self.ctx, self.valuation, self.coeffs,
-                              tail_min(self.tail, order))
+        return self._map(lambda s: s.scale(c))
 
     def diff(self, var):
         return fs_diff(self, var)
 
     def __eq__(self, other):
+        # a single GaussPoly/GaussSum compares as the lam^0 series
         if isinstance(other, (GaussPoly, GaussSum)):
             other = FormalFunction.of(other)
-        if not isinstance(other, FormalFunction):
-            return NotImplemented
-        d = min(self.known_through(), other.known_through())
-        if d == float("inf"):
-            return (self.valuation == other.valuation and self.coeffs == other.coeffs) \
-                if (self.coeffs or other.coeffs) else True
-        lo = min(self.valuation, other.valuation)
-        for z in range(lo, int(d) + 1):
-            a = self.coefficient(z)
-            b = other.coefficient(z)
-            if a is None or b is None:
-                continue
-            if a != b:
-                return False
-        return True
-
-    def known_through(self):
-        return float("inf") if self.tail is None else self.tail
+        return LaurentSeries.__eq__(self, other)
 
     def __str__(self):
         return render_function(self)
-
-    def __repr__(self):
-        return "FormalFunction(%s)" % self
 
 
 # ============================================================
 # Operations
 # ============================================================
 
+def _scale_add(acc, c, f):
+    return acc + f.scale(c)
+
+
 def _scalar_times_function(c, F):
     """Graded Cauchy action of a FormalScalar on a FormalFunction."""
-    if (not c.coeffs and c.tail is None) or (not F.coeffs and F.tail is None):
-        return FormalFunction.zero(F.ctx)
-    t = mul_tail(c.valuation, c.tail, F.valuation, F.tail)
-    if not c.coeffs or not F.coeffs:
-        return FormalFunction(F.ctx, 0 if t is None else t + 1, (), t)
-    lo = c.valuation + F.valuation
-    hi = c.end() + F.end()
-    if t is not None:
-        hi = min(hi, t)
-    out = [GaussSum.zero(F.ctx) for _ in range(hi - lo + 1)]
-    for i, cc in enumerate(c.coeffs):
-        if not cc:
-            continue
-        for j, fc in enumerate(F.coeffs):
-            z = lo + i + j
-            if z > hi:
-                break
-            if fc:
-                out[z - lo] = out[z - lo] + fc.scale(cc)
-    return FormalFunction(F.ctx, lo, out, t)
+    return graded_product(c, F, _scale_add, F._like, GaussSum.zero(F.ctx))
 
 
 def fs_linear_comb(c1, F1, c2, F2):
@@ -343,33 +227,13 @@ def fs_linear_comb(c1, F1, c2, F2):
 
 def fs_bullet(F, G):
     """The commutative bullet product: graded Cauchy with pointwise products."""
-    if (not F.coeffs and F.tail is None) or (not G.coeffs and G.tail is None):
-        return FormalFunction.zero(F.ctx)
-    t = mul_tail(F.valuation, F.tail, G.valuation, G.tail)
-    if not F.coeffs or not G.coeffs:
-        return FormalFunction(F.ctx, 0 if t is None else t + 1, (), t)
-    lo = F.valuation + G.valuation
-    hi = F.end() + G.end()
-    if t is not None:
-        hi = min(hi, t)
-    out = [GaussSum.zero(F.ctx) for _ in range(hi - lo + 1)]
-    for i, a in enumerate(F.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(G.coeffs):
-            z = lo + i + j
-            if z > hi:
-                break
-            if b:
-                out[z - lo] = out[z - lo] + a * b
-    return FormalFunction(F.ctx, lo, out, t)
+    return graded_product(F, G, mul_add, F._like, GaussSum.zero(F.ctx))
 
 
 def fs_diff(F, var):
     """Termwise partial derivative; grading unchanged."""
     F.ctx.index(var)  # raises UnknownCoordinate early
-    return FormalFunction(F.ctx, F.valuation,
-                          tuple(c.diff(var) for c in F.coeffs), F.tail)
+    return F._map(lambda c: c.diff(var))
 
 
 def fs_integrate(F):
@@ -381,60 +245,37 @@ def fs_integrate(F):
         except NotIntegrable as exc:
             raise NotIntegrable("coefficient of lam^%d is not integrable: %s"
                                 % (F.valuation + i, exc)) from None
-    return FormalScalar(F.valuation if F.coeffs else 0, out, F.tail)
+    return FormalScalar(F.valuation, out, F.tail)
 
 
 # ============================================================
 # Rendering and JSON
 # ============================================================
 
+def _function_piece(c, lam):
+    base = str(c)
+    if not lam:
+        return base
+    if base == "1":
+        return lam
+    if base == "-1":
+        return "-" + lam
+    return "%s*%s" % ("(%s)" % base if " " in base else base, lam)
+
+
 def render_function(F):
-    if not F.coeffs:
-        if F.tail is None:
-            return "0"
-        return "0 + O(lam^%d)" % (F.tail + 1)
-    parts = []
-    for i, c in enumerate(F.coeffs):
-        if not c:
-            continue
-        z = F.valuation + i
-        base = str(c)
-        if z == 0:
-            piece = base
-        else:
-            lam = "lam" if z == 1 else "lam^%d" % z
-            if base == "1":
-                piece = lam
-            elif base == "-1":
-                piece = "-" + lam
-            else:
-                if " " in base:
-                    base = "(%s)" % base
-                piece = "%s*%s" % (base, lam)
-        parts.append(piece)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    if F.tail is not None:
-        out += " + O(lam^%d)" % (F.tail + 1)
-    return out
+    return render_series(F, _function_piece)
+
+
+def _sum_json(c):
+    return [gp_to_json(p) for p in c.parts]
 
 
 def fs_to_json(F):
-    from .phase_functions import gp_to_json
-    return {
-        "valuation": F.valuation,
-        "coeffs": [[gp_to_json(p) for p in c.parts] for c in F.coeffs],
-        "tail": "exact" if F.tail is None else {"truncated_at": F.tail},
-    }
+    return series_to_json(F, _sum_json)
 
 
 def fs_from_json(ctx, data):
-    from .phase_functions import gp_from_json
-    tail = data["tail"]
-    tail = None if tail == "exact" else int(tail["truncated_at"])
     coeffs = [GaussSum(ctx, [gp_from_json(ctx, p) for p in entry])
               for entry in data["coeffs"]]
-    return FormalFunction(ctx, int(data["valuation"]), coeffs, tail)
+    return FormalFunction(ctx, int(data["valuation"]), coeffs, tail_from_json(data))

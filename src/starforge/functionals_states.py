@@ -10,16 +10,18 @@ tests, all exact.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
                              ScopeError, ExactComplex, EC_ZERO, EC_ONE, as_coeff,
-                             FormalScalar, FORMAL,
-                             tail_min, mul_tail, scalar_invert, scalar_eval,
-                             render_scalar)
+                             FormalScalar, FORMAL, LaurentSeries, graded_product,
+                             scalar_invert, scalar_eval, render_scalar,
+                             render_series, series_to_json)
 from .phase_functions import (GaussPoly, coeff_sign,
                               DimensionMismatch, render_gausspoly)
-from .formal_series import GaussSum, FormalFunction, fs_bullet, fs_diff, render_function
+from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
+                            fs_linear_comb, render_function)
 from .star_products import star_mul, star_commutator, TruncationRequired, UNBOUNDED
 
 
@@ -231,6 +233,24 @@ def _weight_json(w):
     return w.to_json()
 
 
+class _Terms(tuple):
+    """One coefficient of a functional: its elementary terms, merged and sorted."""
+
+    __slots__ = ()
+
+    def rescale(self, c):
+        return _Terms(t.rescale(c) for t in self)
+
+    def __neg__(self):
+        return self.rescale(ExactComplex(-1, 0))
+
+    def conj(self):
+        return _Terms(t.conj() for t in self)
+
+
+_NO_TERMS = _Terms()
+
+
 def _merge_terms(terms):
     out = []
     for t in terms:
@@ -242,51 +262,30 @@ def _merge_terms(terms):
             out.append(t)
     out = [t for t in out if not _is_zero_weight(t.weight)]
     out.sort(key=lambda t: t.sort_key())
-    return tuple(out)
+    return _Terms(out)
 
 
 # ============================================================
 # Graded functionals
 # ============================================================
 
-class FormalFunctional(object):
+class FormalFunctional(LaurentSeries):
     """Laurent series in lam whose coefficients are finite term lists."""
 
-    __slots__ = ("ctx", "valuation", "coeffs", "tail")
+    __slots__ = ("ctx",)
+    _invalid = InfinitePrincipalPart
+    _norm = staticmethod(_merge_terms)
 
     def __init__(self, ctx, valuation, coeffs, tail=None):
-        if isinstance(valuation, bool) or not isinstance(valuation, int):
-            raise InfinitePrincipalPart(
-                "functional valuation must be a finite integer; a functional "
-                "with infinitely many negative lambda powers is not representable")
-        coeffs = [_merge_terms(tuple(c)) for c in coeffs]
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            valuation += 1
-        if tail is None:
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-        else:
-            tail = int(tail)
-            want = tail - valuation + 1
-            if want <= 0:
-                coeffs = []
-                valuation = tail + 1
-            else:
-                coeffs = coeffs[:want]
-                while len(coeffs) < want:
-                    coeffs.append(())
-        if not coeffs and tail is not None:
-            valuation = tail + 1
-        if not coeffs and tail is None:
-            valuation = 0
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "tail", tail)
+        self._set(valuation, coeffs, tail)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalFunctional is immutable")
+    def _like(self, valuation, coeffs, tail):
+        return FormalFunctional(self.ctx, valuation, coeffs, tail)
+
+    @staticmethod
+    def _zero():
+        return _NO_TERMS
 
     # ---- constructors ----
 
@@ -312,137 +311,44 @@ class FormalFunctional(object):
 
     # ---- structure ----
 
-    def coefficient(self, z):
-        if z < self.valuation:
-            return ()
-        if self.tail is not None and z > self.tail:
-            return None
-        k = z - self.valuation
-        return self.coeffs[k] if k < len(self.coeffs) else ()
-
-    def end(self):
-        return self.valuation + len(self.coeffs) - 1
-
-    def known_through(self):
-        return self.tail if self.tail is not None else None
-
     def has_width(self):
         return any(isinstance(t, Density) and t.width_lambda != 0
                    for grade in self.coeffs for t in grade)
 
     # ---- algebra ----
 
-    def __add__(self, other):
-        if not isinstance(other, FormalFunctional):
-            return NotImplemented
-        t = tail_min(self.tail, other.tail)
-        lo = min(self.valuation, other.valuation)
-        hi = max(self.end(), other.end())
-        if t is not None:
-            hi = min(hi, t)
-        grades = []
-        for z in range(lo, hi + 1):
-            a = self.coefficient(z) or ()
-            b = other.coefficient(z) or ()
-            grades.append(tuple(a) + tuple(b))
-        return FormalFunctional(self.ctx, lo, grades, t)
-
-    def __neg__(self):
-        return self.rescale(ExactComplex(-1, 0))
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalFunctional):
-            return NotImplemented
-        return self + (-other)
-
     def rescale(self, c):
         """Multiply every weight by a plain scalar."""
         if isinstance(c, (int, Fraction)):
             c = as_coeff(c)
-        grades = [tuple(t.rescale(c) for t in grade) for grade in self.coeffs]
-        return FormalFunctional(self.ctx, self.valuation, grades, self.tail)
+        return self._map(lambda grade: grade.rescale(c))
 
     def scale_by_scalar(self, A):
         """Multiply by a formal scalar, grading included."""
         if not isinstance(A, FormalScalar):
             return self.rescale(A)
-        t = mul_tail(A.valuation, A.tail, self.valuation, self.tail)
-        if not A.coeffs or not self.coeffs:
-            if t is None:
-                return FormalFunctional.zero(self.ctx)
-            return FormalFunctional(self.ctx, t + 1, (), t)
-        lo = A.valuation + self.valuation
-        hi = A.end() + self.end()
-        if t is not None:
-            hi = min(hi, t)
-        grades = [[] for _ in range(hi - lo + 1)]
-        for m, c in enumerate(A.coeffs):
-            if c.is_zero():
-                continue
-            for l, grade in enumerate(self.coeffs):
-                z = A.valuation + m + self.valuation + l
-                if z > hi:
-                    break
-                for term in grade:
-                    grades[z - lo].append(term.rescale(c))
-        return FormalFunctional(self.ctx, lo, grades, t)
-
-    def shift(self, k):
-        return FormalFunctional(self.ctx, self.valuation + k, self.coeffs,
-                                None if self.tail is None else self.tail + k)
-
-    def truncate(self, order):
-        t = tail_min(self.tail, order)
-        return FormalFunctional(self.ctx, self.valuation, self.coeffs, t)
-
-    def conj(self):
-        grades = [tuple(t.conj() for t in grade) for grade in self.coeffs]
-        return FormalFunctional(self.ctx, self.valuation, grades, self.tail)
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalFunctional):
-            return NotImplemented
-        lo = min(self.valuation, other.valuation)
-        hi = max(self.end(), other.end())
-        for t in (self.tail, other.tail):
-            if t is not None:
-                hi = min(hi, t)
-        for z in range(lo, hi + 1):
-            if (self.coefficient(z) or ()) != (other.coefficient(z) or ()):
-                return False
-        return True
-
-    # equality is agreement up to the shorter known tail, which is not
-    # transitive, so no hash can be consistent with it
-    __hash__ = None
+        return graded_product(A, self, _rescale_add, self._like, _NO_TERMS)
 
     def __str__(self):
-        if not self.coeffs:
-            if self.tail is None:
-                return "0"
-            return "0 + O(lam^%d)" % (self.tail + 1)
-        bits = []
-        for k, grade in enumerate(self.coeffs):
-            if not grade:
-                continue
-            z = self.valuation + k
-            body = " + ".join(str(t) for t in grade)
-            if z == 0:
-                bits.append(body if len(grade) == 1 else "(%s)" % body)
-            else:
-                lam = "lam" if z == 1 else "lam^%d" % z
-                bits.append("(%s)*%s" % (body, lam))
-        s = " + ".join(bits)
-        if self.tail is not None:
-            s += " + O(lam^%d)" % (self.tail + 1)
-        return s
+        return render_series(self, _functional_piece)
 
     def to_json(self):
-        return {
-            "valuation": self.valuation,
-            "coeffs": [[t.to_json() for t in grade] for grade in self.coeffs],
-            "tail": "exact" if self.tail is None else {"truncated_at": self.tail},
-        }
+        return series_to_json(self, _grade_json)
+
+
+def _functional_piece(grade, lam):
+    body = " + ".join(str(t) for t in grade)
+    if lam:
+        return "(%s)*%s" % (body, lam)
+    return body if len(grade) == 1 else "(%s)" % body
+
+
+def _grade_json(grade):
+    return [t.to_json() for t in grade]
+
+
+def _rescale_add(acc, c, grade):
+    return acc + grade.rescale(c)
 
 
 def bind_functional(T, binding):
@@ -454,11 +360,8 @@ def bind_functional(T, binding):
                 "functional has lam-dependent Gaussian widths; they only "
                 "resolve under a strict lambda binding")
         return T
-    grades = []
-    for grade in T.coeffs:
-        grades.append(tuple(t.bind(binding) if isinstance(t, Density) else t
-                            for t in grade))
-    return FormalFunctional(T.ctx, T.valuation, grades, T.tail)
+    return T._map(lambda grade: [t.bind(binding) if isinstance(t, Density) else t
+                                 for t in grade])
 
 
 # ============================================================
@@ -467,29 +370,13 @@ def bind_functional(T, binding):
 
 def func_action(T, F):
     """Plain pairing <T, F> as a formal scalar."""
-    F = _as_function(T.ctx, F)
-    t = mul_tail(T.valuation, T.tail, F.valuation, F.tail)
-    if not T.coeffs or not F.coeffs:
-        if t is None:
-            return FormalScalar.zero()
-        return FormalScalar(t + 1, (), t)
-    lo = T.valuation + F.valuation
-    hi = T.end() + F.end()
-    if t is not None:
-        hi = min(hi, t)
-    vals = [EC_ZERO] * (hi - lo + 1)
-    for m, grade in enumerate(T.coeffs):
-        if not grade:
-            continue
-        for l, fl in enumerate(F.coeffs):
-            z = T.valuation + m + F.valuation + l
-            if z > hi:
-                break
-            if not fl:
-                continue
-            for term in grade:
-                vals[z - lo] = vals[z - lo] + term.act(fl)
-    return FormalScalar(lo, vals, t)
+    return graded_product(T, _as_function(T.ctx, F), _act_add, FormalScalar, EC_ZERO)
+
+
+def _act_add(acc, grade, f):
+    for term in grade:
+        acc = acc + term.act(f)
+    return acc
 
 
 def _as_function(ctx, f):
@@ -646,26 +533,14 @@ def func_mul(S, side, xi, T, order=None):
     xi = _as_function(S.ctx, xi)
     if side in ("left", "right"):
         return DualFunctional(S, side, xi, T)
-    t = mul_tail(xi.valuation, xi.tail, T.valuation, T.tail)
-    if not xi.coeffs or not T.coeffs:
-        if t is None:
-            return FormalFunctional.zero(S.ctx)
-        return FormalFunctional(S.ctx, t + 1, (), t)
-    lo = xi.valuation + T.valuation
-    hi = xi.end() + T.end()
-    if t is not None:
-        hi = min(hi, t)
-    grades = [[] for _ in range(hi - lo + 1)]
-    for l, gs in enumerate(xi.coeffs):
-        if not gs:
-            continue
-        for m, grade in enumerate(T.coeffs):
-            z = xi.valuation + l + T.valuation + m
-            if z > hi:
-                break
-            for term in grade:
-                grades[z - lo].extend(_bullet_term_mul(S.ctx, gs, term))
-    return FormalFunctional(S.ctx, lo, grades, t)
+    ctx = S.ctx
+
+    def bullet_add(acc, gs, grade):
+        for term in grade:
+            acc = acc + tuple(_bullet_term_mul(ctx, gs, term))
+        return acc
+
+    return graded_product(xi, T, bullet_add, partial(FormalFunctional, ctx), _NO_TERMS)
 
 
 # ============================================================
@@ -885,7 +760,7 @@ def eigencheck_bullet(xi, a, T, test_degree):
     xi = _as_function(ctx, xi)
     if isinstance(a, (int, Fraction, ExactComplex)):
         a = FormalScalar.from_const(a)
-    shifted = _fs_minus_scalar(xi, a)
+    shifted = fs_linear_comb(FormalScalar.one(), xi, -a, FormalFunction.one(ctx))
     residuals = []
     first = None
     for psi in _test_monomials(ctx, test_degree):
@@ -896,25 +771,6 @@ def eigencheck_bullet(xi, a, T, test_degree):
             first = {"witness": render_gausspoly(psi), "residual": render_scalar(r)}
     verdict = "pass" if first is None else "fail"
     return EigenReport("bullet", verdict, test_degree, None, residuals, [], first)
-
-
-def _fs_minus_scalar(xi, a):
-    # xi - a*1 with a formal scalar and 1 the constant function
-    one = FormalFunction.one(xi.ctx)
-    t = tail_min(xi.tail, mul_tail(a.valuation, a.tail, 0, None))
-    lo = min(xi.valuation, a.valuation if a.coeffs else xi.valuation)
-    hi = max(xi.end(), a.end() if a.coeffs else xi.end())
-    if t is not None:
-        hi = min(hi, t)
-    grades = []
-    for z in range(lo, hi + 1):
-        g = xi.coefficient(z)
-        g = GaussSum.zero(xi.ctx) if g is None or not g else g
-        c = a.coefficient(z)
-        if c is not None and not c.is_zero():
-            g = g + GaussSum.of(GaussPoly.constant(xi.ctx, 1).scale(-c))
-        grades.append(g)
-    return FormalFunction(xi.ctx, lo, grades, t)
 
 
 def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):

@@ -7,6 +7,7 @@ lam^N (tail N, "truncated").  Everything here is immutable and pure; no
 floating point anywhere.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -292,52 +293,194 @@ def mul_tail(a_val, a_tail, b_val, b_tail):
 
 
 # ============================================================
-# Formal Laurent scalars
+# The series core
 # ============================================================
 
-class FormalScalar(object):
-    """Formal Laurent series in lam with a finite principal part.
+class LaurentSeries(object):
+    """A formal Laurent series in lam: FormalScalar, FormalFunction and
+    FormalFunctional are this one representation over different coefficients.
 
-    coeffs[i] is the coefficient of lam^(valuation + i).  A series known to
-    vanish through lam^N but with unknown tail is stored as coeffs=(),
-    valuation=N+1, tail=N.
+    coeffs[i] is the coefficient of lam^(valuation + i); the tail marker is
+    None when the stored coefficients are the whole series and N when they
+    are only known through lam^N.  The canonical form has no leading zero,
+    no trailing zero when exact, stores exactly the powers valuation..N when
+    truncated, and puts an empty series at lam^0 when exact and at
+    lam^(N + 1) when truncated.  A subclass supplies its coefficient
+    normaliser `_norm`, the error `_invalid` for a bad valuation, `_like` to
+    build a series of its own kind and `_zero` for its zero coefficient.
     """
 
     __slots__ = ("valuation", "coeffs", "tail")
+    _invalid = ValueError
 
-    def __init__(self, valuation, coeffs, tail=None):
-        if not isinstance(valuation, int):
-            raise ValueError("valuation must be a finite integer")
-        coeffs = [as_coeff(c) for c in coeffs]
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            valuation += 1
+    def _set(self, valuation, coeffs, tail):
+        if isinstance(valuation, bool) or not isinstance(valuation, int):
+            raise self._invalid("valuation must be a finite integer")
+        coeffs = list(map(self._norm, coeffs))
+        lead = 0
+        while lead < len(coeffs) and not coeffs[lead]:
+            lead += 1
+        valuation += lead
         if tail is None:
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
+            end = len(coeffs)
+            while end > lead and not coeffs[end - 1]:
+                end -= 1
+            coeffs = coeffs[lead:end]
             if not coeffs:
                 valuation = 0
         else:
             tail = int(tail)
-            # canonical truncated form stores exactly the powers valuation..tail
             keep = tail - valuation + 1
-            if keep < 0:
+            if lead == len(coeffs) or keep <= 0:
                 coeffs = []
-            else:
-                del coeffs[keep:]
-                zero = EC_ZERO
-                coeffs.extend([zero] * (keep - len(coeffs)))
-            while coeffs and not coeffs[0]:
-                coeffs.pop(0)
-                valuation += 1
-            if not coeffs:
                 valuation = tail + 1
+            else:
+                coeffs = coeffs[lead:lead + keep]
+                coeffs.extend([self._zero()] * (keep - len(coeffs)))
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "tail", tail)
 
     def __setattr__(self, name, value):
-        raise AttributeError("FormalScalar is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _map(self, fn):
+        # the same grading and tail with fn applied to every coefficient
+        return self._like(self.valuation, [fn(c) for c in self.coeffs], self.tail)
+
+    # ---- queries ----
+
+    def is_zero(self):
+        # zero as far as this representation knows
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def end(self):
+        # highest stored power
+        return self.valuation + len(self.coeffs) - 1
+
+    def coefficient(self, z):
+        """Coefficient of lam^z, or None when z lies beyond the known tail."""
+        if self.tail is not None and z > self.tail:
+            return None
+        if self.valuation <= z <= self.end():
+            return self.coeffs[z - self.valuation]
+        return self._zero()
+
+    def known_through(self):
+        return tail_depth(self.tail)
+
+    # ---- arithmetic ----
+
+    def __add__(self, other):
+        """Coefficientwise sum; the weaker tail marker wins."""
+        if type(other) is not type(self):
+            return NotImplemented
+        t = tail_min(self.tail, other.tail)
+        lo = min(self.valuation, other.valuation)
+        hi = max(self.end(), other.end())
+        if t is not None:
+            hi = min(hi, t)
+        return self._like(lo, [self.coefficient(z) + other.coefficient(z)
+                               for z in range(lo, hi + 1)], t)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def conj(self):
+        """Coefficientwise complex conjugate (lam itself is real)."""
+        return self._map(_conj)
+
+    def shift(self, k):
+        """Multiply by lam^k."""
+        t = None if self.tail is None else self.tail + k
+        return self._like(self.valuation + k, self.coeffs, t)
+
+    def truncate(self, order):
+        """Forget everything above lam^order."""
+        return self._like(self.valuation, self.coeffs, tail_min(self.tail, order))
+
+    # ---- comparison ----
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return agree(self, other)
+
+    # equality is agreement up to the shorter known tail, which is not
+    # transitive, so no hash can be consistent with it
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+_conj = operator.methodcaller("conj")
+
+
+def mul_add(acc, x, y):
+    return acc + x * y
+
+
+def graded_product(a, b, pair, make, zero):
+    """Graded Cauchy product of two series.
+
+    The coefficient of lam^z starts at `zero` and becomes pair(acc, x, y)
+    for every nonzero x at lam^i of a and y at lam^j of b with i + j = z,
+    in order of i, then j; make(valuation, coeffs, tail) builds the result.
+    An exact zero factor gives an exact zero; a truncated factor known
+    through N leaves the product known through N plus the partner's
+    valuation.
+    """
+    if (not a.coeffs and a.tail is None) or (not b.coeffs and b.tail is None):
+        return make(0, (), None)
+    t = mul_tail(a.valuation, a.tail, b.valuation, b.tail)
+    lo = a.valuation + b.valuation
+    if not a.coeffs or not b.coeffs:
+        return make(lo, (), t)
+    hi = a.end() + b.end()
+    if t is not None:
+        hi = min(hi, t)
+    n = hi - lo + 1
+    out = [zero] * n
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for k, y in enumerate(b.coeffs, i):
+            if k >= n:
+                break
+            if y:
+                out[k] = pair(out[k], x, y)
+    return make(lo, out, t)
+
+
+# ============================================================
+# Formal Laurent scalars
+# ============================================================
+
+class FormalScalar(LaurentSeries):
+    """Formal Laurent series in lam with complex-rational coefficients (or
+    the pi-valued ones integration produces) and a finite principal part."""
+
+    __slots__ = ()
+    _norm = staticmethod(as_coeff)
+
+    def __init__(self, valuation, coeffs, tail=None):
+        self._set(valuation, coeffs, tail)
+
+    def _like(self, valuation, coeffs, tail):
+        return FormalScalar(valuation, coeffs, tail)
+
+    @staticmethod
+    def _zero():
+        return EC_ZERO
 
     # ---- constructors ----
 
@@ -360,49 +503,12 @@ class FormalScalar(object):
     @staticmethod
     def from_coeff_map(mapping, tail=None):
         if not mapping:
-            return FormalScalar(0, (), tail) if tail is not None else FormalScalar.zero()
+            return FormalScalar(0, (), tail)
         lo = min(mapping)
         hi = max(mapping)
         return FormalScalar(lo, [mapping.get(z, 0) for z in range(lo, hi + 1)], tail)
 
-    # ---- basic queries ----
-
-    def is_zero(self):
-        # zero as far as this representation knows
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def end(self):
-        # highest stored power
-        return self.valuation + len(self.coeffs) - 1
-
-    def coefficient(self, z):
-        """Coefficient of lam^z, or None when z lies beyond the known tail."""
-        if self.tail is not None and z > self.tail:
-            return None
-        if self.valuation <= z <= self.end():
-            return self.coeffs[z - self.valuation]
-        return EC_ZERO
-
-    def known_through(self):
-        return tail_depth(self.tail)
-
     # ---- arithmetic ----
-
-    def __add__(self, other):
-        if not isinstance(other, FormalScalar):
-            return NotImplemented
-        return scalar_add(self, other)
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalScalar):
-            return NotImplemented
-        return scalar_add(self, -other)
-
-    def __neg__(self):
-        return FormalScalar(self.valuation, [-c for c in self.coeffs], self.tail)
 
     def __mul__(self, other):
         if not isinstance(other, FormalScalar):
@@ -424,87 +530,31 @@ class FormalScalar(object):
 
     def scale(self, c):
         c = as_coeff(c)
-        if not c:
-            return FormalScalar(0, (), self.tail) if self.tail is not None else FormalScalar.zero()
-        return FormalScalar(self.valuation, [c * x for x in self.coeffs], self.tail)
-
-    def shift(self, k):
-        """Multiply by lam^k."""
-        t = None if self.tail is None else self.tail + k
-        return FormalScalar(self.valuation + k, self.coeffs, t)
-
-    def conj(self):
-        return scalar_conj(self)
-
-    def truncate(self, order):
-        """Forget everything above lam^order."""
-        t = tail_min(self.tail, order)
-        return FormalScalar(self.valuation, self.coeffs, t)
-
-    # ---- comparison ----
+        return self._map(lambda x: c * x)
 
     def __eq__(self, other):
+        # a plain number compares as the constant series
         if isinstance(other, (int, ExactComplex, Fraction)):
             other = FormalScalar.from_const(other)
-        if not isinstance(other, FormalScalar):
-            return NotImplemented
-        return agree(self, other)
-
-    # equality is agreement up to the shorter known tail, which is not
-    # transitive and also matches plain numbers, so no hash can be consistent
-    __hash__ = None
+        return LaurentSeries.__eq__(self, other)
 
     def __str__(self):
         return render_scalar(self)
 
-    def __repr__(self):
-        return "FormalScalar(%s)" % render_scalar(self)
-
 
 def scalar_add(a, b):
     """Coefficientwise sum; the weaker tail marker wins."""
-    t = tail_min(a.tail, b.tail)
-    if not a.coeffs and not b.coeffs:
-        return FormalScalar(0 if t is None else t + 1, (), t)
-    lo = min(a.valuation, b.valuation)
-    hi = max(a.end(), b.end())
-    if t is not None:
-        hi = min(hi, t)
-    out = []
-    for z in range(lo, hi + 1):
-        ca = a.coefficient(z)
-        cb = b.coefficient(z)
-        out.append((EC_ZERO if ca is None else ca) + (EC_ZERO if cb is None else cb))
-    return FormalScalar(lo, out, t)
+    return a + b
 
 
 def scalar_mul(a, b):
     """Cauchy product; truncation bounds shift by the partner's valuation."""
-    if (not a.coeffs and a.tail is None) or (not b.coeffs and b.tail is None):
-        return FormalScalar.zero()
-    t = mul_tail(a.valuation, a.tail, b.valuation, b.tail)
-    if not a.coeffs or not b.coeffs:
-        return FormalScalar(0 if t is None else t + 1, (), t)
-    lo = a.valuation + b.valuation
-    hi = a.end() + b.end()
-    if t is not None:
-        hi = min(hi, t)
-    out = [EC_ZERO] * (hi - lo + 1)
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            z = lo + i + j
-            if z > hi:
-                break
-            if cb:
-                out[z - lo] = out[z - lo] + ca * cb
-    return FormalScalar(lo, out, t)
+    return graded_product(a, b, mul_add, FormalScalar, EC_ZERO)
 
 
 def scalar_conj(a):
     """Coefficientwise complex conjugate (lam itself is real)."""
-    return FormalScalar(a.valuation, [c.conj() for c in a.coeffs], a.tail)
+    return a.conj()
 
 
 def _reciprocal(c):
@@ -611,15 +661,9 @@ def agree(a, b):
     """Mathematical equality as far as both tails allow."""
     d = agreement_depth(a, b)
     if d == _INF:
-        return a.valuation == b.valuation and a.coeffs == b.coeffs if (a.coeffs or b.coeffs) \
-            else True
-    lo = min(a.valuation, b.valuation)
-    for z in range(lo, int(d) + 1):
-        ca = a.coefficient(z)
-        cb = b.coefficient(z)
-        if ca is None or cb is None:
-            continue
-        if ca != cb:
+        return a.valuation == b.valuation and a.coeffs == b.coeffs
+    for z in range(min(a.valuation, b.valuation), int(d) + 1):
+        if a.coefficient(z) != b.coefficient(z):
             return False
     return True
 
@@ -665,31 +709,22 @@ def _coeff_str(c):
     return s
 
 
-def render_scalar(a):
-    """Canonical string, lam-powers ascending."""
+def render_series(a, piece):
+    """Canonical string of any series, lam-powers ascending.
+
+    piece(c, lam) renders one nonzero coefficient times lam, which is ""
+    at lam^0; a piece starting with "-" joins as a difference.
+    """
     if not a.coeffs:
-        if a.tail is None:
-            return "0"
-        return "0 + O(lam^%d)" % (a.tail + 1)
-    parts = []
-    for i, c in enumerate(a.coeffs):
+        return "0" if a.tail is None else "0 + O(lam^%d)" % (a.tail + 1)
+    out = ""
+    for z, c in enumerate(a.coeffs, a.valuation):
         if not c:
             continue
-        z = a.valuation + i
-        if z == 0:
-            piece = _coeff_str(c)
-        else:
-            lam = "lam" if z == 1 else "lam^%d" % z
-            if c == EC_ONE:
-                piece = lam
-            elif c == -EC_ONE:
-                piece = "-" + lam
-            else:
-                piece = "%s*%s" % (_coeff_str(c), lam)
-        parts.append(piece)
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
+        p = piece(c, "" if z == 0 else "lam" if z == 1 else "lam^%d" % z)
+        if not out:
+            out = p
+        elif p.startswith("-"):
             out += " - " + p[1:]
         else:
             out += " + " + p
@@ -698,23 +733,46 @@ def render_scalar(a):
     return out
 
 
-def scalar_to_json(a):
-    """The complex-rational wire format; richer coefficient algebras do not fit here."""
-    coeffs = []
-    for c in a.coeffs:
-        if not isinstance(c, ExactComplex):
-            raise ValueError("only complex-rational scalars serialise to this schema")
-        coeffs.append(c.to_json())
+def series_to_json(a, coeff_json):
     return {
-        "valuation": a.valuation if a.coeffs else (0 if a.tail is None else a.valuation),
-        "coeffs": coeffs,
+        "valuation": a.valuation,
+        "coeffs": [coeff_json(c) for c in a.coeffs],
         "tail": "exact" if a.tail is None else {"truncated_at": a.tail},
     }
 
 
-def scalar_from_json(data):
+def tail_from_json(data):
     tail = data["tail"]
-    tail = None if tail == "exact" else int(tail["truncated_at"])
+    return None if tail == "exact" else int(tail["truncated_at"])
+
+
+def _scalar_piece(c, lam):
+    if not lam:
+        return _coeff_str(c)
+    if c == EC_ONE:
+        return lam
+    if c == -EC_ONE:
+        return "-" + lam
+    return "%s*%s" % (_coeff_str(c), lam)
+
+
+def render_scalar(a):
+    """Canonical string, lam-powers ascending."""
+    return render_series(a, _scalar_piece)
+
+
+def _exact_json(c):
+    if not isinstance(c, ExactComplex):
+        raise ValueError("only complex-rational scalars serialise to this schema")
+    return c.to_json()
+
+
+def scalar_to_json(a):
+    """The complex-rational wire format; richer coefficient algebras do not fit here."""
+    return series_to_json(a, _exact_json)
+
+
+def scalar_from_json(data):
     return FormalScalar(int(data["valuation"]),
                         [ExactComplex.from_json(c) for c in data["coeffs"]],
-                        tail)
+                        tail_from_json(data))
