@@ -19,7 +19,7 @@ from .phase_functions import (AlphaMismatch, NotIntegrable, UnknownCoordinate,
                               DimensionMismatch, PiSeparationError,
                               PhaseContext, pi_bounds, PiRational, PiScalar,
                               coeff_sign, GaussPoly, gp_diff, gp_eval,
-                              gp_integrate, gp_poisson, render_gausspoly,
+                              gp_integrate, gp_pair, gp_poisson, render_gausspoly,
                               gp_to_json, gp_from_json)
 from .formal_series import (GaussSum, FormalFunction, fs_linear_comb,
                             fs_bullet, fs_diff, fs_integrate, render_function,

@@ -278,4 +278,4 @@ def fs_to_json(F):
 def fs_from_json(ctx, data):
     coeffs = [GaussSum(ctx, [gp_from_json(ctx, p) for p in entry])
               for entry in data["coeffs"]]
-    return FormalFunction(ctx, int(data["valuation"]), coeffs, tail_from_json(data))
+    return FormalFunction(ctx, data["valuation"], coeffs, tail_from_json(data))

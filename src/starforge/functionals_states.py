@@ -14,15 +14,15 @@ from functools import partial
 from math import comb
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
-                             ScopeError, ExactComplex, EC_ZERO, EC_ONE, as_coeff,
+                             ScopeError, ExactComplex, EC_ZERO, EC_ONE, as_coeff, _frac,
                              FormalScalar, FORMAL, LaurentSeries, graded_product,
                              scalar_invert, scalar_eval, render_scalar,
                              render_series, series_to_json)
-from .phase_functions import (GaussPoly, coeff_sign,
+from .phase_functions import (GaussPoly, PiRational, PiScalar, coeff_sign, gp_pair,
                               DimensionMismatch, render_gausspoly)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
-from .star_products import star_mul, star_commutator, TruncationRequired, UNBOUNDED
+from .star_products import star_mul, TruncationRequired, UNBOUNDED
 
 
 class NotNormalizable(EngineError):
@@ -37,8 +37,14 @@ class InfinitePrincipalPart(EngineError):
     """Functionals must have finitely many negative lambda powers."""
 
 
-def _conj_weight(w):
-    return w.conj() if hasattr(w, "conj") else w
+def _as_weight(w):
+    # the exact kinds a pairing value can be multiplied by; ints and Fractions
+    # become ExactComplex, floats and anything else are refused
+    if isinstance(w, (ExactComplex, PiRational, PiScalar)):
+        return w
+    if isinstance(w, (int, Fraction)):
+        return as_coeff(w)
+    raise TypeError("weight must be an exact scalar, got %r" % (w,))
 
 
 def _is_zero_weight(w):
@@ -59,17 +65,16 @@ class PointDeriv(object):
     __slots__ = ("ctx", "point", "index", "weight")
 
     def __init__(self, ctx, point, index=None, weight=EC_ONE):
-        point = tuple(Fraction(x) for x in point)
+        point = tuple(_frac(x) for x in point)
         if len(point) != ctx.dim:
             raise DimensionMismatch("point has %d entries, phase space needs %d"
                                     % (len(point), ctx.dim))
         if index is None:
             index = (0,) * ctx.dim
-        index = tuple(int(e) for e in index)
-        if len(index) != ctx.dim or any(e < 0 for e in index):
+        index = tuple(index)
+        if len(index) != ctx.dim or any(type(e) is not int or e < 0 for e in index):
             raise ValueError("derivative index must be %d nonnegative ints" % ctx.dim)
-        if isinstance(weight, (int, Fraction)):
-            weight = as_coeff(weight)
+        weight = _as_weight(weight)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "index", index)
@@ -102,7 +107,7 @@ class PointDeriv(object):
         return PointDeriv(self.ctx, self.point, self.index, self.weight * c)
 
     def conj(self):
-        return PointDeriv(self.ctx, self.point, self.index, _conj_weight(self.weight))
+        return PointDeriv(self.ctx, self.point, self.index, self.weight.conj())
 
     def same_shape(self, other):
         return (isinstance(other, PointDeriv) and other.point == self.point
@@ -156,9 +161,8 @@ class Density(object):
             g = GaussSum.of(g)
         if not isinstance(g, GaussSum):
             raise TypeError("density profile must be a Gaussian-polynomial function")
-        if isinstance(weight, (int, Fraction)):
-            weight = as_coeff(weight)
-        width_lambda = Fraction(width_lambda)
+        weight = _as_weight(weight)
+        width_lambda = _frac(width_lambda)
         if width_lambda < 0:
             raise ValueError("width_lambda must be nonnegative")
         object.__setattr__(self, "ctx", ctx)
@@ -173,13 +177,17 @@ class Density(object):
         if self.width_lambda != 0:
             raise FormalModeError(
                 "density carries a lam-dependent width; bind a strict lambda first")
-        return self.weight * (self.g * gs).integrate()
+        total = PiRational(EC_ZERO, 0)
+        for f in self.g.parts:
+            for h in gs.parts:
+                total = total + gp_pair(f, h)
+        return self.weight * total
 
     def rescale(self, c):
         return Density(self.ctx, self.g, self.weight * c, self.width_lambda)
 
     def conj(self):
-        return Density(self.ctx, self.g.conj(), _conj_weight(self.weight),
+        return Density(self.ctx, self.g.conj(), self.weight.conj(),
                        self.width_lambda)
 
     def bind(self, binding):
@@ -734,7 +742,7 @@ def eigencheck_classical(phi, a, point):
     gs = phi if isinstance(phi, GaussSum) else GaussSum.of(phi)
     if isinstance(a, (int, Fraction)):
         a = as_coeff(a)
-    point = tuple(Fraction(x) for x in point)
+    point = tuple(_frac(x) for x in point)
     rational = EC_ZERO
     for value, exp_arg in gs.eval_pairs(point):
         if exp_arg == 0:
@@ -790,10 +798,11 @@ def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
     first = None
     for psi in _test_monomials(ctx, test_degree):
         psif = FormalFunction.of(psi, 0)
-        lhs = func_star_action(S, Tb, star_mul(S, psif, xi, order), order)
+        prod = star_mul(S, psif, xi, order)
+        lhs = func_star_action(S, Tb, prod, order)
         base = func_star_action(S, Tb, psif, order)
         r = lhs - a * base
-        cres = func_star_action(S, Tb, star_commutator(S, psif, xi, order), order)
+        cres = func_star_action(S, Tb, prod - star_mul(S, xi, psif, order), order)
         if binding.is_strict:
             rv = scalar_eval(r, binding)
             cv = scalar_eval(cres, binding)

@@ -316,6 +316,8 @@ class LaurentSeries(object):
     def _set(self, valuation, coeffs, tail):
         if isinstance(valuation, bool) or not isinstance(valuation, int):
             raise self._invalid("valuation must be a finite integer")
+        if tail is not None and (isinstance(tail, bool) or not isinstance(tail, int)):
+            raise self._invalid("tail must be None or a finite integer")
         coeffs = list(map(self._norm, coeffs))
         lead = 0
         while lead < len(coeffs) and not coeffs[lead]:
@@ -329,7 +331,6 @@ class LaurentSeries(object):
             if not coeffs:
                 valuation = 0
         else:
-            tail = int(tail)
             keep = tail - valuation + 1
             if lead == len(coeffs) or keep <= 0:
                 coeffs = []
@@ -743,7 +744,7 @@ def series_to_json(a, coeff_json):
 
 def tail_from_json(data):
     tail = data["tail"]
-    return None if tail == "exact" else int(tail["truncated_at"])
+    return None if tail == "exact" else tail["truncated_at"]
 
 
 def _scalar_piece(c, lam):
@@ -773,6 +774,6 @@ def scalar_to_json(a):
 
 
 def scalar_from_json(data):
-    return FormalScalar(int(data["valuation"]),
+    return FormalScalar(data["valuation"],
                         [ExactComplex.from_json(c) for c in data["coeffs"]],
                         tail_from_json(data))

@@ -13,6 +13,7 @@ rational bounds on pi.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE,
@@ -629,14 +630,6 @@ def coeff_sign(value, max_bits=4096):
 # GaussPoly
 # ============================================================
 
-def _double_factorial(k):
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 class GaussPoly(object):
     """P(q1..qn, p1..pn) * exp(-alpha * sum(qi^2 + pi^2)) with exact data.
 
@@ -869,33 +862,78 @@ def gp_eval(f, point):
 
 
 def gp_integrate(f):
-    """Exact integral over the whole phase space; always rational * pi^n.
+    """Exact integral over the whole phase space; always rational * pi^n."""
+    if not f.terms:
+        return PiRational(EC_ZERO, 0)
+    return _moment_sum(f.ctx.n, f.terms, {(0,) * f.ctx.dim: EC_ONE}, f.alpha)
+
+
+def gp_pair(f, g):
+    """Exact integral of f * g over phase space, without forming the product.
+
+    Value and type are those of (f * g).integrate(): PiRational(0, 0) when
+    either side is zero, NotIntegrable when both are nonzero polynomials.
+    """
+    _check_same_ctx(f, g)
+    if not f.terms or not g.terms:
+        return PiRational(EC_ZERO, 0)
+    return _moment_sum(f.ctx.n, f.terms, g.terms, f.alpha + g.alpha)
+
+
+def _moment_sum(n, left, right, alpha):
+    """Integral of sum c1 c2 x^(e1 + e2) exp(-alpha r^2) over two nonempty term dicts.
 
     Per coordinate: int x^(2m) e^(-a x^2) dx = (2m-1)!!/(2a)^m * sqrt(pi/a),
-    odd moments vanish; the 2n sqrt factors assemble to (pi/a)^n.
+    odd moments vanish; the 2n sqrt factors assemble to (pi/a)^n.  A pair of
+    terms has no odd moment exactly when its exponents agree in parity, so
+    only those pairs are visited.  With alpha = u/v a pair of total degree 2m
+    adds c1 c2 prod (s-1)!! v^m / (2u)^m, on the coefficients' ints, to one
+    unreduced (a, b, d) sum whose denominator grows by lcm; the sum is
+    reduced once.
     """
-    if f.alpha == 0:
-        if not f.terms:
-            return PiRational(EC_ZERO, 0)
+    if not alpha:
         raise NotIntegrable("a nonzero polynomial is not summable over phase space")
-    # with alpha = u/v a monomial's factor is prod (e-1)!! * v^m / (2u)^m,
-    # m = half its total degree
-    u2, v = 2 * f.alpha.numerator, f.alpha.denominator
-    total = EC_ZERO
-    for exps, c in f.terms.items():
-        if any(e % 2 for e in exps):
+    groups = {}
+    for e, c in right.items():
+        groups.setdefault(tuple([x & 1 for x in e]), []).append((e, c))
+    u, v = alpha.numerator, alpha.denominator
+    u2 = 2 * u
+    ta = tb = 0
+    td = 1
+    for e1, c1 in left.items():
+        group = groups.get(tuple([x & 1 for x in e1]))
+        if group is None:
             continue
-        num = 1
-        for e in exps:
-            if e:
-                num *= _double_factorial(e - 1)
-        m = sum(exps) // 2
-        num *= v ** m
-        total = total + _reduced(c.a * num, c.b * num, c.d * u2 ** m)
-    if not total:
+        a1, b1, d1 = c1.a, c1.b, c1.d
+        for e2, c2 in group:
+            # p = prod (s-1)!! over the coordinate sums s, 2m = sum of the s
+            p = 1
+            m = 0
+            for x, y in zip(e1, e2):
+                s = x + y
+                m += s
+                s -= 1
+                while s > 1:
+                    p *= s
+                    s -= 2
+            m >>= 1
+            a2, b2 = c2.a, c2.b
+            p *= v ** m
+            d = d1 * c2.d * u2 ** m
+            if d != td:
+                g = gcd(td, d)
+                p *= td // g
+                d //= g
+                ta *= d
+                tb *= d
+                td *= d
+            ta += (a1 * a2 - b1 * b2) * p
+            tb += (a1 * b2 + b1 * a2) * p
+    if not ta and not tb:
         return PiRational(EC_ZERO, 0)
-    scale = Fraction(1, f.alpha ** f.ctx.n)
-    return PiRational(total * scale, f.ctx.n)
+    # 1/alpha^n = v^n/u^n
+    vn = v ** n
+    return PiRational(_reduced(ta * vn, tb * vn, td * u ** n), n)
 
 
 def gp_poisson(f, g):

@@ -13,7 +13,7 @@ from math import factorial, lcm
 
 from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ONE,
                              tail_min, mul_tail, _accumulate)
-from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_poisson,
+from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair, gp_poisson,
                               gp_mul_into, render_gausspoly, monomial_key,
                               _gp)
 from .formal_series import GaussSum, FormalFunction, fs_bullet, fs_integrate
@@ -465,7 +465,7 @@ def closedness_check(S, f, g, maxk):
     ft, gt, tables = _operand(f), _operand(g), CoordinateTables()
     for k in range(0, maxk + 1):
         values[k] = S.B(k, ft, gt, tables).integrate()
-    pointwise = (GaussSum.of(f) * GaussSum.of(g)).integrate()
+    pointwise = gp_pair(f, g)
     return ClosednessReport(values, values[0], pointwise)
 
 

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from starforge import ExactComplex, FormalFunction, FormalScalar, GaussPoly
 
 ALPHAS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2))
@@ -67,3 +69,17 @@ def rand_function(rng, ctx, lo=-1, hi=2, degree=2, alpha=0):
 
 def rand_point(rng, ctx, span=2, den=3):
     return tuple(rand_fraction(rng, span, den) for _ in range(ctx.dim))
+
+
+# hypothesis strategies: widths include 0, so polynomials and the empty
+# function are drawn too
+PAIR_WIDTHS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+exact_coeffs = st.builds(ExactComplex, small_fractions, small_fractions)
+
+
+def gauss_polys(ctx, max_terms=4, max_exp=4):
+    exps = st.tuples(*[st.integers(0, max_exp)] * ctx.dim)
+    return st.builds(lambda terms, alpha: GaussPoly(ctx, terms, alpha),
+                     st.dictionaries(exps, exact_coeffs, max_size=max_terms),
+                     st.sampled_from(PAIR_WIDTHS))

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starforge import (
     Density,
@@ -15,12 +17,15 @@ from starforge import (
     FormalModeError,
     FormalScalar,
     GaussPoly,
+    GaussSum,
     InfinitePrincipalPart,
     LambdaBinding,
+    NotIntegrable,
     NotNormalizable,
     NotSupportedForm,
     PhaseContext,
     PiRational,
+    PiScalar,
     PointDeriv,
     bind_functional,
     bullet_family,
@@ -38,14 +43,18 @@ from starforge import (
     normalize_functional,
     positivity_check,
     reality_check,
+    render_gausspoly,
     render_scalar,
     scalar_eval,
+    star_commutator,
     star_mul,
     wigner_state,
 )
-from starforge.functionals_states import _laguerre_coeffs, _star_action_adjoint
+from starforge.functionals_states import (_laguerre_coeffs, _star_action_adjoint,
+                                         _test_monomials)
 
-from corpus import nonzero_coeff, rand_point, rand_poly, rand_scalar
+from corpus import (exact_coeffs, gauss_polys, nonzero_coeff, rand_point, rand_poly,
+                    rand_scalar)
 
 CTX = PhaseContext(1)
 Q = GaussPoly.coordinate(CTX, "q")
@@ -80,6 +89,34 @@ def test_infinite_principal_part_is_rejected():
     for bad in (float("-inf"), 1.5, "everything", True):
         with pytest.raises(InfinitePrincipalPart):
             FormalFunctional(CTX, bad, ((PointDeriv(CTX, (0, 0)),),))
+
+
+def test_functional_terms_take_exact_data_only():
+    # points and widths go through the exact-rational check, indices must be
+    # ints and weights exact scalars: none of these may round or wait for a
+    # pairing to fail
+    with pytest.raises(ValueError):
+        PointDeriv(CTX, (0, 0), index=(1.9, 0))
+    with pytest.raises(ValueError):
+        PointDeriv(CTX, (0, 0), index=(True, 0))
+    with pytest.raises(TypeError):
+        FormalFunctional.delta(CTX, (0.1, 0))
+    with pytest.raises(TypeError):
+        FormalFunctional.point_deriv(CTX, (0, 0), (1, 0), weight=0.5)
+    with pytest.raises(TypeError):
+        Density(CTX, GAUSS, weight=0.5)
+    with pytest.raises(TypeError):
+        Density(CTX, GAUSS, weight=complex(1, 2))
+    with pytest.raises(TypeError):
+        Density(CTX, GAUSS, width_lambda=0.1)
+    with pytest.raises(TypeError):
+        eigencheck_classical(GAUSS, 1, (0.1, 0))
+    # exact inputs still go through, weights of every pairing kind included
+    d = PointDeriv(CTX, ("1/2", Fraction(-3)), (1, 0), Fraction(2, 3))
+    assert d.point == (Fraction(1, 2), Fraction(-3)) and d.weight == ExactComplex(Fraction(2, 3))
+    assert Density(CTX, GAUSS, width_lambda="1/3").width_lambda == Fraction(1, 3)
+    for w in (2, ExactComplex(1, 1), PiRational(3, 1), PiScalar.pi().reciprocal()):
+        assert Density(CTX, GAUSS, weight=w).act(GaussSum.of(Q * Q)) == w * PiRational(Fraction(1, 2), 1)
 
 
 def test_same_shape_terms_merge():
@@ -126,6 +163,36 @@ def test_density_action_is_the_gaussian_integral():
     T = FormalFunctional.density(CTX, GAUSS)
     v = func_action(T, fn(Q * Q))
     assert v == FormalScalar(0, (PiRational(Fraction(1, 2), 1),))
+
+
+def _sums(ctx, min_parts, max_parts):
+    return st.lists(gauss_polys(ctx, max_terms=3), min_size=min_parts,
+                    max_size=max_parts).map(lambda parts: GaussSum(ctx, parts))
+
+
+@settings(max_examples=40)
+@given(g=_sums(CTX, 1, 2), gs=_sums(CTX, 0, 3),
+       weight=st.one_of(exact_coeffs, st.builds(PiRational, exact_coeffs, st.integers(0, 2))))
+def test_density_action_pairs_every_part(g, gs, weight):
+    # the reference forms the product GaussSum and integrates it
+    T = Density(CTX, g, weight)
+    try:
+        want = weight * (g * gs).integrate()
+    except NotIntegrable:
+        with pytest.raises(NotIntegrable):
+            T.act(gs)
+        return
+    got = T.act(gs)
+    assert type(got) is type(want) and got == want and str(got) == str(want)
+
+
+def test_density_action_on_sums_of_three_widths():
+    g = GaussSum(CTX, [GAUSS, (Q * Q).scale(2) * GaussPoly.gaussian(CTX, Fraction(1, 2))])
+    gs = GaussSum(CTX, [Q * Q + P * P, GaussPoly.gaussian(CTX, 2), (Q * P).scale(EC_I) * GAUSS])
+    T = Density(CTX, g, ExactComplex(2, 1))
+    assert T.act(gs) == ExactComplex(2, 1) * (g * gs).integrate()
+    for part in gs.parts:
+        assert T.act(gs) != T.act(GaussSum.of(part))
 
 
 def test_action_mixes_deltas_and_densities():
@@ -494,6 +561,39 @@ def test_formal_star_eigen_support_collapse():
     assert not rep.passed
     assert rep.first_failure["witness"] == "p"
     assert rep.first_failure["residual"] == "-1/2*I"
+
+
+def _commutation_by_star_commutator(S, xi, T, test_degree, order, binding):
+    # each entry as it was defined: <T, psi * xi - xi * psi>_* through star_commutator
+    Tb = bind_functional(T, binding)
+    out = []
+    for psi in _test_monomials(CTX, test_degree):
+        c = func_star_action(S, Tb, star_commutator(S, fn(psi), xi, order), order)
+        out.append((render_gausspoly(psi),
+                    str(scalar_eval(c, binding)) if binding.is_strict else render_scalar(c)))
+    return out
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_star_commutation_entries_equal_the_star_commutator(level):
+    binding = LambdaBinding.strict(Fraction(1, 2))
+    W = wigner_state(CTX, level)
+    xi = fn(Q * P + Q)
+    rep = eigencheck_star(MOYAL, xi, FormalScalar.lam(1, Fraction(2 * level + 1, 2)), W, 3,
+                          binding=binding)
+    want = _commutation_by_star_commutator(MOYAL, xi, W, 3, None, binding)
+    assert list(rep.commutation) == want
+    assert any(c != "0" for _, c in want)
+
+
+def test_truncated_star_commutation_entries_equal_the_star_commutator():
+    T = FormalFunctional.density(CTX, GaussPoly.gaussian(CTX, Fraction(1, 2)))
+    xi = FormalFunction(CTX, 0, [Q * P * GAUSS, (Q * Q * P).scale(3) * GAUSS], 1)
+    rep = eigencheck_star(MOYAL, xi, 0, T, 2, order=1)
+    want = _commutation_by_star_commutator(MOYAL, xi, T, 2, 1, FORMAL)
+    assert list(rep.commutation) == want
+    assert all(c.endswith("O(lam^1)") for _, c in want)
+    assert any(not c.startswith("0") for _, c in want)
 
 
 def test_formal_mode_rejects_lambda_widths():

@@ -1,9 +1,10 @@
 """Gaussian-polynomial calculus: derivatives, moments, Poisson bracket, pi scalars."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starforge import (
@@ -13,6 +14,7 @@ from starforge import (
     EC_ONE,
     ExactComplex,
     GaussPoly,
+    GaussSum,
     NotIntegrable,
     PhaseContext,
     PiRational,
@@ -23,13 +25,14 @@ from starforge import (
     gp_eval,
     gp_from_json,
     gp_integrate,
+    gp_pair,
     gp_poisson,
     gp_to_json,
     pi_bounds,
     render_gausspoly,
 )
 
-from corpus import ALPHAS, nonzero_poly, rand_gaussian, rand_poly
+from corpus import ALPHAS, gauss_polys, nonzero_poly, rand_gaussian, rand_poly
 
 CTX = PhaseContext(1)
 Q = GaussPoly.coordinate(CTX, "q")
@@ -182,6 +185,60 @@ def test_integration_by_parts(rng):
         f = rand_gaussian(rng, CTX)
         for var in ("q", "p"):
             assert gp_integrate(gp_diff(f, var)).is_zero()
+
+
+# ---- the pairing kernel ----
+
+def _moment_oracle(h):
+    # term by term with Fractions: each even moment x^e integrates to
+    # (e-1)!!/(2a)^(e/2) * sqrt(pi/a), each odd one to 0
+    if not h.terms:
+        return PiRational(0, 0)
+    if h.alpha == 0:
+        raise NotIntegrable("polynomial")
+    total = ExactComplex(0)
+    for exps, c in h.terms.items():
+        if any(e % 2 for e in exps):
+            continue
+        w = Fraction(1)
+        for e in exps:
+            w *= Fraction(prod(range(e - 1, 0, -2)), (2 * h.alpha) ** (e // 2))
+        total = total + c * w
+    return PiRational(total * Fraction(1, h.alpha ** h.ctx.n), h.ctx.n)
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except NotIntegrable:
+        return "NotIntegrable"
+    return type(value), value.coeff, value.pi_power
+
+
+CTX2 = PhaseContext(2)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), ctx=st.sampled_from((CTX, CTX2)))
+def test_pairing_kernel_is_the_integral_of_the_product(data, ctx):
+    # the reference multiplies out and integrates the product; it never calls
+    # gp_pair, and the Fraction oracle shares no code with the kernel at all
+    f = data.draw(gauss_polys(ctx), label="f")
+    g = data.draw(gauss_polys(ctx), label="g")
+    got = _outcome(gp_pair, f, g)
+    assert got == _outcome(lambda: (GaussSum.of(f) * GaussSum.of(g)).integrate())
+    assert got == _outcome(_moment_oracle, f * g)
+    assert got == _outcome(gp_pair, g, f)
+
+
+def test_pairing_kernel_edge_cases():
+    zero, one = GaussPoly.zero(CTX), GaussPoly.constant(CTX, 1)
+    assert _outcome(gp_pair, zero, Q) == (PiRational, ExactComplex(0), 0)
+    assert _outcome(gp_pair, Q, one) == "NotIntegrable"
+    # odd moments cancel: the zero keeps pi_power 0
+    assert _outcome(gp_pair, Q, GaussPoly.gaussian(CTX, 1)) == (PiRational, ExactComplex(0), 0)
+    with pytest.raises(DimensionMismatch):
+        gp_pair(Q, GaussPoly.gaussian(CTX2, 1))
 
 
 def test_moments_against_sympy():
