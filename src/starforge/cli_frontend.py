@@ -554,8 +554,6 @@ def _make_parser():
                         default="moyal", help="star family (default moyal)")
     common.add_argument("--json", dest="full", action="store_true",
                         help="emit the full report payload")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (reserved)")
     sub = top.add_subparsers(dest="command", required=True)
 
     for name in ("star", "bullet", "commutator"):

@@ -22,7 +22,7 @@ from .phase_functions import (GaussPoly, PiRational, PiScalar, coeff_sign, gp_pa
                               DimensionMismatch, render_gausspoly)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
-from .star_products import star_mul, TruncationRequired, UNBOUNDED
+from .star_products import star_mul, TruncationRequired, UNBOUNDED, _moyal_terms
 
 
 class NotNormalizable(EngineError):
@@ -49,10 +49,6 @@ def _as_weight(w):
 
 def _is_zero_weight(w):
     return w == 0
-
-
-def _point_key(point):
-    return tuple(point)
 
 
 # ============================================================
@@ -400,7 +396,7 @@ def _as_function(ctx, f):
 def func_star_action(S, T, F, order=None):
     """Star pairing <T, F>_* through the family's trace density."""
     F = _as_function(S.ctx, F)
-    if S.name == "moyal" and S._trace is None:
+    if S._term_fn is _moyal_terms and S._trace is None:
         return func_action(T, F).shift(-S.ctx.n)
     return _star_action_adjoint(S, T, F, order)
 

@@ -41,9 +41,7 @@ class ScopeError(EngineError, ValueError):
 def _frac(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError("expected an exact rational, got %r" % (x,))
 

@@ -222,7 +222,8 @@ class PiRational(object):
         coeff = as_coeff(coeff)
         if not isinstance(coeff, ExactComplex):
             raise TypeError("PiRational coefficient must be complex-rational")
-        pi_power = int(pi_power)
+        if isinstance(pi_power, bool) or not isinstance(pi_power, int):
+            raise TypeError("pi_power must be an int")
         if pi_power < 0:
             raise ValueError("pi_power must be nonnegative")
         if not coeff:
@@ -243,7 +244,7 @@ class PiRational(object):
         return self.coeff.is_real()
 
     def conj(self):
-        return PiRational(self.coeff.conj(), self.pi_power)
+        return _pr(self.coeff.conj(), self.pi_power)
 
     def promote(self):
         num = [EC_ZERO] * self.pi_power + [self.coeff] if self.coeff else []
@@ -257,7 +258,7 @@ class PiRational(object):
         if isinstance(other, PiRational):
             return other
         if isinstance(other, (int, ExactComplex, Fraction)):
-            return PiRational(as_coeff(other), 0)
+            return _pr(as_coeff(other), 0)
         return None
 
     def __add__(self, other):
@@ -269,7 +270,7 @@ class PiRational(object):
         if not o:
             return self
         if self.pi_power == o.pi_power:
-            return PiRational(self.coeff + o.coeff, self.pi_power)
+            return _pr(self.coeff + o.coeff, self.pi_power)
         return self.promote() + o.promote()
 
     __radd__ = __add__
@@ -287,19 +288,19 @@ class PiRational(object):
         return o + (-self)
 
     def __neg__(self):
-        return PiRational(-self.coeff, self.pi_power)
+        return _pr(-self.coeff, self.pi_power)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PiRational(self.coeff * o.coeff, self.pi_power + o.pi_power if self.coeff and o.coeff else 0)
+        return _pr(self.coeff * o.coeff, self.pi_power + o.pi_power)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, ExactComplex, Fraction)):
-            return PiRational(self.coeff / as_coeff(other), self.pi_power)
+            return _pr(self.coeff / as_coeff(other), self.pi_power)
         if isinstance(other, PiRational):
             return self.promote() / other.promote()
         return NotImplemented
@@ -340,6 +341,19 @@ class PiRational(object):
 
     def to_json(self):
         return {"coeff": self.coeff.to_json(), "pi_power": self.pi_power}
+
+
+_set_pi_coeff = PiRational.coeff.__set__
+_set_pi_power = PiRational.pi_power.__set__
+
+
+def _pr(coeff, pi_power):
+    # trusted constructor for results the arithmetic has just computed: an
+    # ExactComplex coefficient and an int power >= 0; zero keeps power 0
+    x = object.__new__(PiRational)
+    _set_pi_coeff(x, coeff)
+    _set_pi_power(x, pi_power if coeff else 0)
+    return x
 
 
 # ============================================================
@@ -465,14 +479,6 @@ class PiScalar(object):
     def is_zero(self):
         return not self
 
-    def is_constant(self):
-        return len(self.num) <= 1 and self.den == (EC_ONE,)
-
-    def as_exact_complex(self):
-        if not self.is_constant():
-            raise ValueError("not a pi-free constant: %s" % self)
-        return self.num[0] if self.num else EC_ZERO
-
     def conj(self):
         return PiScalar(tuple(c.conj() for c in self.num),
                         tuple(c.conj() for c in self.den))
@@ -554,7 +560,7 @@ class PiScalar(object):
         if self.den == (EC_ONE,) and not any(self.num[:-1]):
             if not self.num:
                 return hash(EC_ZERO)
-            return hash(PiRational(self.num[-1], len(self.num) - 1))
+            return hash(_pr(self.num[-1], len(self.num) - 1))
         return hash((self.num, self.den))
 
     def sign(self, max_bits=4096):
@@ -864,7 +870,7 @@ def gp_eval(f, point):
 def gp_integrate(f):
     """Exact integral over the whole phase space; always rational * pi^n."""
     if not f.terms:
-        return PiRational(EC_ZERO, 0)
+        return _pr(EC_ZERO, 0)
     return _moment_sum(f.ctx.n, f.terms, {(0,) * f.ctx.dim: EC_ONE}, f.alpha)
 
 
@@ -876,7 +882,7 @@ def gp_pair(f, g):
     """
     _check_same_ctx(f, g)
     if not f.terms or not g.terms:
-        return PiRational(EC_ZERO, 0)
+        return _pr(EC_ZERO, 0)
     return _moment_sum(f.ctx.n, f.terms, g.terms, f.alpha + g.alpha)
 
 
@@ -930,10 +936,10 @@ def _moment_sum(n, left, right, alpha):
             ta += (a1 * a2 - b1 * b2) * p
             tb += (a1 * b2 + b1 * a2) * p
     if not ta and not tb:
-        return PiRational(EC_ZERO, 0)
+        return _pr(EC_ZERO, 0)
     # 1/alpha^n = v^n/u^n
     vn = v ** n
-    return PiRational(_reduced(ta * vn, tb * vn, td * u ** n), n)
+    return _pr(_reduced(ta * vn, tb * vn, td * u ** n), n)
 
 
 def gp_poisson(f, g):

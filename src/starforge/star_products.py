@@ -35,42 +35,22 @@ def _multi_indices(total, slots):
             yield (head,) + rest
 
 
-class DerivativeTower(object):
-    """Memoised partial derivatives d^beta of a function's polynomial part.
-
-    base is the whole function as a GaussSum, poly its polynomial (alpha = 0)
-    part or None, gauss its Gaussian parts.  tower[beta] is d^beta of poly;
-    each entry is built from its prefix (beta with its last nonzero exponent
-    lowered by one) with a single gp_diff, so one tower shared across the
-    terms and orders of B_k takes every derivative once.  Gaussian parts are
-    never expanded here: B multiplies them coordinate by coordinate.
-    """
-
-    __slots__ = ("base", "poly", "gauss", "_memo")
-
-    def __init__(self, f):
-        base = f if isinstance(f, GaussSum) else GaussSum.of(f)
-        parts = base.parts
-        self.base = base
-        self.poly = parts[0] if parts and not parts[0].alpha else None
-        self.gauss = parts if self.poly is None else parts[1:]
-        self._memo = {(0,) * base.ctx.dim: self.poly}
-
-    def __getitem__(self, beta):
-        memo = self._memo
-        if beta in memo:
-            return memo[beta]
-        chain = []
-        while beta not in memo:
-            i = len(beta) - 1
-            while not beta[i]:
-                i -= 1
-            chain.append((beta, i))
-            beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-        poly = memo[beta]
-        for beta, i in reversed(chain):
-            poly = memo[beta] = gp_diff(poly, i)
-        return poly
+def _derivative(memo, beta):
+    # d^beta of the polynomial memo[(0, ..., 0)]; each new entry is built from
+    # its prefix (beta with its last nonzero exponent lowered by one) with a
+    # single gp_diff, so a memo shared across the terms and orders of B_k
+    # takes every derivative once
+    chain = []
+    while beta not in memo:
+        i = len(beta) - 1
+        while not beta[i]:
+            i -= 1
+        chain.append((beta, i))
+        beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+    poly = memo[beta]
+    for beta, i in reversed(chain):
+        poly = memo[beta] = gp_diff(poly, i)
+    return poly
 
 
 def _q_next(row, u, v):
@@ -94,23 +74,38 @@ def _row_mul(x, y):
 
 
 class CoordinateTables(object):
-    """One-variable derivative tables for the Gaussian pairs of StarFamily.B.
+    """Every derivative memo of StarFamily.B, shared by the B calls of one product.
 
+    Pairs of polynomial parts multiply whole derivatives d^beta of each
+    part, memoised per part object by `derivatives`.
+
+    Pairs with a Gaussian factor are multiplied coordinate by coordinate.
     A term c x^e exp(-a r^2) is a product over coordinates of the pieces
     x_i^e_i exp(-a x_i^2), and a derivative d^beta acts on each piece alone:
     d^j (x^e exp(-a x^2)) = Q_j(x) exp(-a x^2) with Q_0 = x^e and
     Q_{j+1} = Q_j' - 2a x Q_j.  For a = u/v the polynomial v^j Q_j has
     integer coefficients; rows hold them as ((power, int), ...).  So every
-    term of B_k on a pair of parts is a product over coordinates of one
-    product of two such rows.  Keys are ints; an instance lives as long as
-    one product and is shared by every B call of it.
+    term of B_k on such a pair is a product over coordinates of one
+    product of two such rows.  Their keys are ints.
     """
 
-    __slots__ = ("_q", "_products")
+    __slots__ = ("_q", "_products", "_derivatives")
 
     def __init__(self):
-        self._q = {}         # (u, v, e) -> [v^j Q_j for j = 0, 1, ...]
-        self._products = {}  # (u, v, w, z) -> {(e1, j1, e2, j2): row}
+        self._q = {}            # (u, v, e) -> [v^j Q_j for j = 0, 1, ...]
+        self._products = {}     # (u, v, w, z) -> {(e1, j1, e2, j2): row}
+        self._derivatives = {}  # id(poly) -> {beta: d^beta poly}
+
+    def derivatives(self, poly):
+        """{beta: d^beta poly} for a polynomial part, filled by B.
+
+        The memo holds poly itself at beta = 0, so its id cannot be reused
+        while these tables are alive.
+        """
+        memo = self._derivatives.get(id(poly))
+        if memo is None:
+            memo = self._derivatives[id(poly)] = {(0,) * poly.ctx.dim: poly}
+        return memo
 
     def q(self, u, v, e, j):
         rows = self._q.get((u, v, e))
@@ -125,20 +120,13 @@ class CoordinateTables(object):
         return self._products.setdefault((u, v, w, z), {})
 
 
-def _split(f):
-    # (tower of the polynomial part or None, Gaussian parts) of one operand
-    # of B; a tower is built only where there is a polynomial part
-    if not isinstance(f, DerivativeTower):
-        parts = f.parts if isinstance(f, GaussSum) else ((f,) if f else ())
-        if not parts or parts[0].alpha:
-            return None, parts
-        f = DerivativeTower(f)
-    return (None if f.poly is None else f), f.gauss
-
-
-def _operand(f):
-    # f as B should receive it when it is called on f many times
-    return _split(f)[0] or f
+def _parts(f):
+    # the nonzero parts of one operand of B, sorted by width
+    if isinstance(f, GaussSum):
+        return f.parts
+    if isinstance(f, GaussPoly):
+        return (f,) if f.terms else ()
+    raise TypeError("B takes a GaussPoly or a GaussSum, not %s" % type(f).__name__)
 
 
 def _expand(rows, c):
@@ -233,10 +221,6 @@ class StarFamily(object):
         raise AttributeError("StarFamily is immutable")
 
     @property
-    def pair_count(self):
-        return self.ctx.n
-
-    @property
     def trace_density(self):
         if self._trace is None:
             return FormalFunction.one(self.ctx)
@@ -244,7 +228,7 @@ class StarFamily(object):
 
     def terms(self, k):
         if k not in self._cache:
-            # exponent tables become tuples: they key the derivative towers
+            # exponent tables become tuples: they key the derivative memos
             self._cache[k] = tuple((c, tuple(dl), tuple(dr))
                                    for c, dl, dr in self._term_fn(k, self.ctx))
         return self._cache[k]
@@ -252,7 +236,7 @@ class StarFamily(object):
     def B(self, k, f, g, tables=None):
         """The k-th bidifferential operator applied to a pair of functions, as a GaussSum.
 
-        f and g are GaussPoly, GaussSum or DerivativeTower; see B_into.
+        f and g are GaussPoly or GaussSum; see B_into.
         """
         out = {}
         self.B_into(out, k, f, g, tables)
@@ -261,53 +245,48 @@ class StarFamily(object):
     def B_into(self, out, k, f, g, tables=None):
         """Add the terms of B_k(f, g) into out, a {width: {exps: coefficient}} dict.
 
-        The polynomial part is keyed by the int 0, a Gaussian part by its
-        width (a Fraction); zero slots may remain.  The pair of polynomial
-        parts multiplies the towers' memoised derivatives; every pair of
-        parts with a Gaussian factor is multiplied coordinate by coordinate
-        through `tables`, a CoordinateTables (a fresh one when None).  Pass
-        towers, one tables object and one out dict to share that work
-        between calls.
+        f and g are GaussPoly or GaussSum.  The polynomial part is keyed by
+        the int 0, a Gaussian part by its width (a Fraction); zero slots may
+        remain.  Each pair of parts takes its path from the two widths: a
+        pair of polynomials multiplies their memoised derivatives, a pair
+        with a Gaussian factor is multiplied coordinate by coordinate.  Both
+        memos live in `tables`, a CoordinateTables (a fresh one when None);
+        pass one tables object and one out dict to share that work between
+        calls.
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
         terms = self.terms(k)
         if not terms:
             return
-        ft, fgauss = _split(f)
-        gt, ggauss = _split(g)
-        if ft is not None and gt is not None:
-            for coeff, dleft, dright in terms:
-                left = ft[dleft]
-                if left:
-                    right = gt[dright]
-                    if right:
-                        acc = out.get(0)
-                        if acc is None:
-                            acc = out[0] = {}
-                        gp_mul_into(acc, coeff, left.terms, right.terms)
-        if fgauss or ggauss:
-            pairs = [(fp, gp) for fp in fgauss for gp in ggauss]
-            if ft is not None:
-                pairs += [(ft.poly, gp) for gp in ggauss]
-            if gt is not None:
-                pairs += [(fp, gt.poly) for fp in fgauss]
-            if tables is None:
-                tables = CoordinateTables()
-            for fp, gp in pairs:
-                alpha = fp.alpha + gp.alpha
-                acc = out.get(alpha)
-                if acc is None:
-                    acc = out[alpha] = {}
-                _gauss_pair_into(acc, terms, fp, gp, tables)
+        if tables is None:
+            tables = CoordinateTables()
+        gparts = _parts(g)
+        for fp in _parts(f):
+            for gp in gparts:
+                if fp.alpha or gp.alpha:
+                    alpha = fp.alpha + gp.alpha
+                    acc = out.get(alpha)
+                    if acc is None:
+                        acc = out[alpha] = {}
+                    _gauss_pair_into(acc, terms, fp, gp, tables)
+                    continue
+                fmemo, gmemo = tables.derivatives(fp), tables.derivatives(gp)
+                for coeff, dleft, dright in terms:
+                    left = fmemo[dleft] if dleft in fmemo else _derivative(fmemo, dleft)
+                    if left.terms:
+                        right = gmemo[dright] if dright in gmemo else _derivative(gmemo, dright)
+                        if right.terms:
+                            acc = out.get(0)
+                            if acc is None:
+                                acc = out[0] = {}
+                            gp_mul_into(acc, coeff, left.terms, right.terms)
 
     def termination_bound(self, f, g):
         """Least K with B_k(f,g) = 0 for all k > K, or UNBOUNDED."""
         if self._termination is not None:
             return self._termination(f, g)
-        fs = f if isinstance(f, GaussSum) else GaussSum.of(f)
-        gs = g if isinstance(g, GaussSum) else GaussSum.of(g)
-        return min(_poly_bound(fs), _poly_bound(gs))
+        return min(_poly_bound(f), _poly_bound(g))
 
     def __repr__(self):
         return "StarFamily(%s, n=%d)" % (self.name, self.ctx.n)
@@ -404,16 +383,13 @@ def star_mul(S, F, G, order=None):
     if hi < lo:
         return FormalFunction(ctx, t + 1 if t is not None else 0, (), t)
     acc = [{} for _ in range(hi - lo + 1)]
-    # one tower per coefficient with a polynomial part and one set of 1-D
-    # tables, shared by every (l, j) and order m
-    left = {l: _operand(F.coeffs[l]) for l, _ in bounds}
-    right = {j: _operand(G.coeffs[j]) for _, j in bounds}
+    # one set of derivative memos, shared by every (l, j) and order m
     tables = CoordinateTables()
     for (l, j), k_bound in bounds.items():
         base = F.valuation + l + G.valuation + j
         m_max = hi - base if k_bound == UNBOUNDED else min(k_bound, hi - base)
         for m in range(0, m_max + 1):
-            S.B_into(acc[base + m - lo], m, left[l], right[j], tables)
+            S.B_into(acc[base + m - lo], m, F.coeffs[l], G.coeffs[j], tables)
     return FormalFunction(ctx, lo, [_sum_of(ctx, out) for out in acc], t)
 
 
@@ -462,9 +438,9 @@ def closedness_check(S, f, g, maxk):
     if f.alpha + g.alpha == 0:
         raise NotIntegrable("closedness needs a Gaussian factor on at least one side")
     values = {}
-    ft, gt, tables = _operand(f), _operand(g), CoordinateTables()
+    tables = CoordinateTables()
     for k in range(0, maxk + 1):
-        values[k] = S.B(k, ft, gt, tables).integrate()
+        values[k] = S.B(k, f, g, tables).integrate()
     pointwise = gp_pair(f, g)
     return ClosednessReport(values, values[0], pointwise)
 
@@ -520,7 +496,8 @@ def axiom_suite(S, degree_bound, order_bound):
         raise ScopeError("degree_bound and order_bound must be >= 1")
     ctx = S.ctx
     gens = _monomial_generators(ctx, degree_bound)
-    towers = [DerivativeTower(f) for f in gens]
+    # one set of derivative memos for every B call of the suite
+    tables = CoordinateTables()
     one = GaussPoly.constant(ctx, 1)
     i_unit = ExactComplex(0, 1)
     scope = {"degree_bound": degree_bound, "order_bound": order_bound,
@@ -543,20 +520,20 @@ def axiom_suite(S, degree_bound, order_bound):
         if axiom not in entries:
             entries[axiom] = {"verdict": "pass", "scope": scope, "counterexample": None}
 
-    # B(m, gens[i], gens[j]) as towers, shared by axioms 1, 3, 4 and 6;
+    # B(m, gens[i], gens[j]), shared by axioms 1, 3, 4 and 6;
     # at most len(gens)^2 * (order_bound + 1) entries
     pairs = {}
 
     def pair(m, i, j):
         key = (m, i, j)
         if key not in pairs:
-            pairs[key] = DerivativeTower(S.B(m, towers[i], towers[j]))
+            pairs[key] = S.B(m, gens[i], gens[j], tables)
         return pairs[key]
 
     # axiom 1: bilinearity over the coefficient field
     c = ExactComplex(2, 1)
-    # c*f + g as towers, shared by every order
-    mixes = [[DerivativeTower(f.scale(c) + g) for g in gens] for f in gens]
+    # c*f + g, shared by every order
+    mixes = [[f.scale(c) + g for g in gens] for f in gens]
     for k in range(order_bound + 1):
         if 1 in entries:
             break
@@ -567,13 +544,13 @@ def axiom_suite(S, degree_bound, order_bound):
                 hi = (gi + 1) % len(gens)
                 h = gens[hi]
                 mixed = mixes[fi][gi]
-                lhs = S.B(k, mixed, towers[hi])
-                rhs = pair(k, fi, hi).base.scale(c) + pair(k, gi, hi).base
+                lhs = S.B(k, mixed, h, tables)
+                rhs = pair(k, fi, hi).scale(c) + pair(k, gi, hi)
                 if lhs != rhs:
                     fail(1, [f, g, h], k, lhs - rhs)
                     break
-                lhs = S.B(k, towers[hi], mixed)
-                rhs = pair(k, hi, fi).base.scale(c) + pair(k, hi, gi).base
+                lhs = S.B(k, h, mixed, tables)
+                rhs = pair(k, hi, fi).scale(c) + pair(k, hi, gi)
                 if lhs != rhs:
                     fail(1, [h, f, g], k, lhs - rhs)
                     break
@@ -597,8 +574,8 @@ def axiom_suite(S, degree_bound, order_bound):
                 for hi, h in enumerate(gens):
                     lhs, rhs = {}, {}
                     for l in range(k + 1):
-                        S.B_into(lhs, l, fg[l], towers[hi])
-                        S.B_into(rhs, l, towers[fi], pair(k - l, gi, hi))
+                        S.B_into(lhs, l, fg[l], h, tables)
+                        S.B_into(rhs, l, f, pair(k - l, gi, hi), tables)
                     if lhs != rhs and _sum_of(ctx, lhs) != _sum_of(ctx, rhs):
                         fail(3, [f, g, h], k, _sum_of(ctx, lhs) - _sum_of(ctx, rhs))
                         break
@@ -609,7 +586,7 @@ def axiom_suite(S, degree_bound, order_bound):
         if 4 in entries:
             break
         for gi, g in enumerate(gens):
-            got = pair(0, fi, gi).base
+            got = pair(0, fi, gi)
             want = GaussSum.of(f * g)
             if got != want:
                 fail(4, [f, g], 0, got - want)
@@ -622,8 +599,8 @@ def axiom_suite(S, degree_bound, order_bound):
             break
         want = GaussSum.of(f)
         for k in range(order_bound + 1):
-            left = S.B(k, one, f) - want
-            right = S.B(k, f, one) - want
+            left = S.B(k, one, f, tables) - want
+            right = S.B(k, f, one, tables) - want
             if left or right:
                 fail(5, [f], k, left or right)
                 break
@@ -635,7 +612,7 @@ def axiom_suite(S, degree_bound, order_bound):
         if 6 in entries:
             break
         for gi, g in enumerate(gens):
-            got = pair(1, fi, gi).base - pair(1, gi, fi).base
+            got = pair(1, fi, gi) - pair(1, gi, fi)
             want = GaussSum.of(gp_poisson(f, g).scale(i_unit))
             if got != want:
                 fail(6, [f, g], 1, got - want)
@@ -644,8 +621,7 @@ def axiom_suite(S, degree_bound, order_bound):
 
     # axiom 7: Hermiticity conj(B_k(f,g)) = B_k(conj g, conj f)
     complex_gens = gens + [f + g.scale(i_unit) for f, g in zip(gens, gens[1:])]
-    complex_towers = [DerivativeTower(f) for f in complex_gens]
-    conj_towers = [DerivativeTower(f.conj()) for f in complex_gens]
+    conj_gens = [f.conj() for f in complex_gens]
     for k in range(order_bound + 1):
         if 7 in entries:
             break
@@ -654,8 +630,8 @@ def axiom_suite(S, degree_bound, order_bound):
                 break
             for gi, g in enumerate(complex_gens):
                 got, want = {}, {}
-                S.B_into(got, k, complex_towers[fi], complex_towers[gi])
-                S.B_into(want, k, conj_towers[gi], conj_towers[fi])
+                S.B_into(got, k, f, g, tables)
+                S.B_into(want, k, conj_gens[gi], conj_gens[fi], tables)
                 if not (got or want):
                     continue
                 got, want = _sum_of(ctx, got).conj(), _sum_of(ctx, want)

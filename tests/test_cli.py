@@ -465,6 +465,7 @@ def test_render_walks_long_chains_and_reparses(text):
      "starforge star: argument --order: invalid int value: 'x'"),
     ([], "starforge: the following arguments are required: command"),
     (["axioms", "--frobnicate"], "starforge: unrecognized arguments: --frobnicate"),
+    (["star", "q", "p", "--seed", "1"], "starforge: unrecognized arguments: --seed 1"),
 ])
 def test_usage_errors_are_json_errors(capsys, argv, message):
     res, out = go(capsys, *argv)

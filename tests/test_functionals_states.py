@@ -109,6 +109,11 @@ def test_functional_terms_take_exact_data_only():
         Density(CTX, GAUSS, weight=complex(1, 2))
     with pytest.raises(TypeError):
         Density(CTX, GAUSS, width_lambda=0.1)
+    # bool is an int, but no point or width is a truth value
+    with pytest.raises(TypeError):
+        FormalFunctional.delta(CTX, (True, 0))
+    with pytest.raises(TypeError):
+        Density(CTX, GAUSS, width_lambda=True)
     with pytest.raises(TypeError):
         eigencheck_classical(GAUSS, 1, (0.1, 0))
     # exact inputs still go through, weights of every pairing kind included
@@ -270,6 +275,23 @@ def test_moyal_reduction_identity(rng):
         slow = _star_action_adjoint(MOYAL, T, F)
         assert fast == func_action(T, F).shift(-1)
         assert slow == fast
+
+
+def test_the_moyal_shortcut_follows_the_operator_table_not_the_name():
+    # Moyal's table with only the first term kept at k = 1 is no Moyal
+    # product, whatever its name; only the Moyal table itself pairs as Moyal
+    from starforge import StarFamily
+
+    def cut(k, ctx):
+        terms = MOYAL.terms(k)
+        return terms[:1] if k == 1 else terms
+
+    want = FormalScalar.from_const(ExactComplex(0, Fraction(-1, 2)))
+    for name in ("moyal", "cut"):
+        S = StarFamily(name, CTX, cut)
+        assert func_star_action(S, DELTA, fn(Q * P)) == want
+    renamed = StarFamily("other", CTX, MOYAL._term_fn)
+    assert func_star_action(renamed, DELTA, fn(Q * P)) == func_action(DELTA, fn(Q * P)).shift(-1)
 
 
 # ---- products with functions ----

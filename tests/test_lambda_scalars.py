@@ -182,7 +182,7 @@ def test_exact_complex_constructor_validates():
     assert_matches(ExactComplex("6/4", "-2"), (Fraction(3, 2), Fraction(-2)))
     assert_matches(ExactComplex(), (Fraction(0), Fraction(0)))
     assert (EC_ZERO.a, EC_ZERO.b, EC_ZERO.d) == (0, 0, 1)
-    for bad in (0.5, 1j, None, [1]):
+    for bad in (0.5, 1j, None, [1], True):
         with pytest.raises(TypeError):
             ExactComplex(bad)
         with pytest.raises(TypeError):
@@ -406,6 +406,8 @@ def test_binding_equality():
     assert LambdaBinding.strict(Fraction(1, 2)) == LambdaBinding.strict(Fraction(1, 2))
     assert FORMAL != LambdaBinding.strict(1)
     assert not FORMAL.is_strict
+    with pytest.raises(TypeError):
+        LambdaBinding.strict(True)
 
 
 # ---- agreement and convergence ----

@@ -54,6 +54,8 @@ def test_dimension_checks():
         GaussPoly(CTX, {(-1, 0): 1})
     with pytest.raises(ValueError):
         GaussPoly(CTX, {(0, 0): 1}, alpha=-1)
+    with pytest.raises(TypeError):
+        GaussPoly(CTX, {(0, 0): 1}, alpha=True)
     q1 = GaussPoly.coordinate(PhaseContext(2), "q1")
     with pytest.raises(DimensionMismatch):
         Q + q1
@@ -300,6 +302,25 @@ def test_pi_rational_arithmetic():
     assert (pi - pi).is_zero()
     assert str(pi) == "pi"
     assert str(PiRational(Fraction(1, 2), 1)) == "1/2*pi"
+
+
+def test_pi_rational_validates_at_the_boundary():
+    for bad in (1.5, True, "1", None):
+        with pytest.raises(TypeError):
+            PiRational(1, bad)
+    with pytest.raises(ValueError):
+        PiRational(1, -1)
+    with pytest.raises(TypeError):
+        PiRational(0.5, 1)
+    # results of the arithmetic keep the canonical form: a zero has power 0
+    pi = PiRational(ExactComplex(1, 2), 3)
+    for zero in (pi - pi, pi * 0, pi * PiRational(0, 2), -(pi - pi), (pi - pi).conj()):
+        assert type(zero) is PiRational and zero.pi_power == 0 and not zero
+        assert zero == 0 and hash(zero) == hash(0)
+    assert pi.conj() == PiRational(ExactComplex(1, -2), 3)
+    assert pi / 2 == PiRational(ExactComplex(Fraction(1, 2), 1), 3)
+    assert (pi * PiRational(2, 1), -pi) == (PiRational(ExactComplex(2, 4), 4),
+                                           PiRational(ExactComplex(-1, -2), 3))
 
 
 def test_pi_mixed_powers_promote():

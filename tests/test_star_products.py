@@ -586,21 +586,39 @@ def test_gaussian_pair_matches_the_closed_form(n, order, a, b):
         assert all(v.im == 0 for v in part.terms.values())
 
 
-def test_star_mul_takes_each_derivative_once(monkeypatch):
-    # one tower per factor with a polynomial part: d^beta of each side's
-    # polynomial is built once for every |beta| <= K, however many orders and
-    # terms reuse it; the Gaussian parts go through the 1-D tables instead
+def _count_gp_diff(monkeypatch):
     import starforge.star_products as sp
 
     calls = []
     real = sp.gp_diff
     monkeypatch.setattr(sp, "gp_diff", lambda f, var: calls.append(var) or real(f, var))
+    return calls
+
+
+def test_star_mul_takes_each_derivative_once(monkeypatch):
+    # one derivative memo per polynomial part: d^beta of each side's
+    # polynomial is built once for every |beta| <= K, however many orders and
+    # terms reuse it; the Gaussian parts go through the 1-D tables instead
+    calls = _count_gp_diff(monkeypatch)
+    K = 8
+    poly = GaussPoly.monomial(CTX, (K, K))
+    f = GaussSum.of(poly) + GaussSum.of(GAUSS)
+    g = GaussSum.of(GaussPoly.monomial(CTX, (K, K))) + GaussSum.of(GaussPoly.gaussian(CTX, 2))
+    star_mul(MOYAL, fn(f), fn(g), K)
+    assert len(calls) == 2 * ((K + 1) * (K + 2) // 2 - 1)
+
+
+def test_star_mul_shares_the_memo_of_a_part_on_both_sides(monkeypatch):
+    # the memos of one product are keyed by part object, so a polynomial
+    # that is a part of both factors is differentiated once, not twice
+    calls = _count_gp_diff(monkeypatch)
     K = 8
     poly = GaussPoly.monomial(CTX, (K, K))
     f = GaussSum.of(poly) + GaussSum.of(GAUSS)
     g = GaussSum.of(poly) + GaussSum.of(GaussPoly.gaussian(CTX, 2))
+    assert f.parts[0] is poly and g.parts[0] is poly
     star_mul(MOYAL, fn(f), fn(g), K)
-    assert len(calls) == 2 * ((K + 1) * (K + 2) // 2 - 1)
+    assert len(calls) == (K + 1) * (K + 2) // 2 - 1
 
 
 def test_star_mul_builds_each_one_dimensional_factor_once(monkeypatch):
@@ -672,6 +690,35 @@ def test_B_into_cancels_to_zero_slots_that_the_wrapper_drops():
     MOYAL.B_into(out, 2, -f, g)
     assert out and all(not c for terms in out.values() for c in terms.values())
     assert _sum_of(CTX, out).parts == ()
+
+
+def test_B_is_the_same_for_a_part_and_its_sum():
+    # a GaussPoly operand and its GaussSum.of give the same B and B_into,
+    # with a fresh CoordinateTables per call or one shared by all of them
+    from starforge.star_products import CoordinateTables, _sum_of
+
+    f, g = _mixed_operands()
+    polys = [P * P + Q.scale(Fraction(1, 3)), (P + Q.scale(EC_I)) * GAUSS, Q * P]
+    shared = CoordinateTables()
+    for k in range(4):
+        for a in polys:
+            for b in (f, g) + tuple(polys):
+                want, want_swapped = MOYAL.B(k, a, b), MOYAL.B(k, b, a)
+                for tables in (None, shared):
+                    assert MOYAL.B(k, GaussSum.of(a), b, tables) == want
+                    assert MOYAL.B(k, b, GaussSum.of(a), tables) == want_swapped
+                    got, sums = {}, {}
+                    MOYAL.B_into(got, k, a, b, tables)
+                    MOYAL.B_into(sums, k, GaussSum.of(a), b, tables)
+                    assert got == sums
+                    assert _sum_of(CTX, got) == want
+
+
+def test_B_takes_only_gauss_polys_and_sums():
+    with pytest.raises(TypeError):
+        MOYAL.B(1, fn(Q), P)
+    with pytest.raises(TypeError):
+        MOYAL.B_into({}, 0, Q, ExactComplex(1))
 
 
 def test_B_into_leaves_the_dict_alone_on_an_empty_operator_table():
