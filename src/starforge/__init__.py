@@ -17,7 +17,7 @@ from .lambda_scalars import (EngineError, ZeroNotInvertible, FormalModeError,
                              scalar_to_json, scalar_from_json)
 from .phase_functions import (AlphaMismatch, NotIntegrable, UnknownCoordinate,
                               DimensionMismatch, PiSeparationError,
-                              PhaseContext, pi_bounds, PiRational, PiScalar,
+                              PhaseContext, pi_bounds, PiScalar,
                               coeff_sign, GaussPoly, gp_diff, gp_eval,
                               gp_integrate, gp_pair, gp_poisson, render_gausspoly,
                               gp_to_json, gp_from_json)

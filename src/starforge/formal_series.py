@@ -7,10 +7,10 @@ convolution with pointwise products — the trivial commutative extension of
 multiplication to series.
 """
 
-from .lambda_scalars import (EC_ZERO, as_coeff, FormalScalar, LaurentSeries,
+from .lambda_scalars import (as_coeff, FormalScalar, LaurentSeries,
                              graded_product, mul_add, render_series,
                              series_to_json, tail_from_json)
-from .phase_functions import (GaussPoly, PiRational, NotIntegrable,
+from .phase_functions import (GaussPoly, NotIntegrable, _PI_ZERO,
                               render_gausspoly, gp_to_json, gp_from_json)
 
 
@@ -108,7 +108,7 @@ class GaussSum(object):
         return GaussSum(self.ctx, tuple(p.diff(var) for p in self.parts))
 
     def integrate(self):
-        total = PiRational(EC_ZERO, 0)
+        total = _PI_ZERO
         for p in self.parts:
             total = total + p.integrate()
         return total
@@ -237,7 +237,7 @@ def fs_diff(F, var):
 
 
 def fs_integrate(F):
-    """Termwise Gaussian integration; a Laurent scalar with PiRational coefficients."""
+    """Termwise Gaussian integration; a Laurent scalar with c*pi^n PiScalar coefficients."""
     out = []
     for i, c in enumerate(F.coeffs):
         try:

@@ -3,8 +3,8 @@
 A functional is a formal Laurent series whose coefficients are finite lists of
 elementary terms: point evaluations with derivatives, and integrals against a
 Gaussian density.  Pairings come in two flavours: the plain one <T, f>, and the
-star pairing <T, f>_* that routes the argument through a product family and its
-trace density.  On top of the pairings sit the checks: reality, positivity on
+star pairing <T, f>_* that routes the argument through a product family's
+trace.  On top of the pairings sit the checks: reality, positivity on
 witness sets, normalization, and the three classical/bullet/star genvalue
 tests, all exact.
 """
@@ -12,14 +12,15 @@ tests, all exact.
 from fractions import Fraction
 from functools import partial
 from math import comb
+from operator import add
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
                              ScopeError, ExactComplex, EC_ZERO, EC_ONE, as_coeff, _frac,
                              FormalScalar, FORMAL, LaurentSeries, graded_product,
                              scalar_invert, scalar_eval, render_scalar,
                              render_series, series_to_json)
-from .phase_functions import (GaussPoly, PiRational, PiScalar, coeff_sign, gp_pair,
-                              DimensionMismatch, render_gausspoly)
+from .phase_functions import (GaussPoly, PiScalar, coeff_sign, gp_pair,
+                              DimensionMismatch, render_gausspoly, _PI_ZERO)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
 from .star_products import star_mul, TruncationRequired, UNBOUNDED, _moyal_terms
@@ -40,7 +41,7 @@ class InfinitePrincipalPart(EngineError):
 def _as_weight(w):
     # the exact kinds a pairing value can be multiplied by; ints and Fractions
     # become ExactComplex, floats and anything else are refused
-    if isinstance(w, (ExactComplex, PiRational, PiScalar)):
+    if isinstance(w, (ExactComplex, PiScalar)):
         return w
     if isinstance(w, (int, Fraction)):
         return as_coeff(w)
@@ -173,7 +174,7 @@ class Density(object):
         if self.width_lambda != 0:
             raise FormalModeError(
                 "density carries a lam-dependent width; bind a strict lambda first")
-        total = PiRational(EC_ZERO, 0)
+        total = _PI_ZERO
         for f in self.g.parts:
             for h in gs.parts:
                 total = total + gp_pair(f, h)
@@ -394,18 +395,17 @@ def _as_function(ctx, f):
 
 
 def func_star_action(S, T, F, order=None):
-    """Star pairing <T, F>_* through the family's trace density."""
+    """Star pairing <T, F>_*: lam^(-n) <T, F> for Moyal, by parts otherwise."""
     F = _as_function(S.ctx, F)
-    if S._term_fn is _moyal_terms and S._trace is None:
+    if S._term_fn is _moyal_terms:
         return func_action(T, F).shift(-S.ctx.n)
     return _star_action_adjoint(S, T, F, order)
 
 
 def _star_action_adjoint(S, T, F, order=None):
     # move the derivatives of each B_k off the functional side by parts:
-    # <T, F>_* = lam^(-n) sum_k lam^k sum_(c,dl,dr) c (-1)^|dr| <T, d^dr((d^dl F) . t)>
+    # <T, F>_* = lam^(-n) sum_k lam^k sum_(c,dl,dr) c (-1)^|dr| <T, d^(dl+dr) F>
     F = _as_function(S.ctx, F)
-    t_density = S.trace_density
     n = S.ctx.n
     if order is None:
         # the family's own termination rule, driven by the function side only
@@ -420,7 +420,7 @@ def _star_action_adjoint(S, T, F, order=None):
                     "star pairing does not terminate here; pass a truncation order")
             k_stop = max(k_stop, b)
     else:
-        k_stop = order + n - T.valuation - F.valuation - t_density.valuation
+        k_stop = order + n - T.valuation - F.valuation
         if k_stop < 0:
             k_stop = 0
     total = FormalScalar.zero()
@@ -428,11 +428,7 @@ def _star_action_adjoint(S, T, F, order=None):
         piece = None
         for c, dl, dr in S.terms(k):
             u = F
-            for i, e in enumerate(dl):
-                for _ in range(e):
-                    u = fs_diff(u, i)
-            u = fs_bullet(u, t_density)
-            for i, e in enumerate(dr):
+            for i, e in enumerate(map(add, dl, dr)):
                 for _ in range(e):
                     u = fs_diff(u, i)
             if sum(dr) % 2:

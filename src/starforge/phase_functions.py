@@ -6,10 +6,10 @@ closed under sums (equal alpha), products (alphas add), partial derivatives,
 conjugation, and has closed-form Gaussian moment integrals, which keeps every
 downstream identity machine-checkable.
 
-Integration values live in PiRational (a single c*pi^k term) and, where
-division is unavoidable, in PiScalar: the field of rational functions in pi
-over the Gaussian rationals, with sign decisions made through refinable
-rational bounds on pi.
+Integration values (c*pi^n) and the quotients of them that normalising
+needs live in PiScalar: the field of rational functions in pi over the
+Gaussian rationals, with sign decisions made through refinable rational
+bounds on pi.
 """
 
 from fractions import Fraction
@@ -20,6 +20,7 @@ from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE,
                              as_coeff, _frac, _reduced, _accumulate)
 
 _ZERO = Fraction(0)
+_ONE_DEN = (EC_ONE,)
 
 
 class AlphaMismatch(EngineError):
@@ -199,6 +200,10 @@ def _real_poly_interval(coeffs, lo, hi):
 def _poly_sign_at_pi(coeffs, max_bits=4096):
     if not coeffs:
         return 0
+    # pi > 0: terms that all share one sign decide it without bounds
+    signs = {c.a > 0 for c in coeffs if c}
+    if len(signs) == 1:
+        return 1 if signs.pop() else -1
     bits = 32
     while bits <= max_bits:
         lo, hi = pi_bounds(bits)
@@ -209,151 +214,6 @@ def _poly_sign_at_pi(coeffs, max_bits=4096):
             return -1
         bits *= 2
     raise PiSeparationError("could not separate polynomial value at pi from zero")
-
-
-# ============================================================
-# PiRational: one term c * pi^k
-# ============================================================
-
-class PiRational(object):
-    __slots__ = ("coeff", "pi_power")
-
-    def __init__(self, coeff, pi_power=0):
-        coeff = as_coeff(coeff)
-        if not isinstance(coeff, ExactComplex):
-            raise TypeError("PiRational coefficient must be complex-rational")
-        if isinstance(pi_power, bool) or not isinstance(pi_power, int):
-            raise TypeError("pi_power must be an int")
-        if pi_power < 0:
-            raise ValueError("pi_power must be nonnegative")
-        if not coeff:
-            pi_power = 0
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "pi_power", pi_power)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiRational is immutable")
-
-    def __bool__(self):
-        return bool(self.coeff)
-
-    def is_zero(self):
-        return not self
-
-    def is_real(self):
-        return self.coeff.is_real()
-
-    def conj(self):
-        return _pr(self.coeff.conj(), self.pi_power)
-
-    def promote(self):
-        num = [EC_ZERO] * self.pi_power + [self.coeff] if self.coeff else []
-        return PiScalar(tuple(num), (EC_ONE,))
-
-    def reciprocal(self):
-        return self.promote().reciprocal()
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, PiRational):
-            return other
-        if isinstance(other, (int, ExactComplex, Fraction)):
-            return _pr(as_coeff(other), 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self:
-            return o
-        if not o:
-            return self
-        if self.pi_power == o.pi_power:
-            return _pr(self.coeff + o.coeff, self.pi_power)
-        return self.promote() + o.promote()
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return _pr(-self.coeff, self.pi_power)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _pr(self.coeff * o.coeff, self.pi_power + o.pi_power)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, ExactComplex, Fraction)):
-            return _pr(self.coeff / as_coeff(other), self.pi_power)
-        if isinstance(other, PiRational):
-            return self.promote() / other.promote()
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, PiScalar):
-            return self.promote() == other
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self and not o:
-            return True
-        return self.coeff == o.coeff and self.pi_power == o.pi_power
-
-    def __hash__(self):
-        # a pi-free value hashes as its coefficient, which equals it
-        if not self.pi_power:
-            return hash(self.coeff)
-        return hash((self.coeff, self.pi_power))
-
-    def __str__(self):
-        if not self:
-            return "0"
-        if self.pi_power == 0:
-            return str(self.coeff)
-        pi = "pi" if self.pi_power == 1 else "pi^%d" % self.pi_power
-        if self.coeff == EC_ONE:
-            return pi
-        if self.coeff == -EC_ONE:
-            return "-" + pi
-        s = str(self.coeff)
-        if "+" in s[1:] or "-" in s[1:]:
-            s = "(%s)" % s
-        return "%s*%s" % (s, pi)
-
-    def __repr__(self):
-        return "PiRational(%s)" % self
-
-    def to_json(self):
-        return {"coeff": self.coeff.to_json(), "pi_power": self.pi_power}
-
-
-_set_pi_coeff = PiRational.coeff.__set__
-_set_pi_power = PiRational.pi_power.__set__
-
-
-def _pr(coeff, pi_power):
-    # trusted constructor for results the arithmetic has just computed: an
-    # ExactComplex coefficient and an int power >= 0; zero keeps power 0
-    x = object.__new__(PiRational)
-    _set_pi_coeff(x, coeff)
-    _set_pi_power(x, pi_power if coeff else 0)
-    return x
 
 
 # ============================================================
@@ -368,12 +228,15 @@ def _pstrip(cs):
 
 
 def _padd(a, b):
-    out = [EC_ZERO] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
+    # a and b are stripped, so only equal lengths can cancel at the top
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    out = list(a)
     for i, c in enumerate(b):
         out[i] = out[i] + c
-    return _pstrip(out)
+    return _pstrip(out) if not out[-1] else tuple(out)
 
 
 def _pneg(a):
@@ -381,8 +244,14 @@ def _pneg(a):
 
 
 def _pmul(a, b):
-    if not a or not b:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return ()
+    if len(b) == 1:
+        # a constant factor: no zero can appear at the top
+        c = b[0]
+        return tuple(x * c if x else x for x in a)
     out = [EC_ZERO] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
@@ -420,35 +289,50 @@ def _pmonic(a):
 
 
 def _pgcd(a, b):
-    a, b = _pstrip(a), _pstrip(b)
     while b:
         _, r = _pdivmod(a, b)
         a, b = b, r
     return _pmonic(a)
 
 
+def _lowest(num, den):
+    # (num, den) in lowest terms with a monic den, for stripped polynomials
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return (), _ONE_DEN
+    if len(den) > 1:
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, _ = _pdivmod(num, g)
+            den, _ = _pdivmod(den, g)
+    lc = den[-1]
+    if lc != EC_ONE:
+        inv = lc.reciprocal()
+        num = tuple(c * inv for c in num)
+        den = tuple(c * inv for c in den)
+    return num, den
+
+
+def _pi_coeff(c):
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction, ExactComplex)):
+        raise TypeError("PiScalar coefficients must be int, Fraction or ExactComplex, "
+                        "got %r" % (c,))
+    return as_coeff(c)
+
+
 class PiScalar(object):
-    """Element of the field of rational functions in pi, kept in lowest terms."""
+    """Element of the field of rational functions in pi, kept in lowest terms.
+
+    num and den are coefficient tuples, constant term first; den is monic,
+    so a polynomial in pi (every integral c*pi^n among them) has den (1,).
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(EC_ONE,)):
-        num = _pstrip(as_coeff(c) for c in num)
-        den = _pstrip(as_coeff(c) for c in den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = (EC_ONE,)
-        else:
-            g = _pgcd(num, den)
-            if len(g) > 1 or g[0] != EC_ONE:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
-            lc = den[-1]
-            if lc != EC_ONE:
-                inv = lc.reciprocal()
-                num = tuple(c * inv for c in num)
-                den = tuple(c * inv for c in den)
+    def __init__(self, num, den=_ONE_DEN):
+        num, den = _lowest(_pstrip(_pi_coeff(c) for c in num),
+                           _pstrip(_pi_coeff(c) for c in den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -457,21 +341,38 @@ class PiScalar(object):
 
     @staticmethod
     def const(c):
-        return PiScalar((as_coeff(c),))
+        return PiScalar((c,))
 
     @staticmethod
     def pi(power=1):
-        return PiScalar(tuple([EC_ZERO] * power + [EC_ONE]))
+        if isinstance(power, bool) or not isinstance(power, int) or power < 0:
+            raise ValueError("pi power must be an int >= 0, got %r" % (power,))
+        return _ps((EC_ZERO,) * power + (EC_ONE,), _ONE_DEN)
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, PiScalar):
             return other
-        if isinstance(other, PiRational):
-            return other.promote()
         if isinstance(other, (int, ExactComplex, Fraction)):
-            return PiScalar.const(other)
+            c = as_coeff(other)
+            return _ps((c,) if c else (), _ONE_DEN)
         return None
+
+    def _term(self):
+        num = self.num
+        if len(self.den) > 1 or any(num[:-1]):
+            raise ValueError("%s is not a single term c*pi^k" % self)
+        return (num[-1], len(num) - 1) if num else (EC_ZERO, 0)
+
+    @property
+    def coeff(self):
+        """c of a single-term value c*pi^k; ValueError on any other value."""
+        return self._term()[0]
+
+    @property
+    def pi_power(self):
+        """k of a single-term value c*pi^k (0 for zero); ValueError on any other value."""
+        return self._term()[1]
 
     def __bool__(self):
         return bool(self.num)
@@ -480,8 +381,8 @@ class PiScalar(object):
         return not self
 
     def conj(self):
-        return PiScalar(tuple(c.conj() for c in self.num),
-                        tuple(c.conj() for c in self.den))
+        # pi is real, so conjugation keeps lowest terms and a monic den
+        return _ps(tuple(c.conj() for c in self.num), tuple(c.conj() for c in self.den))
 
     def is_real(self):
         return self == self.conj()
@@ -489,14 +390,17 @@ class PiScalar(object):
     def reciprocal(self):
         if not self.num:
             raise ZeroDivisionError("division by exact zero")
-        return PiScalar(self.den, self.num)
+        inv = self.num[-1].reciprocal()
+        return _ps(tuple(c * inv for c in self.den), tuple(c * inv for c in self.num))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PiScalar(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-                        _pmul(self.den, o.den))
+        if len(self.den) == 1 and len(o.den) == 1:
+            return _ps(_padd(self.num, o.num), _ONE_DEN)
+        return _ps(*_lowest(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
+                            _pmul(self.den, o.den)))
 
     __radd__ = __add__
 
@@ -513,13 +417,15 @@ class PiScalar(object):
         return o + (-self)
 
     def __neg__(self):
-        return PiScalar(_pneg(self.num), self.den)
+        return _ps(_pneg(self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PiScalar(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        if len(self.den) == 1 and len(o.den) == 1:
+            return _ps(_pmul(self.num, o.num), _ONE_DEN)
+        return _ps(*_lowest(_pmul(self.num, o.num), _pmul(self.den, o.den)))
 
     __rmul__ = __mul__
 
@@ -540,7 +446,7 @@ class PiScalar(object):
             raise ValueError("integer power expected")
         if k < 0:
             return self.reciprocal() ** (-k)
-        out = PiScalar.const(1)
+        out = _PI_ONE
         base = self
         while k:
             if k & 1:
@@ -556,11 +462,9 @@ class PiScalar(object):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        # a constant or monomial hashes as the PiRational it equals
-        if self.den == (EC_ONE,) and not any(self.num[:-1]):
-            if not self.num:
-                return hash(EC_ZERO)
-            return hash(_pr(self.num[-1], len(self.num) - 1))
+        # a constant hashes as the ExactComplex it equals
+        if len(self.num) <= 1 and len(self.den) == 1:
+            return hash(self.num[0] if self.num else EC_ZERO)
         return hash((self.num, self.den))
 
     def sign(self, max_bits=4096):
@@ -615,18 +519,31 @@ class PiScalar(object):
                 "den": [c.to_json() for c in self.den]}
 
 
+_set_num = PiScalar.num.__set__
+_set_den = PiScalar.den.__set__
+
+
+def _ps(num, den):
+    # trusted constructor for values the arithmetic has just computed:
+    # stripped ExactComplex tuples in lowest terms, den monic; zero has den (1,)
+    x = object.__new__(PiScalar)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+_PI_ONE = _ps((EC_ONE,), _ONE_DEN)
+_PI_ZERO = _ps((), _ONE_DEN)
+
+
 def coeff_sign(value, max_bits=4096):
-    """Sign of a real ExactComplex / PiRational / PiScalar."""
+    """Sign of a real ExactComplex or PiScalar."""
     if isinstance(value, (int, Fraction)):
         return (value > 0) - (value < 0)
     if isinstance(value, ExactComplex):
         if not value.is_real():
             raise ValueError("sign of a non-real value")
         return (value.re > 0) - (value.re < 0)
-    if isinstance(value, PiRational):
-        if not value.is_real():
-            raise ValueError("sign of a non-real value")
-        return (value.coeff.re > 0) - (value.coeff.re < 0)
     if isinstance(value, PiScalar):
         return value.sign(max_bits)
     raise TypeError("no sign for %r" % (value,))
@@ -868,21 +785,21 @@ def gp_eval(f, point):
 
 
 def gp_integrate(f):
-    """Exact integral over the whole phase space; always rational * pi^n."""
+    """Exact integral over the whole phase space; always a PiScalar c*pi^n."""
     if not f.terms:
-        return _pr(EC_ZERO, 0)
+        return _PI_ZERO
     return _moment_sum(f.ctx.n, f.terms, {(0,) * f.ctx.dim: EC_ONE}, f.alpha)
 
 
 def gp_pair(f, g):
     """Exact integral of f * g over phase space, without forming the product.
 
-    Value and type are those of (f * g).integrate(): PiRational(0, 0) when
-    either side is zero, NotIntegrable when both are nonzero polynomials.
+    Value and type are those of (f * g).integrate(): a PiScalar c*pi^n, zero
+    when either side is zero, NotIntegrable when both are nonzero polynomials.
     """
     _check_same_ctx(f, g)
     if not f.terms or not g.terms:
-        return _pr(EC_ZERO, 0)
+        return _PI_ZERO
     return _moment_sum(f.ctx.n, f.terms, g.terms, f.alpha + g.alpha)
 
 
@@ -936,10 +853,10 @@ def _moment_sum(n, left, right, alpha):
             ta += (a1 * a2 - b1 * b2) * p
             tb += (a1 * b2 + b1 * a2) * p
     if not ta and not tb:
-        return _pr(EC_ZERO, 0)
+        return _PI_ZERO
     # 1/alpha^n = v^n/u^n
     vn = v ** n
-    return _pr(_reduced(ta * vn, tb * vn, td * u ** n), n)
+    return _ps((EC_ZERO,) * n + (_reduced(ta * vn, tb * vn, td * u ** n),), _ONE_DEN)
 
 
 def gp_poisson(f, g):

@@ -16,7 +16,7 @@ from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ONE,
 from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair, gp_poisson,
                               gp_mul_into, render_gausspoly, monomial_key,
                               _gp)
-from .formal_series import GaussSum, FormalFunction, fs_bullet, fs_integrate
+from .formal_series import GaussSum, FormalFunction, fs_integrate
 
 UNBOUNDED = float("inf")
 _ZERO = Fraction(0)
@@ -120,13 +120,14 @@ class CoordinateTables(object):
         return self._products.setdefault((u, v, w, z), {})
 
 
+_OPERANDS = (GaussPoly, GaussSum)
+
+
 def _parts(f):
-    # the nonzero parts of one operand of B, sorted by width
+    # the nonzero parts of one operand of B (already type-checked), sorted by width
     if isinstance(f, GaussSum):
         return f.parts
-    if isinstance(f, GaussPoly):
-        return (f,) if f.terms else ()
-    raise TypeError("B takes a GaussPoly or a GaussSum, not %s" % type(f).__name__)
+    return (f,) if f.terms else ()
 
 
 def _expand(rows, c):
@@ -201,30 +202,23 @@ def _poly_bound(x):
 
 
 class StarFamily(object):
-    """Bidifferential family with a trace density.
+    """Bidifferential family; its trace integrates against the density 1.
 
     term_fn(k, ctx) returns the k-th operator as a tuple of
     (coefficient, left_derivative_exponents, right_derivative_exponents).
     """
 
-    __slots__ = ("name", "ctx", "_term_fn", "_termination", "_trace", "_cache")
+    __slots__ = ("name", "ctx", "_term_fn", "_termination", "_cache")
 
-    def __init__(self, name, ctx, term_fn, termination=None, trace_density=None):
+    def __init__(self, name, ctx, term_fn, termination=None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_term_fn", term_fn)
         object.__setattr__(self, "_termination", termination)
-        object.__setattr__(self, "_trace", trace_density)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("StarFamily is immutable")
-
-    @property
-    def trace_density(self):
-        if self._trace is None:
-            return FormalFunction.one(self.ctx)
-        return self._trace
 
     def terms(self, k):
         if k not in self._cache:
@@ -256,6 +250,9 @@ class StarFamily(object):
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
+        if not isinstance(f, _OPERANDS) or not isinstance(g, _OPERANDS):
+            bad = g if isinstance(f, _OPERANDS) else f
+            raise TypeError("B takes a GaussPoly or a GaussSum, not %s" % type(bad).__name__)
         terms = self.terms(k)
         if not terms:
             return
@@ -399,8 +396,8 @@ def star_commutator(S, F, G, order=None):
 
 
 def star_trace(S, F):
-    """Trace: lam^(-n) times the integral of F bullet the trace density."""
-    return fs_integrate(fs_bullet(F, S.trace_density)).shift(-S.ctx.n)
+    """Trace: lam^(-n) times the integral of F."""
+    return fs_integrate(F).shift(-S.ctx.n)
 
 
 # ============================================================

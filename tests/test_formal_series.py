@@ -11,7 +11,7 @@ from starforge import (
     GaussSum,
     NotIntegrable,
     PhaseContext,
-    PiRational,
+    PiScalar,
     UnknownCoordinate,
     fs_bullet,
     fs_diff,
@@ -63,7 +63,7 @@ def test_gauss_sum_products_distribute_over_widths():
 
 def test_gauss_sum_integrate_sums_parts():
     s = GaussSum(CTX, (GAUSS, (Q * Q) * GAUSS))
-    assert s.integrate() == PiRational(Fraction(3, 2), 1)
+    assert s.integrate() == PiScalar.pi() * Fraction(3, 2)
 
 
 # ---- construction ----
@@ -180,8 +180,8 @@ def test_diff_leibniz_over_bullet(rng):
 def test_integrate_gaussian_series():
     F = FormalFunction(CTX, 0, (GAUSS, (Q * Q) * GAUSS))
     s = fs_integrate(F)
-    assert s.coefficient(0) == PiRational(1, 1)
-    assert s.coefficient(1) == PiRational(Fraction(1, 2), 1)
+    assert s.coefficient(0) == PiScalar.pi()
+    assert s.coefficient(1) == PiScalar.pi() * Fraction(1, 2)
     assert s.tail is None
 
 

@@ -24,7 +24,6 @@ from starforge import (
     NotNormalizable,
     NotSupportedForm,
     PhaseContext,
-    PiRational,
     PiScalar,
     PointDeriv,
     bind_functional,
@@ -120,8 +119,8 @@ def test_functional_terms_take_exact_data_only():
     d = PointDeriv(CTX, ("1/2", Fraction(-3)), (1, 0), Fraction(2, 3))
     assert d.point == (Fraction(1, 2), Fraction(-3)) and d.weight == ExactComplex(Fraction(2, 3))
     assert Density(CTX, GAUSS, width_lambda="1/3").width_lambda == Fraction(1, 3)
-    for w in (2, ExactComplex(1, 1), PiRational(3, 1), PiScalar.pi().reciprocal()):
-        assert Density(CTX, GAUSS, weight=w).act(GaussSum.of(Q * Q)) == w * PiRational(Fraction(1, 2), 1)
+    for w in (2, ExactComplex(1, 1), PiScalar.pi() * 3, PiScalar.pi().reciprocal()):
+        assert Density(CTX, GAUSS, weight=w).act(GaussSum.of(Q * Q)) == w * PiScalar.pi() * Fraction(1, 2)
 
 
 def test_same_shape_terms_merge():
@@ -167,7 +166,7 @@ def test_point_derivative_sign_convention():
 def test_density_action_is_the_gaussian_integral():
     T = FormalFunctional.density(CTX, GAUSS)
     v = func_action(T, fn(Q * Q))
-    assert v == FormalScalar(0, (PiRational(Fraction(1, 2), 1),))
+    assert v == FormalScalar(0, (PiScalar.pi() * Fraction(1, 2),))
 
 
 def _sums(ctx, min_parts, max_parts):
@@ -177,7 +176,7 @@ def _sums(ctx, min_parts, max_parts):
 
 @settings(max_examples=40)
 @given(g=_sums(CTX, 1, 2), gs=_sums(CTX, 0, 3),
-       weight=st.one_of(exact_coeffs, st.builds(PiRational, exact_coeffs, st.integers(0, 2))))
+       weight=st.one_of(exact_coeffs, st.builds(lambda c, k: PiScalar.pi(k) * c, exact_coeffs, st.integers(0, 2))))
 def test_density_action_pairs_every_part(g, gs, weight):
     # the reference forms the product GaussSum and integrates it
     T = Density(CTX, g, weight)
@@ -204,7 +203,7 @@ def test_action_mixes_deltas_and_densities():
     T = DELTA + FormalFunctional.density(CTX, GAUSS, power=1)
     v = func_action(T, ONE)
     assert v.coefficient(0) == EC_ONE
-    assert v.coefficient(1) == PiRational(1, 1)
+    assert v.coefficient(1) == PiScalar.pi()
 
 
 def test_action_respects_function_truncation():
@@ -251,7 +250,7 @@ def test_width_markers_block_formal_actions():
 def test_density_star_action_gains_the_volume_power():
     T = FormalFunctional.density(CTX, GAUSS)
     v = func_star_action(MOYAL, T, ONE)
-    assert v == FormalScalar(-1, (PiRational(1, 1),))
+    assert v == FormalScalar(-1, (PiScalar.pi(),))
 
 
 def test_delta_is_not_a_moyal_state():
@@ -466,7 +465,7 @@ def test_normalize_gaussian_density():
     T0 = FormalFunctional.density(CTX, GAUSS)
     A, T = normalize_functional(MOYAL, T0, 4)
     assert render_scalar(A) == "1/pi*lam"
-    assert A.coefficient(1) * PiRational(1, 1) == PiRational(1, 0)
+    assert A.coefficient(1) * PiScalar.pi() == PiScalar.const(1)
     assert func_star_action(MOYAL, T, ONE) == FormalScalar.one()
 
 

@@ -16,7 +16,6 @@ from starforge import (
     FormalModeError,
     FormalScalar,
     LambdaBinding,
-    PiRational,
     PiScalar,
     TruncatedTailError,
     ZeroNotInvertible,
@@ -197,23 +196,23 @@ def test_equal_values_hash_equal_across_the_coefficient_floors():
     cases = [
         (ExactComplex(2), 2),
         (ExactComplex(Fraction(5, 3)), Fraction(5, 3)),
-        (PiRational(ExactComplex(3), 0), 3),
-        (PiRational(ExactComplex(3), 0), ExactComplex(3)),
+        (PiScalar.pi(0) * ExactComplex(3), 3),
+        (PiScalar.pi(0) * ExactComplex(3), ExactComplex(3)),
         (PiScalar.const(3), 3),
         (PiScalar.const(3), ExactComplex(3)),
-        (PiScalar.const(3), PiRational(ExactComplex(3), 0)),
+        (PiScalar.const(3), PiScalar((ExactComplex(3),), (EC_ONE,))),
         (PiScalar.const(ExactComplex(1, 2)), ExactComplex(1, 2)),
-        (PiScalar.pi(2) * Fraction(-1, 3), PiRational(Fraction(-1, 3), 2)),
+        (PiScalar.pi(2) * Fraction(-1, 3), PiScalar((0, 0, Fraction(-1, 3)))),
         (PiScalar.const(0), 0),
-        (PiRational(0, 4), EC_ZERO),
+        (PiScalar.pi(4) * 0, EC_ZERO),
     ]
     for left, right in cases:
         assert left == right and right == left, (left, right)
         assert hash(left) == hash(right), (left, right)
         assert len({left, right}) == 1, (left, right)
-    assert len({2, Fraction(2), ExactComplex(2), PiRational(2, 0), PiScalar.const(2)}) == 1
+    assert len({2, Fraction(2), ExactComplex(2), PiScalar.pi(0) * 2, PiScalar.const(2)}) == 1
     # values that differ stay apart
-    assert len({PiRational(3, 1), PiScalar.const(3), ExactComplex(3, 1)}) == 3
+    assert len({PiScalar.pi() * 3, PiScalar.const(3), ExactComplex(3, 1)}) == 3
 
 
 def test_formal_scalars_are_unhashable():
@@ -231,13 +230,13 @@ def test_coefficient_brackets_in_rendered_scalars():
         return render_scalar(FormalScalar(0, [c], None)), render_scalar(FormalScalar(1, [c], None))
 
     # a product brackets its own sum; a sum or a quotient with a sum is bracketed
-    assert render(PiRational(ExactComplex(Fraction(44, 63), Fraction(16, 27)), 1)) == (
+    assert render(PiScalar.pi() * ExactComplex(Fraction(44, 63), Fraction(16, 27))) == (
         "(44/63+16/27*I)*pi", "(44/63+16/27*I)*pi*lam")
     assert render(ExactComplex(1, -2)) == ("(1-2*I)", "(1-2*I)*lam")
     assert render(PiScalar((EC_ONE, EC_ONE))) == ("(1 + pi)", "(1 + pi)*lam")
     assert render(PiScalar((EC_ONE,), (ExactComplex(-1), EC_ONE))) == (
         "(1/(-1 + pi))", "(1/(-1 + pi))*lam")
-    assert render(PiRational(Fraction(-3, 4), 2)) == ("-3/4*pi^2", "-3/4*pi^2*lam")
+    assert render(PiScalar.pi(2) * Fraction(-3, 4)) == ("-3/4*pi^2", "-3/4*pi^2*lam")
 
 
 # ---- construction and canonical form ----

@@ -1,5 +1,6 @@
 """Gaussian-polynomial calculus: derivatives, moments, Poisson bracket, pi scalars."""
 
+import re
 from fractions import Fraction
 from math import prod
 
@@ -17,7 +18,6 @@ from starforge import (
     GaussSum,
     NotIntegrable,
     PhaseContext,
-    PiRational,
     PiScalar,
     UnknownCoordinate,
     coeff_sign,
@@ -140,12 +140,12 @@ def test_eval_dimension_check():
 # ---- integration ----
 
 def test_gaussian_normalization():
-    assert gp_integrate(GaussPoly.gaussian(CTX, 1)) == PiRational(1, 1)
+    assert gp_integrate(GaussPoly.gaussian(CTX, 1)) == PiScalar.pi()
 
 
 def test_second_moment():
     f = Q * Q * GaussPoly.gaussian(CTX, 1)
-    assert gp_integrate(f) == PiRational(Fraction(1, 2), 1)
+    assert gp_integrate(f) == PiScalar.pi() * Fraction(1, 2)
 
 
 def test_odd_moments_vanish():
@@ -158,7 +158,7 @@ def test_odd_moments_vanish():
 def test_radial_moment():
     g = GaussPoly.gaussian(CTX, 1)
     f = (Q * Q + P * P) * g
-    assert gp_integrate(f) == PiRational(1, 1)
+    assert gp_integrate(f) == PiScalar.pi()
 
 
 def test_plain_polynomials_are_not_integrable():
@@ -168,9 +168,9 @@ def test_plain_polynomials_are_not_integrable():
 
 def test_two_pair_volume():
     ctx2 = PhaseContext(2)
-    assert gp_integrate(GaussPoly.gaussian(ctx2, 1)) == PiRational(1, 2)
+    assert gp_integrate(GaussPoly.gaussian(ctx2, 1)) == PiScalar.pi(2)
     f = GaussPoly.monomial(ctx2, (2, 0, 0, 0), 1, 1)
-    assert gp_integrate(f) == PiRational(Fraction(1, 2), 2)
+    assert gp_integrate(f) == PiScalar.pi(2) * Fraction(1, 2)
 
 
 def test_integration_is_linear(rng):
@@ -178,7 +178,7 @@ def test_integration_is_linear(rng):
         f = rand_gaussian(rng, CTX)
         g = nonzero_poly(rng, CTX, alpha=f.alpha)
         c = Fraction(3, 7)
-        assert gp_integrate(f + g.scale(c)) == gp_integrate(f) + gp_integrate(g) * PiRational(c)
+        assert gp_integrate(f + g.scale(c)) == gp_integrate(f) + gp_integrate(g) * PiScalar.const(c)
 
 
 def test_integration_by_parts(rng):
@@ -195,7 +195,7 @@ def _moment_oracle(h):
     # term by term with Fractions: each even moment x^e integrates to
     # (e-1)!!/(2a)^(e/2) * sqrt(pi/a), each odd one to 0
     if not h.terms:
-        return PiRational(0, 0)
+        return PiScalar.const(0)
     if h.alpha == 0:
         raise NotIntegrable("polynomial")
     total = ExactComplex(0)
@@ -206,7 +206,7 @@ def _moment_oracle(h):
         for e in exps:
             w *= Fraction(prod(range(e - 1, 0, -2)), (2 * h.alpha) ** (e // 2))
         total = total + c * w
-    return PiRational(total * Fraction(1, h.alpha ** h.ctx.n), h.ctx.n)
+    return PiScalar.pi(h.ctx.n) * (total * Fraction(1, h.alpha ** h.ctx.n))
 
 
 def _outcome(fn, *args):
@@ -235,10 +235,10 @@ def test_pairing_kernel_is_the_integral_of_the_product(data, ctx):
 
 def test_pairing_kernel_edge_cases():
     zero, one = GaussPoly.zero(CTX), GaussPoly.constant(CTX, 1)
-    assert _outcome(gp_pair, zero, Q) == (PiRational, ExactComplex(0), 0)
+    assert _outcome(gp_pair, zero, Q) == (PiScalar, ExactComplex(0), 0)
     assert _outcome(gp_pair, Q, one) == "NotIntegrable"
     # odd moments cancel: the zero keeps pi_power 0
-    assert _outcome(gp_pair, Q, GaussPoly.gaussian(CTX, 1)) == (PiRational, ExactComplex(0), 0)
+    assert _outcome(gp_pair, Q, GaussPoly.gaussian(CTX, 1)) == (PiScalar, ExactComplex(0), 0)
     with pytest.raises(DimensionMismatch):
         gp_pair(Q, GaussPoly.gaussian(CTX2, 1))
 
@@ -256,7 +256,7 @@ def test_moments_against_sympy():
             q ** a * p ** b * sympy.exp(-al * (q ** 2 + p ** 2)),
             (q, -sympy.oo, sympy.oo), (p, -sympy.oo, sympy.oo))
         coeff = Fraction(str(want / sympy.pi))
-        assert got == PiRational(coeff, 1)
+        assert got == PiScalar.pi() * coeff
 
 
 # ---- Poisson bracket ----
@@ -295,47 +295,68 @@ def test_jacobi_identity(rng):
 # ---- pi-valued scalars ----
 
 def test_pi_rational_arithmetic():
-    pi = PiRational(1, 1)
-    assert pi + pi == PiRational(2, 1)
-    assert pi * pi == PiRational(1, 2)
-    assert -pi == PiRational(-1, 1)
+    pi = PiScalar.pi()
+    assert pi + pi == PiScalar.pi() * 2
+    assert pi * pi == PiScalar.pi(2)
+    assert -pi == PiScalar.pi() * -1
     assert (pi - pi).is_zero()
     assert str(pi) == "pi"
-    assert str(PiRational(Fraction(1, 2), 1)) == "1/2*pi"
+    assert str(PiScalar.pi() * Fraction(1, 2)) == "1/2*pi"
+    # a single term c*pi^k reads back its coefficient and power
+    assert (pi * 3).coeff == ExactComplex(3) and (pi * 3).pi_power == 1
+    assert PiScalar.const(0).coeff == ExactComplex(0) and PiScalar.const(0).pi_power == 0
+    for other in (pi + 1, pi.reciprocal()):
+        with pytest.raises(ValueError):
+            other.coeff
+        with pytest.raises(ValueError):
+            other.pi_power
 
 
 def test_pi_rational_validates_at_the_boundary():
     for bad in (1.5, True, "1", None):
-        with pytest.raises(TypeError):
-            PiRational(1, bad)
-    with pytest.raises(ValueError):
-        PiRational(1, -1)
-    with pytest.raises(TypeError):
-        PiRational(0.5, 1)
-    # results of the arithmetic keep the canonical form: a zero has power 0
-    pi = PiRational(ExactComplex(1, 2), 3)
-    for zero in (pi - pi, pi * 0, pi * PiRational(0, 2), -(pi - pi), (pi - pi).conj()):
-        assert type(zero) is PiRational and zero.pi_power == 0 and not zero
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            PiScalar((bad,))
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            PiScalar((1,), (bad,))
+    # a zero numerator or a bad entry in the other slot does not hide it
+    for args in (((), (1.5,)), ((0,), ("junk",)), ((1.5,),)):
+        with pytest.raises(TypeError, match="PiScalar coefficients"):
+            PiScalar(*args)
+    with pytest.raises(ZeroDivisionError):
+        PiScalar((1,), (0,))
+    for bad in (-1, 1.5, True, "1", None):
+        with pytest.raises(ValueError):
+            PiScalar.pi(bad)
+    assert PiScalar.pi(0) == 1
+    # results of the arithmetic keep the canonical form: a zero is () / (1,)
+    pi = PiScalar.pi(3) * ExactComplex(1, 2)
+    for zero in (pi - pi, pi * 0, pi * PiScalar.const(0), -(pi - pi), (pi - pi).conj()):
+        assert type(zero) is PiScalar and zero.num == () and zero.den == (EC_ONE,)
+        assert zero.pi_power == 0 and not zero
         assert zero == 0 and hash(zero) == hash(0)
-    assert pi.conj() == PiRational(ExactComplex(1, -2), 3)
-    assert pi / 2 == PiRational(ExactComplex(Fraction(1, 2), 1), 3)
-    assert (pi * PiRational(2, 1), -pi) == (PiRational(ExactComplex(2, 4), 4),
-                                           PiRational(ExactComplex(-1, -2), 3))
+    assert pi.conj() == PiScalar.pi(3) * ExactComplex(1, -2)
+    assert pi / 2 == PiScalar.pi(3) * ExactComplex(Fraction(1, 2), 1)
+    assert (pi * (PiScalar.pi() * 2), -pi) == (PiScalar.pi(4) * ExactComplex(2, 4),
+                                              PiScalar.pi(3) * ExactComplex(-1, -2))
 
 
 def test_pi_mixed_powers_promote():
-    pi = PiRational(1, 1)
+    pi = PiScalar.pi()
     s = pi + 1
-    assert isinstance(s, PiScalar)
+    assert isinstance(s, PiScalar) and s.num == (EC_ONE, EC_ONE)
     assert s - 1 == pi
     assert (pi * pi + pi) / pi == pi + 1
 
 
 def test_pi_scalar_division_cancels():
-    pi = PiRational(1, 1)
+    pi = PiScalar.pi()
     one_plus = pi + 1
-    assert one_plus / one_plus == PiRational(1, 0)
+    assert one_plus / one_plus == PiScalar.const(1)
     assert (pi * pi) / pi == pi
+    # lowest terms with a monic denominator, whichever way the value is built
+    half = (pi * 2 + 2) / (pi * pi * 4 - 4)
+    assert half.num == (ExactComplex(Fraction(1, 2)),) and half.den == (-EC_ONE, EC_ONE)
+    assert half == PiScalar((1,), (-2, 2)) and hash(half) == hash(PiScalar((1,), (-2, 2)))
 
 
 def test_sign_decisions_refine_pi_intervals():
@@ -344,6 +365,10 @@ def test_sign_decisions_refine_pi_intervals():
     assert coeff_sign(Fraction(22, 7) - pi) == 1
     assert coeff_sign(pi - Fraction(355, 113)) == -1
     assert coeff_sign(pi - pi) == 0
+    # terms of one sign decide it at any pi > 0, in a numerator or a denominator
+    assert coeff_sign(-pi * pi * 3 - Fraction(1, 2)) == -1
+    assert coeff_sign(PiScalar((1,), (0, 1))) == 1
+    assert coeff_sign(PiScalar((-1,), (1, 1))) == -1
 
 
 def test_pi_bounds_bracket_pi():

@@ -13,7 +13,7 @@ from starforge import (
     GaussSum,
     NotIntegrable,
     PhaseContext,
-    PiRational,
+    PiScalar,
     StarFamily,
     TruncationRequired,
     UNBOUNDED,
@@ -277,15 +277,11 @@ def test_truncated_associativity_on_gaussians():
 def test_trace_of_the_unit_gaussian():
     s = star_trace(MOYAL, fn(GAUSS))
     assert s.valuation == -1
-    assert s.coefficient(-1) == PiRational(1, 1)
+    assert s.coefficient(-1) == PiScalar.pi()
 
 
 def test_trace_of_odd_profiles_vanishes():
     assert star_trace(MOYAL, fn(Q * GAUSS)).is_zero()
-
-
-def test_trace_density_defaults_to_one():
-    assert MOYAL.trace_density == FormalFunction.one(CTX)
 
 
 def test_trace_symmetry_through_order_four(rng):
@@ -719,6 +715,11 @@ def test_B_takes_only_gauss_polys_and_sums():
         MOYAL.B(1, fn(Q), P)
     with pytest.raises(TypeError):
         MOYAL.B_into({}, 0, Q, ExactComplex(1))
+    # the operands are checked before an empty operator table returns
+    with pytest.raises(TypeError):
+        bullet_family(PhaseContext(1)).B(1, "junk", None)
+    with pytest.raises(TypeError):
+        BULLET.B_into({}, 1, Q, "junk")
 
 
 def test_B_into_leaves_the_dict_alone_on_an_empty_operator_table():
