@@ -54,7 +54,7 @@ class GaussSum(object):
 
     @staticmethod
     def zero(ctx):
-        return GaussSum(ctx, ())
+        return GaussSum._trusted(ctx, ())
 
     def __bool__(self):
         return bool(self.parts)
@@ -83,8 +83,11 @@ class GaussSum(object):
             return NotImplemented
         return self + (-other)
 
+    # negating, scaling by a nonzero constant and conjugating keep every
+    # part nonzero and its width, so the results are built trusted
+
     def __neg__(self):
-        return GaussSum(self.ctx, tuple(-p for p in self.parts))
+        return GaussSum._trusted(self.ctx, [-p for p in self.parts])
 
     def __mul__(self, other):
         if isinstance(other, GaussPoly):
@@ -99,10 +102,12 @@ class GaussSum(object):
 
     def scale(self, c):
         c = as_coeff(c)
-        return GaussSum(self.ctx, tuple(p.scale(c) for p in self.parts))
+        if not c:
+            return GaussSum.zero(self.ctx)
+        return GaussSum._trusted(self.ctx, [p.scale(c) for p in self.parts])
 
     def conj(self):
-        return GaussSum(self.ctx, tuple(p.conj() for p in self.parts))
+        return GaussSum._trusted(self.ctx, [p.conj() for p in self.parts])
 
     def diff(self, var):
         return GaussSum(self.ctx, tuple(p.diff(var) for p in self.parts))

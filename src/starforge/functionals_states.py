@@ -23,7 +23,8 @@ from .phase_functions import (GaussPoly, PiScalar, coeff_sign, gp_pair,
                               DimensionMismatch, render_gausspoly, _PI_ZERO)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
-from .star_products import star_mul, TruncationRequired, UNBOUNDED, _moyal_terms
+from .star_products import (star_mul, TruncationRequired, UNBOUNDED, _derivative,
+                            _moyal_terms)
 
 
 class NotNormalizable(EngineError):
@@ -424,13 +425,12 @@ def _star_action_adjoint(S, T, F, order=None):
         if k_stop < 0:
             k_stop = 0
     total = FormalScalar.zero()
+    # d^beta F by multi-index, shared by every term and order
+    derivs = {(0,) * S.ctx.dim: F}
     for k in range(0, k_stop + 1):
         piece = None
         for c, dl, dr in S.terms(k):
-            u = F
-            for i, e in enumerate(map(add, dl, dr)):
-                for _ in range(e):
-                    u = fs_diff(u, i)
+            u = _derivative(derivs, tuple(map(add, dl, dr)), fs_diff)
             if sum(dr) % 2:
                 c = -c
             contrib = func_action(T, u).scale(c)

@@ -19,7 +19,6 @@ from operator import add
 from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE,
                              as_coeff, _frac, _reduced, _accumulate)
 
-_ZERO = Fraction(0)
 _ONE_DEN = (EC_ONE,)
 
 
@@ -558,6 +557,8 @@ class GaussPoly(object):
 
     terms maps exponent tuples (length 2n, coordinates ordered q1..qn,p1..pn)
     to complex-rational coefficients; never mutated after construction.
+    alpha is a positive Fraction, or the int 0 for a polynomial: the width
+    key StarFamily.B_into uses, cheap to test and hash.
     """
 
     __slots__ = ("ctx", "alpha", "terms")
@@ -583,8 +584,8 @@ class GaussPoly(object):
                     clean[exps] = c
                 elif exps in clean:
                     del clean[exps]
-        if not clean:
-            alpha = Fraction(0)
+        if not clean or not alpha:
+            alpha = 0
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "terms", clean)
@@ -711,11 +712,12 @@ _set_terms = GaussPoly.terms.__set__
 
 def _gp(ctx, terms, alpha):
     # trusted constructor for terms the arithmetic has just computed: exponent
-    # tuples of length 2n and ExactComplex coefficients; only zeros are dropped
+    # tuples of length 2n, ExactComplex coefficients and a width alpha that is
+    # a positive Fraction or the int 0; only zeros are dropped
     f = object.__new__(GaussPoly)
     terms = {e: c for e, c in terms.items() if c}
     _set_ctx(f, ctx)
-    _set_alpha(f, alpha if terms else _ZERO)
+    _set_alpha(f, alpha if terms else 0)
     _set_terms(f, terms)
     return f
 

@@ -19,7 +19,6 @@ from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair, gp_poi
 from .formal_series import GaussSum, FormalFunction, fs_integrate
 
 UNBOUNDED = float("inf")
-_ZERO = Fraction(0)
 
 
 class TruncationRequired(EngineError):
@@ -35,11 +34,11 @@ def _multi_indices(total, slots):
             yield (head,) + rest
 
 
-def _derivative(memo, beta):
-    # d^beta of the polynomial memo[(0, ..., 0)]; each new entry is built from
+def _derivative(memo, beta, diff):
+    # d^beta of the function memo[(0, ..., 0)]; each new entry is built from
     # its prefix (beta with its last nonzero exponent lowered by one) with a
-    # single gp_diff, so a memo shared across the terms and orders of B_k
-    # takes every derivative once
+    # single diff(function, coordinate index), so a memo shared across the
+    # terms and orders of B_k takes every derivative once
     chain = []
     while beta not in memo:
         i = len(beta) - 1
@@ -49,7 +48,7 @@ def _derivative(memo, beta):
         beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
     poly = memo[beta]
     for beta, i in reversed(chain):
-        poly = memo[beta] = gp_diff(poly, i)
+        poly = memo[beta] = diff(poly, i)
     return poly
 
 
@@ -120,14 +119,13 @@ class CoordinateTables(object):
         return self._products.setdefault((u, v, w, z), {})
 
 
-_OPERANDS = (GaussPoly, GaussSum)
-
-
 def _parts(f):
-    # the nonzero parts of one operand of B (already type-checked), sorted by width
+    # the nonzero parts of one operand of B, sorted by width
     if isinstance(f, GaussSum):
         return f.parts
-    return (f,) if f.terms else ()
+    if isinstance(f, GaussPoly):
+        return (f,) if f.terms else ()
+    raise TypeError("B takes a GaussPoly or a GaussSum, not %s" % type(f).__name__)
 
 
 def _expand(rows, c):
@@ -188,8 +186,8 @@ def _gauss_pair_into(out, terms, fp, gp, tables):
 
 
 def _sum_of(ctx, out):
-    # the GaussSum of a B_into accumulator; the polynomial key 0 becomes _ZERO
-    parts = [_gp(ctx, out[w], w or _ZERO) for w in sorted(out)]
+    # the GaussSum of a B_into accumulator
+    parts = [_gp(ctx, out[w], w) for w in sorted(out)]
     return GaussSum._trusted(ctx, [p for p in parts if p])
 
 
@@ -250,17 +248,21 @@ class StarFamily(object):
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if not isinstance(f, _OPERANDS) or not isinstance(g, _OPERANDS):
-            bad = g if isinstance(f, _OPERANDS) else f
-            raise TypeError("B takes a GaussPoly or a GaussSum, not %s" % type(bad).__name__)
+        # the parts of each operand; _parts type-checks anything but the
+        # common cases, a GaussSum and a nonzero GaussPoly
+        fparts = (f.parts if type(f) is GaussSum else
+                  (f,) if type(f) is GaussPoly and f.terms else _parts(f))
+        gparts = (g.parts if type(g) is GaussSum else
+                  (g,) if type(g) is GaussPoly and g.terms else _parts(g))
         terms = self.terms(k)
         if not terms:
             return
         if tables is None:
             tables = CoordinateTables()
-        gparts = _parts(g)
-        for fp in _parts(f):
+        memos = tables._derivatives
+        for fp in fparts:
             for gp in gparts:
+                # a polynomial's width is the int 0, so this test stays in C
                 if fp.alpha or gp.alpha:
                     alpha = fp.alpha + gp.alpha
                     acc = out.get(alpha)
@@ -268,11 +270,16 @@ class StarFamily(object):
                         acc = out[alpha] = {}
                     _gauss_pair_into(acc, terms, fp, gp, tables)
                     continue
-                fmemo, gmemo = tables.derivatives(fp), tables.derivatives(gp)
+                # a part's memo, never empty, is read without a method call
+                # once the first B call on that part has made it
+                fmemo = memos.get(id(fp)) or tables.derivatives(fp)
+                gmemo = memos.get(id(gp)) or tables.derivatives(gp)
                 for coeff, dleft, dright in terms:
-                    left = fmemo[dleft] if dleft in fmemo else _derivative(fmemo, dleft)
+                    left = (fmemo[dleft] if dleft in fmemo
+                            else _derivative(fmemo, dleft, gp_diff))
                     if left.terms:
-                        right = gmemo[dright] if dright in gmemo else _derivative(gmemo, dright)
+                        right = (gmemo[dright] if dright in gmemo
+                                 else _derivative(gmemo, dright, gp_diff))
                         if right.terms:
                             acc = out.get(0)
                             if acc is None:
@@ -488,7 +495,14 @@ def _monomial_generators(ctx, degree_bound):
 def axiom_suite(S, degree_bound, order_bound):
     """Check the star-product axioms on all monomials of total degree <= degree_bound
     through operator order <= order_bound.  Locality and bidifferentiality hold by
-    construction (the representation cannot express anything else)."""
+    construction (the representation cannot express anything else).
+
+    No check calls B_l where the operator table of order l is empty or an
+    operand is zero (in axioms 3 and 7 those would be most of the calls).
+    Such a call is exactly zero (an empty table is the zero operator, and
+    B_l is bilinear), so it adds nothing to the sums a check compares: every
+    verdict, counterexample and scope is what the full loops give.
+    """
     if degree_bound < 1 or order_bound < 1:
         raise ScopeError("degree_bound and order_bound must be >= 1")
     ctx = S.ctx
@@ -517,6 +531,10 @@ def axiom_suite(S, degree_bound, order_bound):
         if axiom not in entries:
             entries[axiom] = {"verdict": "pass", "scope": scope, "counterexample": None}
 
+    # the orders whose operator table is not empty; B is zero at the others
+    live = [m for m in range(order_bound + 1) if S.terms(m)]
+    zero = GaussSum.zero(ctx)
+
     # B(m, gens[i], gens[j]), shared by axioms 1, 3, 4 and 6;
     # at most len(gens)^2 * (order_bound + 1) entries
     pairs = {}
@@ -524,14 +542,14 @@ def axiom_suite(S, degree_bound, order_bound):
     def pair(m, i, j):
         key = (m, i, j)
         if key not in pairs:
-            pairs[key] = S.B(m, gens[i], gens[j], tables)
+            pairs[key] = S.B(m, gens[i], gens[j], tables) if m in live else zero
         return pairs[key]
 
     # axiom 1: bilinearity over the coefficient field
     c = ExactComplex(2, 1)
     # c*f + g, shared by every order
     mixes = [[f.scale(c) + g for g in gens] for f in gens]
-    for k in range(order_bound + 1):
+    for k in live:
         if 1 in entries:
             break
         for fi, f in enumerate(gens):
@@ -561,21 +579,28 @@ def axiom_suite(S, degree_bound, order_bound):
     for k in range(order_bound + 1):
         if 3 in entries:
             break
+        orders = [l for l in live if l <= k]
+        # ops[a][b]: the live l <= k with their nonzero B_(k-l)(gens[a], gens[b])
+        ops = [[[(l, x) for l in orders for x in (pair(k - l, a, b),) if x]
+                for b in range(len(gens))] for a in range(len(gens))]
         for fi, f in enumerate(gens):
             if 3 in entries:
                 break
             for gi, g in enumerate(gens):
                 if 3 in entries:
                     break
-                fg = [pair(k - l, fi, gi) for l in range(k + 1)]
+                fg = ops[fi][gi]
                 for hi, h in enumerate(gens):
                     lhs, rhs = {}, {}
-                    for l in range(k + 1):
-                        S.B_into(lhs, l, fg[l], h, tables)
-                        S.B_into(rhs, l, f, pair(k - l, gi, hi), tables)
-                    if lhs != rhs and _sum_of(ctx, lhs) != _sum_of(ctx, rhs):
-                        fail(3, [f, g, h], k, _sum_of(ctx, lhs) - _sum_of(ctx, rhs))
-                        break
+                    for l, x in fg:
+                        S.B_into(lhs, l, x, h, tables)
+                    for l, y in ops[gi][hi]:
+                        S.B_into(rhs, l, f, y, tables)
+                    if lhs != rhs:
+                        left, right = _sum_of(ctx, lhs), _sum_of(ctx, rhs)
+                        if left != right:
+                            fail(3, [f, g, h], k, left - right)
+                            break
     ok(3)
 
     # axiom 4: B_0 is the pointwise product
@@ -596,12 +621,15 @@ def axiom_suite(S, degree_bound, order_bound):
             break
         want = GaussSum.of(f)
         for k in range(order_bound + 1):
-            left = S.B(k, one, f, tables) - want
-            right = S.B(k, f, one, tables) - want
+            if k in live:
+                left = S.B(k, one, f, tables) - want
+                right = S.B(k, f, one, tables) - want
+            else:
+                left = right = -want
             if left or right:
                 fail(5, [f], k, left or right)
                 break
-            want = GaussSum.zero(ctx)
+            want = zero
     ok(5)
 
     # axiom 6: first-order commutator is i times the Poisson bracket
@@ -619,7 +647,7 @@ def axiom_suite(S, degree_bound, order_bound):
     # axiom 7: Hermiticity conj(B_k(f,g)) = B_k(conj g, conj f)
     complex_gens = gens + [f + g.scale(i_unit) for f, g in zip(gens, gens[1:])]
     conj_gens = [f.conj() for f in complex_gens]
-    for k in range(order_bound + 1):
+    for k in live:
         if 7 in entries:
             break
         for fi, f in enumerate(complex_gens):

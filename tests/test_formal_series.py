@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from starforge import (
+    ExactComplex,
     FormalFunction,
     FormalScalar,
     GaussPoly,
@@ -22,7 +23,7 @@ from starforge import (
     render_function,
 )
 
-from corpus import rand_function
+from corpus import nonzero_coeff, rand_function, rand_poly
 
 CTX = PhaseContext(1)
 Q = GaussPoly.coordinate(CTX, "q")
@@ -51,6 +52,23 @@ def test_gauss_sum_cancellation():
     s = GaussSum.of(Q) - GaussSum.of(Q)
     assert s.is_zero()
     assert str(s) == "0"
+
+
+def test_gauss_sum_neg_scale_and_conj_match_the_validating_constructor(rng):
+    # these build their results trusted: each must be what the public
+    # constructor makes of the same mapped parts, and scaling by an exact
+    # zero gives the zero sum
+    widths = [0, Fraction(1, 2), 1]
+    for _ in range(40):
+        s = GaussSum(CTX, [rand_poly(rng, CTX, alpha=rng.choice(widths))
+                           for _ in range(rng.randint(0, 4))])
+        c = nonzero_coeff(rng)
+        assert -s == GaussSum(CTX, [-p for p in s.parts])
+        assert s.scale(c) == GaussSum(CTX, [p.scale(c) for p in s.parts])
+        assert s.conj() == GaussSum(CTX, [p.conj() for p in s.parts])
+        for zero in (0, Fraction(0), ExactComplex(0)):
+            assert s.scale(zero) == GaussSum.zero(CTX)
+            assert s.scale(zero).parts == ()
 
 
 def test_gauss_sum_products_distribute_over_widths():

@@ -1,6 +1,7 @@
 """Functionals and states: actions, reality, positivity, normalization, genvalue checks."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +275,42 @@ def test_moyal_reduction_identity(rng):
         slow = _star_action_adjoint(MOYAL, T, F)
         assert fast == func_action(T, F).shift(-1)
         assert slow == fast
+
+
+def test_the_adjoint_pairing_takes_each_derivative_once(rng, monkeypatch):
+    # a family that is not Moyal pairs by parts: the sum over the terms
+    # (c, dl, dr) of B_k of c (-1)^|dr| lam^(k-n) <T, d^(dl+dr) F>.  Its
+    # derivatives are memoised by multi-index, so a degree-3 F takes the
+    # nine d^beta on the prefix chains of (1,1), (2,2) and (3,3) once each
+    import starforge.functionals_states as fsmod
+    from starforge import StarFamily, fs_diff
+
+    half = ExactComplex(Fraction(1, 2))
+
+    def real_b1(k, ctx):
+        # B_1 = (1/2)(f_q g_p - f_p g_q), first order; Moyal's B_k otherwise
+        if k == 1:
+            return ((half, (1, 0), (0, 1)), (-half, (0, 1), (1, 0)))
+        return MOYAL.terms(k)
+
+    S = StarFamily("real_b1", CTX, real_b1)
+    F = fn(Q * Q * P + P * P * P.scale(3) + Q.scale(EC_I) + GaussPoly.constant(CTX, 2))
+    diffs = []
+    monkeypatch.setattr(fsmod, "fs_diff", lambda u, i: diffs.append(i) or fs_diff(u, i))
+    for _ in range(6):
+        T = rand_functional(rng)
+        want = FormalScalar.zero()
+        for k in range(4):
+            for c, dl, dr in S.terms(k):
+                u = F
+                for i, e in enumerate(map(add, dl, dr)):
+                    for _ in range(e):
+                        u = fs_diff(u, i)
+                sign = -1 if sum(dr) % 2 else 1
+                want = want + func_action(T, u).scale(c * sign).shift(k)
+        diffs.clear()
+        assert func_star_action(S, T, F) == want.shift(-1)
+        assert len(diffs) == 9
 
 
 def test_the_moyal_shortcut_follows_the_operator_table_not_the_name():

@@ -47,6 +47,18 @@ def test_duplicate_exponents_merge():
     assert f.alpha == 0  # the zero function forgets its Gaussian factor
 
 
+def test_a_polynomial_width_is_the_int_zero():
+    # StarFamily.B_into keys a polynomial part by the int 0 and tests widths
+    # without Fraction.__bool__; every way to build a polynomial gives that
+    g = GaussPoly.gaussian(CTX, 1)
+    for f in (Q, GaussPoly.zero(CTX), GaussPoly.constant(CTX, 3, alpha=Fraction(0)),
+              GaussPoly.monomial(CTX, (1, 2), alpha="0"), g - g, Q * P, -Q, Q.conj(),
+              Q.scale(Fraction(1, 3)), gp_diff(Q * Q, 0), gp_from_json(CTX, gp_to_json(Q))):
+        assert type(f.alpha) is int and f.alpha == 0, f
+    for f in (g, Q * g, gp_diff(g, 0), gp_from_json(CTX, gp_to_json(g))):
+        assert f.alpha == 1 and isinstance(f.alpha, Fraction)
+
+
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         GaussPoly(CTX, {(1, 0, 0): 1})

@@ -652,6 +652,45 @@ def test_corrupted_second_order_operator_pins_the_associativity_counterexample()
         "inputs": ["q", "q", "p^2"], "order": 2, "difference": "-1/2"}
 
 
+def _gap_terms(k, ctx):
+    # Moyal with no first-order operator and a doubled second-order one
+    if k == 1:
+        return ()
+    terms = MOYAL.terms(k)
+    return tuple((c * 2, dl, dr) for c, dl, dr in terms) if k == 2 else terms
+
+
+def test_a_gap_in_the_operator_table_is_still_checked():
+    # the suite skips the empty B_1, yet still finds that the doubled B_2
+    # breaks associativity, with the counterexample of the full loops
+    rep = axiom_suite(StarFamily("gap", CTX, _gap_terms), 2, 3)
+    failed = [k for k, e in rep.entries.items() if e["verdict"] == "fail"]
+    assert sorted(failed) == [3, 6]
+    assert rep.entries[3]["counterexample"] == {
+        "inputs": ["q", "q", "p^2"], "order": 2, "difference": "-1"}
+    assert rep.entries[6]["counterexample"] == {
+        "inputs": ["q", "p"], "order": 1, "difference": "-I"}
+
+
+@pytest.mark.parametrize("name, degree, order", [("bullet", 3, 4), ("gap", 2, 3)])
+def test_the_axiom_suite_calls_B_only_where_it_can_add_something(monkeypatch, name,
+                                                                   degree, order):
+    # no B_into call with an empty operator table or a zero operand: those
+    # calls add nothing to any sum the suite compares
+    calls = []
+    real = StarFamily.B_into
+
+    def counted(self, out, k, f, g, tables=None):
+        calls.append((k, bool(self.terms(k)), bool(f) and bool(g)))
+        return real(self, out, k, f, g, tables)
+
+    monkeypatch.setattr(StarFamily, "B_into", counted)
+    S = bullet_family(PhaseContext(1)) if name == "bullet" else StarFamily("gap", CTX, _gap_terms)
+    axiom_suite(S, degree, order)
+    assert calls
+    assert [c for c in calls if not (c[1] and c[2])] == []
+
+
 # ---- B_into: accumulation into a caller-owned term dict ----
 
 def _mixed_operands():
