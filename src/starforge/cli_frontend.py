@@ -33,7 +33,7 @@ from .formal_series import (FormalFunction, fs_bullet, fs_integrate,
 from .star_products import (moyal_family, bullet_family, star_mul,
                             star_commutator, star_trace, axiom_suite)
 from .functionals_states import (FormalFunctional, wigner_state,
-                                 bind_functional, positivity_check,
+                                 bind_functional, positivity_check, DEFAULT_SAMPLES,
                                  normalize_functional,
                                  eigencheck_classical, eigencheck_bullet,
                                  eigencheck_star, negative_region)
@@ -225,16 +225,8 @@ class Parser(object):
     def atom(self):
         t = self.peek()
         if t.kind == NUM:
-            self.next()
-            value = Fraction(int(t.text))
-            if self.at_op("/"):
-                self.next()
-                d = self.peek()
-                if d.kind != NUM or int(d.text) == 0:
-                    raise ParseError(d.pos, "a nonzero denominator", d.text)
-                self.next()
-                value = Fraction(int(t.text), int(d.text))
-            return ("num", value)
+            # a NUM token, so rational() cannot take a leading "-" here
+            return ("num", self.rational())
         if t.kind == NAME:
             self.next()
             if t.text == "I":
@@ -287,8 +279,8 @@ class Parser(object):
         return e
 
 
-def parse_expression(text, ctx=None, functional=False):
-    """Text -> Expr; the context is only consulted at lowering time."""
+def parse_expression(text, functional=False):
+    """Text -> Expr; the phase-space context only enters at lowering time."""
     return Parser(text, functional).parse()
 
 
@@ -501,7 +493,7 @@ def _combine_lowered(kind, left, right):
 
 
 def parse_functional(text, ctx):
-    tag, v = lower_functional(parse_expression(text, ctx, functional=True), ctx)
+    tag, v = lower_functional(parse_expression(text, functional=True), ctx)
     if tag != "functional":
         raise EngineError("expected a functional (delta/density/wigner term)")
     return v
@@ -619,8 +611,8 @@ def _dispatch(args):
     binding = _binding(args)
 
     if cmd in ("star", "bullet", "commutator"):
-        F = lower_expression(parse_expression(args.left, ctx), ctx)
-        G = lower_expression(parse_expression(args.right, ctx), ctx)
+        F = lower_expression(parse_expression(args.left), ctx)
+        G = lower_expression(parse_expression(args.right), ctx)
         fam = bullet_family(ctx) if cmd == "bullet" else _family(args.product, ctx)
         if cmd == "commutator":
             out = star_commutator(fam, F, G, args.order)
@@ -632,18 +624,18 @@ def _dispatch(args):
         return payload, 0
 
     if cmd == "trace":
-        F = lower_expression(parse_expression(args.operand, ctx), ctx)
+        F = lower_expression(parse_expression(args.operand), ctx)
         fam = _family(args.product, ctx)
         out = star_trace(fam, F)
         return _scalar_payload(out, args.full), 0
 
     if cmd == "integrate":
-        F = lower_expression(parse_expression(args.operand, ctx), ctx)
+        F = lower_expression(parse_expression(args.operand), ctx)
         out = fs_integrate(F)
         return _scalar_payload(out, args.full), 0
 
     if cmd == "region":
-        F = lower_expression(parse_expression(args.operand, ctx), ctx)
+        F = lower_expression(parse_expression(args.operand), ctx)
         if F.valuation != 0 or len(F.coeffs) != 1 or len(F.coeffs[0].parts) != 1:
             raise EngineError("region expects a lam-free linear expression")
         report = negative_region(F.coeffs[0].parts[0], binding)
@@ -668,14 +660,9 @@ def _dispatch(args):
     if cmd == "positivity":
         fam = _family(args.product, ctx)
         T = bind_functional(parse_functional(args.functional, ctx), binding)
-        wits = [lower_expression(parse_expression(w, ctx), ctx)
-                for w in args.witnesses]
-        samples = (Fraction(args.lam),) if args.lam is not None else None
-        if samples is None:
-            report = positivity_check(fam, T, wits, order=args.order)
-        else:
-            report = positivity_check(fam, T, wits, order=args.order,
-                                      lambda_samples=samples)
+        wits = [lower_expression(parse_expression(w), ctx) for w in args.witnesses]
+        samples = (Fraction(args.lam),) if args.lam is not None else DEFAULT_SAMPLES
+        report = positivity_check(fam, T, wits, order=args.order, lambda_samples=samples)
         status = 0 if report.verdict != "negative" else 1
         if args.full:
             return report.to_json(), status
@@ -696,8 +683,8 @@ def _dispatch(args):
 
     if cmd == "eigencheck":
         fam = _family(args.product, ctx)
-        xi = lower_expression(parse_expression(args.xi, ctx), ctx)
-        a_fn = lower_expression(parse_expression(args.value, ctx), ctx)
+        xi = lower_expression(parse_expression(args.xi), ctx)
+        a_fn = lower_expression(parse_expression(args.value), ctx)
         a = function_to_scalar(a_fn)
         if a is None:
             raise EngineError("the genvalue must be a lam-scalar expression")

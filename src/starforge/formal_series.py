@@ -7,8 +7,8 @@ convolution with pointwise products — the trivial commutative extension of
 multiplication to series.
 """
 
-from .lambda_scalars import (as_coeff, FormalScalar, LaurentSeries,
-                             graded_product, mul_add, render_series,
+from .lambda_scalars import (as_coeff, FormalScalar, Frozen, LaurentSeries,
+                             graded_product, join_signed, mul_add, render_series,
                              series_to_json, tail_from_json)
 from .phase_functions import (GaussPoly, NotIntegrable, _PI_ZERO,
                               render_gausspoly, gp_to_json, gp_from_json)
@@ -18,27 +18,30 @@ from .phase_functions import (GaussPoly, NotIntegrable, _PI_ZERO,
 # GaussSum: finite sums of GaussPoly parts, merged by alpha
 # ============================================================
 
-class GaussSum(object):
+def _merge_by_width(parts):
+    # GaussPoly parts summed per width, zeros dropped, sorted by width
+    by_alpha = {}
+    for p in parts:
+        if not p:
+            continue
+        prev = by_alpha.get(p.alpha)
+        merged = p if prev is None else prev + p
+        if merged:
+            by_alpha[p.alpha] = merged
+        elif p.alpha in by_alpha:
+            del by_alpha[p.alpha]
+    return tuple(by_alpha[a] for a in sorted(by_alpha))
+
+
+class GaussSum(Frozen):
     __slots__ = ("ctx", "parts")
 
     def __init__(self, ctx, parts=()):
-        by_alpha = {}
+        parts = tuple(parts)
         for p in parts:
             if not isinstance(p, GaussPoly):
                 raise TypeError("GaussSum parts must be GaussPoly")
-            if not p:
-                continue
-            prev = by_alpha.get(p.alpha)
-            merged = p if prev is None else prev + p
-            if merged:
-                by_alpha[p.alpha] = merged
-            elif p.alpha in by_alpha:
-                del by_alpha[p.alpha]
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "parts", tuple(by_alpha[a] for a in sorted(by_alpha)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussSum is immutable")
+        Frozen.__init__(self, ctx, _merge_by_width(parts))
 
     @staticmethod
     def of(f):
@@ -74,7 +77,7 @@ class GaussSum(object):
             other = GaussSum.of(other)
         if not isinstance(other, GaussSum):
             return NotImplemented
-        return GaussSum(self.ctx, self.parts + other.parts)
+        return GaussSum._trusted(self.ctx, _merge_by_width(self.parts + other.parts))
 
     def __sub__(self, other):
         if isinstance(other, GaussPoly):
@@ -94,11 +97,8 @@ class GaussSum(object):
             other = GaussSum.of(other)
         if not isinstance(other, GaussSum):
             return NotImplemented
-        out = []
-        for a in self.parts:
-            for b in other.parts:
-                out.append(a * b)
-        return GaussSum(self.ctx, out)
+        return GaussSum._trusted(self.ctx, _merge_by_width(
+            [a * b for a in self.parts for b in other.parts]))
 
     def scale(self, c):
         c = as_coeff(c)
@@ -110,7 +110,7 @@ class GaussSum(object):
         return GaussSum._trusted(self.ctx, [p.conj() for p in self.parts])
 
     def diff(self, var):
-        return GaussSum(self.ctx, tuple(p.diff(var) for p in self.parts))
+        return GaussSum._trusted(self.ctx, _merge_by_width([p.diff(var) for p in self.parts]))
 
     def integrate(self):
         total = _PI_ZERO
@@ -130,13 +130,7 @@ class GaussSum(object):
         return self.parts == other.parts
 
     def __str__(self):
-        if not self.parts:
-            return "0"
-        out = render_gausspoly(self.parts[0])
-        for p in self.parts[1:]:
-            s = render_gausspoly(p)
-            out += (" - " + s[1:]) if s.startswith("-") else (" + " + s)
-        return out
+        return join_signed([render_gausspoly(p) for p in self.parts]) or "0"
 
     def __repr__(self):
         return "GaussSum(%s)" % self

@@ -16,7 +16,7 @@ from operator import add
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
                              ScopeError, ExactComplex, EC_ZERO, EC_ONE, as_coeff, _frac,
-                             FormalScalar, FORMAL, LaurentSeries, graded_product,
+                             Frozen, FormalScalar, FORMAL, LaurentSeries, graded_product,
                              scalar_invert, scalar_eval, render_scalar,
                              render_series, series_to_json)
 from .phase_functions import (GaussPoly, PiScalar, coeff_sign, gp_pair,
@@ -49,15 +49,29 @@ def _as_weight(w):
     raise TypeError("weight must be an exact scalar, got %r" % (w,))
 
 
-def _is_zero_weight(w):
-    return w == 0
-
-
 # ============================================================
 # Elementary terms
 # ============================================================
 
-class PointDeriv(object):
+def _gaussian_free_value(gs, index, point, message):
+    """Sum at point of the parts of d^index gs whose Gaussian argument is 0 there.
+
+    Any other part must vanish at the point; a nonzero one raises
+    NotSupportedForm(message % {"value": ..., "exp_arg": ...}).
+    """
+    for i, e in enumerate(index):
+        for _ in range(e):
+            gs = gs.diff(i)
+    total = EC_ZERO
+    for value, exp_arg in gs.eval_pairs(point):
+        if exp_arg == 0:
+            total = total + value
+        elif value:
+            raise NotSupportedForm(message % {"value": value, "exp_arg": exp_arg})
+    return total
+
+
+class PointDeriv(Frozen):
     """weight * (-1)^|index| * (d^index f)(point)."""
 
     __slots__ = ("ctx", "point", "index", "weight")
@@ -72,31 +86,14 @@ class PointDeriv(object):
         index = tuple(index)
         if len(index) != ctx.dim or any(type(e) is not int or e < 0 for e in index):
             raise ValueError("derivative index must be %d nonnegative ints" % ctx.dim)
-        weight = _as_weight(weight)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "weight", weight)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointDeriv is immutable")
+        Frozen.__init__(self, ctx, point, index, _as_weight(weight))
 
     def act(self, gs):
         """Pair with one GaussSum coefficient."""
-        out = gs
-        for i, e in enumerate(self.index):
-            for _ in range(e):
-                out = out.diff(i)
-        total = EC_ZERO
-        for value, exp_arg in out.eval_pairs(self.point):
-            if exp_arg != 0:
-                if not value.is_zero():
-                    raise NotSupportedForm(
-                        "point evaluation would produce %s * exp(%s); only "
-                        "vanishing Gaussian arguments are supported"
-                        % (value, exp_arg))
-                continue
-            total = total + value
+        total = _gaussian_free_value(
+            gs, self.index, self.point,
+            "point evaluation would produce %(value)s * exp(%(exp_arg)s); only "
+            "vanishing Gaussian arguments are supported")
         if sum(self.index) % 2:
             total = -total
         return self.weight * total
@@ -140,11 +137,11 @@ class PointDeriv(object):
             "kind": "point_deriv",
             "point": [[x.numerator, x.denominator] for x in self.point],
             "index": list(self.index),
-            "weight": _weight_json(self.weight),
+            "weight": self.weight.to_json(),
         }
 
 
-class Density(object):
+class Density(Frozen):
     """weight * integral of g * f.
 
     width_lambda marks an extra lam^(-1)-sized Gaussian width: the effective
@@ -163,13 +160,7 @@ class Density(object):
         width_lambda = _frac(width_lambda)
         if width_lambda < 0:
             raise ValueError("width_lambda must be nonnegative")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "width_lambda", width_lambda)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Density is immutable")
+        Frozen.__init__(self, ctx, g, weight, width_lambda)
 
     def act(self, gs):
         if self.width_lambda != 0:
@@ -229,14 +220,10 @@ class Density(object):
         return {
             "kind": "density",
             "profile": str(self.g),
-            "weight": _weight_json(self.weight),
+            "weight": self.weight.to_json(),
             "width_lambda": [self.width_lambda.numerator,
                              self.width_lambda.denominator],
         }
-
-
-def _weight_json(w):
-    return w.to_json()
 
 
 class _Terms(tuple):
@@ -266,7 +253,7 @@ def _merge_terms(terms):
                 break
         else:
             out.append(t)
-    out = [t for t in out if not _is_zero_weight(t.weight)]
+    out = [t for t in out if t.weight != 0]
     out.sort(key=lambda t: t.sort_key())
     return _Terms(out)
 
@@ -447,20 +434,11 @@ def _star_action_adjoint(S, T, F, order=None):
 # Products of functions with functionals
 # ============================================================
 
-class DualFunctional(object):
+class DualFunctional(Frozen):
     """Star product of a function with a functional, kept as a pending
     operation: it acts by moving its function across the star pairing."""
 
     __slots__ = ("S", "side", "xi", "base")
-
-    def __init__(self, S, side, xi, base):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "base", base)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualFunctional is immutable")
 
     def star_action(self, F, order=None):
         F = _as_function(self.S.ctx, F)
@@ -491,20 +469,11 @@ def _bullet_term_mul(ctx, gs, term):
     def walk(i, nu):
         if i == len(mu):
             nu_t = tuple(nu)
-            d = gs
-            for j, e in enumerate(nu_t):
-                for _ in range(e):
-                    d = d.diff(j)
-            val = EC_ZERO
-            for value, exp_arg in d.eval_pairs(term.point):
-                if exp_arg != 0:
-                    if not value.is_zero():
-                        raise NotSupportedForm(
-                            "pointwise product against a point functional needs "
-                            "the Gaussian factor to vanish at the point")
-                    continue
-                val = val + value
-            if val.is_zero():
+            val = _gaussian_free_value(
+                gs, nu_t, term.point,
+                "pointwise product against a point functional needs "
+                "the Gaussian factor to vanish at the point")
+            if not val:
                 return
             binom = 1
             for a, b in zip(mu, nu_t):
@@ -547,17 +516,12 @@ def func_mul(S, side, xi, T, order=None):
 # Reality and positivity
 # ============================================================
 
-class RealityReport(object):
+class RealityReport(Frozen):
     __slots__ = ("structural", "witness_results", "verdict")
 
     def __init__(self, structural, witness_results):
-        object.__setattr__(self, "structural", structural)
-        object.__setattr__(self, "witness_results", tuple(witness_results))
         ok = structural and all(r[1] for r in witness_results)
-        object.__setattr__(self, "verdict", "real" if ok else "fail")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealityReport is immutable")
+        Frozen.__init__(self, structural, tuple(witness_results), "real" if ok else "fail")
 
     def to_json(self):
         return {
@@ -584,18 +548,8 @@ def reality_check(T, witnesses=()):
     return RealityReport(structural, results)
 
 
-class PositivityReport(object):
+class PositivityReport(Frozen):
     __slots__ = ("verdict", "samples", "details", "negativity", "scope")
-
-    def __init__(self, verdict, samples, details, negativity, scope):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "samples", tuple(samples))
-        object.__setattr__(self, "details", tuple(details))
-        object.__setattr__(self, "negativity", negativity)
-        object.__setattr__(self, "scope", scope)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PositivityReport is immutable")
 
     def to_json(self):
         return {
@@ -660,7 +614,7 @@ def positivity_check(S, T, witness_fns, order=None, lambda_samples=DEFAULT_SAMPL
     scope = {"witnesses": len(details), "samples": len(lambda_samples),
              "order": order,
              "note": "verdict covers the listed witnesses and lambda samples only"}
-    return PositivityReport(verdict, lambda_samples, details, negativity, scope)
+    return PositivityReport(verdict, tuple(lambda_samples), tuple(details), negativity, scope)
 
 
 def normalize_functional(S, T, order):
@@ -678,22 +632,9 @@ def normalize_functional(S, T, order):
 # Genvalue checks
 # ============================================================
 
-class EigenReport(object):
+class EigenReport(Frozen):
     __slots__ = ("kind", "verdict", "test_degree", "order", "residuals",
                  "commutation", "first_failure")
-
-    def __init__(self, kind, verdict, test_degree, order, residuals,
-                 commutation, first_failure):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "test_degree", test_degree)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "residuals", tuple(residuals))
-        object.__setattr__(self, "commutation", tuple(commutation))
-        object.__setattr__(self, "first_failure", first_failure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EigenReport is immutable")
 
     @property
     def passed(self):
@@ -744,13 +685,13 @@ def eigencheck_classical(phi, a, point):
             # the rational target fails outright
             residual = "(%s)*exp(%s)" % (value, exp_arg)
             return EigenReport("classical", "fail", 0, None,
-                               [("1", residual)], [],
+                               (("1", residual),), (),
                                {"witness": "1", "residual": residual})
     residual = rational - a
     if residual.is_zero():
-        return EigenReport("classical", "pass", 0, None, [("1", "0")], [], None)
+        return EigenReport("classical", "pass", 0, None, (("1", "0"),), (), None)
     return EigenReport("classical", "fail", 0, None,
-                       [("1", str(residual))], [],
+                       (("1", str(residual)),), (),
                        {"witness": "1", "residual": str(residual)})
 
 
@@ -770,7 +711,7 @@ def eigencheck_bullet(xi, a, T, test_degree):
         if not ok and first is None:
             first = {"witness": render_gausspoly(psi), "residual": render_scalar(r)}
     verdict = "pass" if first is None else "fail"
-    return EigenReport("bullet", verdict, test_degree, None, residuals, [], first)
+    return EigenReport("bullet", verdict, test_degree, None, tuple(residuals), (), first)
 
 
 def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
@@ -796,24 +737,15 @@ def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
         r = lhs - a * base
         cres = func_star_action(S, Tb, prod - star_mul(S, xi, psif, order), order)
         if binding.is_strict:
-            rv = scalar_eval(r, binding)
-            cv = scalar_eval(cres, binding)
-            ok = rv.is_zero() and cv.is_zero()
-            residuals.append((render_gausspoly(psi), str(rv)))
-            commutation.append((render_gausspoly(psi), str(cv)))
-            if not ok and first is None:
-                first = {"witness": render_gausspoly(psi), "residual": str(rv if not rv.is_zero() else cv)}
-        else:
-            ok = (not r.coeffs) and (not cres.coeffs)
-            residuals.append((render_gausspoly(psi), render_scalar(r)))
-            commutation.append((render_gausspoly(psi), render_scalar(cres)))
-            if not ok and first is None:
-                bad = r if r.coeffs else cres
-                first = {"witness": render_gausspoly(psi),
-                         "residual": render_scalar(bad)}
+            r, cres = scalar_eval(r, binding), scalar_eval(cres, binding)
+        witness = render_gausspoly(psi)
+        residuals.append((witness, str(r)))
+        commutation.append((witness, str(cres)))
+        if first is None and (r or cres):
+            first = {"witness": witness, "residual": str(r or cres)}
     verdict = "pass" if first is None else "fail"
-    return EigenReport("star", verdict, test_degree, order, residuals,
-                       commutation, first)
+    return EigenReport("star", verdict, test_degree, order, tuple(residuals),
+                       tuple(commutation), first)
 
 
 # ============================================================
@@ -867,21 +799,9 @@ def wigner_state(ctx, level):
 # Negative regions
 # ============================================================
 
-class RegionReport(object):
+class RegionReport(Frozen):
     __slots__ = ("center", "min_value", "min_value_str", "semi_axes_squared",
                  "area_str", "verified")
-
-    def __init__(self, center, min_value, min_value_str, semi_axes_squared,
-                 area_str, verified):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "min_value", min_value)
-        object.__setattr__(self, "min_value_str", min_value_str)
-        object.__setattr__(self, "semi_axes_squared", semi_axes_squared)
-        object.__setattr__(self, "area_str", area_str)
-        object.__setattr__(self, "verified", verified)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RegionReport is immutable")
 
     def to_json(self):
         return {

@@ -34,6 +34,26 @@ class ScopeError(EngineError, ValueError):
     """A check or truncation was asked for an empty or negative scope."""
 
 
+_set_slot = object.__setattr__
+
+
+class Frozen(object):
+    """Base of every immutable value and report class.
+
+    A subclass lists its fields in __slots__; the positional __init__ sets
+    them in slot order, and no attribute can be assigned afterwards.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set_slot(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 # ============================================================
 # Complex rationals
 # ============================================================
@@ -61,8 +81,7 @@ class ExactComplex(object):
         return _reduced(re.numerator * im.denominator, im.numerator * re.denominator,
                         re.denominator * im.denominator)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactComplex is immutable")
+    __setattr__ = Frozen.__setattr__
 
     @property
     def re(self):
@@ -260,6 +279,7 @@ def _parts(x):
 EC_ZERO = ExactComplex(0)
 EC_ONE = ExactComplex(1)
 EC_I = ExactComplex(0, 1)
+_EC_MINUS_ONE = ExactComplex(-1)
 
 
 def as_coeff(c):
@@ -294,7 +314,7 @@ def mul_tail(a_val, a_tail, b_val, b_tail):
 # The series core
 # ============================================================
 
-class LaurentSeries(object):
+class LaurentSeries(Frozen):
     """A formal Laurent series in lam: FormalScalar, FormalFunction and
     FormalFunctional are this one representation over different coefficients.
 
@@ -339,9 +359,6 @@ class LaurentSeries(object):
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "tail", tail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def _map(self, fn):
         # the same grading and tail with fn applied to every coefficient
@@ -607,7 +624,7 @@ def scalar_eval(a, binding):
     return total
 
 
-class LambdaBinding(object):
+class LambdaBinding(Frozen):
     """Formal mode (lam stays a symbol) or strict mode (lam = positive rational)."""
 
     __slots__ = ("value",)
@@ -617,10 +634,7 @@ class LambdaBinding(object):
             value = _frac(value)
             if value <= 0:
                 raise ValueError("strict lambda must be positive")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaBinding is immutable")
+        Frozen.__init__(self, value)
 
     @property
     def is_strict(self):
@@ -696,16 +710,44 @@ def converges_per_power(family, limit, powers):
 def _coeff_str(c):
     # brackets for a sum, and for a quotient with a sum in it; a product such
     # as "(1+2*I)*pi" brackets its own sums
-    s = str(c)
-    depth, top = 0, ""
-    for ch in s:
-        depth += (ch == "(") - (ch == ")")
-        if not depth:
-            top += ch
+    s = top = str(c)
+    if "(" in s:
+        # top keeps the characters outside brackets
+        depth, top = 0, ""
+        for ch in s:
+            depth += (ch == "(") - (ch == ")")
+            if not depth:
+                top += ch
     signed = "+" in s[1:] or "-" in s[1:]
     if "+" in top[1:] or "-" in top[1:] or (signed and "/" in top):
         return "(%s)" % s
     return s
+
+
+def join_signed(pieces):
+    """The rendered terms of a sum joined by " + ", or by " - " before a
+    term that starts with "-"."""
+    out = []
+    for p in pieces:
+        if not out:
+            out.append(p)
+        elif p.startswith("-"):
+            out.append(" - " + p[1:])
+        else:
+            out.append(" + " + p)
+    return "".join(out)
+
+
+def coeff_piece(c, name):
+    """c times name as one term of a sum: name for 1, -name for -1, c alone
+    for an empty name, and the bracketed coefficient times name otherwise."""
+    if not name:
+        return _coeff_str(c)
+    if c == EC_ONE:
+        return name
+    if c == _EC_MINUS_ONE:
+        return "-" + name
+    return "%s*%s" % (_coeff_str(c), name)
 
 
 def render_series(a, piece):
@@ -716,17 +758,8 @@ def render_series(a, piece):
     """
     if not a.coeffs:
         return "0" if a.tail is None else "0 + O(lam^%d)" % (a.tail + 1)
-    out = ""
-    for z, c in enumerate(a.coeffs, a.valuation):
-        if not c:
-            continue
-        p = piece(c, "" if z == 0 else "lam" if z == 1 else "lam^%d" % z)
-        if not out:
-            out = p
-        elif p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
+    out = join_signed([piece(c, "" if z == 0 else "lam" if z == 1 else "lam^%d" % z)
+                       for z, c in enumerate(a.coeffs, a.valuation) if c])
     if a.tail is not None:
         out += " + O(lam^%d)" % (a.tail + 1)
     return out
@@ -745,19 +778,9 @@ def tail_from_json(data):
     return None if tail == "exact" else tail["truncated_at"]
 
 
-def _scalar_piece(c, lam):
-    if not lam:
-        return _coeff_str(c)
-    if c == EC_ONE:
-        return lam
-    if c == -EC_ONE:
-        return "-" + lam
-    return "%s*%s" % (_coeff_str(c), lam)
-
-
 def render_scalar(a):
     """Canonical string, lam-powers ascending."""
-    return render_series(a, _scalar_piece)
+    return render_series(a, coeff_piece)
 
 
 def _exact_json(c):

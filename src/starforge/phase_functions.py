@@ -16,8 +16,9 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE,
-                             as_coeff, _frac, _reduced, _accumulate)
+from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE, Frozen,
+                             as_coeff, coeff_piece, join_signed, _frac, _reduced,
+                             _accumulate)
 
 _ONE_DEN = (EC_ONE,)
 
@@ -46,7 +47,7 @@ class PiSeparationError(EngineError, ArithmeticError):
 # Phase context
 # ============================================================
 
-class PhaseContext(object):
+class PhaseContext(Frozen):
     """n canonical pairs; coordinates ordered q1..qn, p1..pn."""
 
     __slots__ = ("n", "names", "_index")
@@ -61,12 +62,7 @@ class PhaseContext(object):
             names = tuple("q%d" % (i + 1) for i in range(n)) + \
                     tuple("p%d" % (i + 1) for i in range(n))
             index = {name: i for i, name in enumerate(names)}
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseContext is immutable")
+        Frozen.__init__(self, n, names, index)
 
     @property
     def dim(self):
@@ -320,7 +316,7 @@ def _pi_coeff(c):
     return as_coeff(c)
 
 
-class PiScalar(object):
+class PiScalar(Frozen):
     """Element of the field of rational functions in pi, kept in lowest terms.
 
     num and den are coefficient tuples, constant term first; den is monic,
@@ -330,13 +326,8 @@ class PiScalar(object):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_ONE_DEN):
-        num, den = _lowest(_pstrip(_pi_coeff(c) for c in num),
-                           _pstrip(_pi_coeff(c) for c in den))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiScalar is immutable")
+        Frozen.__init__(self, *_lowest(_pstrip(_pi_coeff(c) for c in num),
+                                       _pstrip(_pi_coeff(c) for c in den)))
 
     @staticmethod
     def const(c):
@@ -474,30 +465,11 @@ class PiScalar(object):
             return 0
         return _poly_sign_at_pi(self.num, max_bits) * _poly_sign_at_pi(self.den, max_bits)
 
-    def _poly_str(self, coeffs):
-        parts = []
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            pi = "pi" if k == 1 else "pi^%d" % k
-            if c == EC_ONE:
-                parts.append(pi)
-            elif c == -EC_ONE:
-                parts.append("-" + pi)
-            else:
-                s = str(c)
-                if "+" in s[1:] or "-" in s[1:]:
-                    s = "(%s)" % s
-                parts.append("%s*%s" % (s, pi))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+    @staticmethod
+    def _poly_str(coeffs):
+        # the constant term prints unbracketed: "1+I + pi"
+        return join_signed([coeff_piece(c, "pi" if k == 1 else "pi^%d" % k) if k else str(c)
+                            for k, c in enumerate(coeffs) if c]) or "0"
 
     def __str__(self):
         num = self._poly_str(self.num)
@@ -552,7 +524,7 @@ def coeff_sign(value, max_bits=4096):
 # GaussPoly
 # ============================================================
 
-class GaussPoly(object):
+class GaussPoly(Frozen):
     """P(q1..qn, p1..pn) * exp(-alpha * sum(qi^2 + pi^2)) with exact data.
 
     terms maps exponent tuples (length 2n, coordinates ordered q1..qn,p1..pn)
@@ -586,12 +558,7 @@ class GaussPoly(object):
                     del clean[exps]
         if not clean or not alpha:
             alpha = 0
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussPoly is immutable")
+        Frozen.__init__(self, ctx, alpha, clean)
 
     # ---- constructors ----
 
@@ -888,28 +855,10 @@ def render_monomial(ctx, exps):
 def render_gausspoly(f):
     if not f.terms:
         return "0"
-    parts = []
-    for exps, c in f.sorted_terms():
-        mono = render_monomial(f.ctx, exps)
-        if not mono:
-            piece = str(c)
-            if "+" in piece[1:] or "-" in piece[1:]:
-                piece = "(%s)" % piece
-        elif c == EC_ONE:
-            piece = mono
-        elif c == -EC_ONE:
-            piece = "-" + mono
-        else:
-            cs = str(c)
-            if "+" in cs[1:] or "-" in cs[1:]:
-                cs = "(%s)" % cs
-            piece = "%s*%s" % (cs, mono)
-        parts.append(piece)
-    out = parts[0]
-    for p in parts[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
+    out = join_signed([coeff_piece(c, render_monomial(f.ctx, exps))
+                       for exps, c in f.sorted_terms()])
     if f.alpha:
-        if len(parts) > 1 or out.startswith("-"):
+        if len(f.terms) > 1 or out.startswith("-"):
             out = "(%s)" % out
         arg = "r^2" if f.alpha == 1 else "%s*r^2" % f.alpha
         out = "%s*exp(-%s)" % (out, arg) if out != "1" else "exp(-%s)" % arg

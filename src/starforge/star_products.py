@@ -11,7 +11,7 @@ polynomial — that termination is what makes the oscillator checks exact.
 from fractions import Fraction
 from math import factorial, lcm
 
-from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ONE,
+from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ONE, Frozen,
                              tail_min, mul_tail, _accumulate)
 from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair, gp_poisson,
                               gp_mul_into, render_gausspoly, monomial_key,
@@ -199,7 +199,7 @@ def _poly_bound(x):
     return deg if x.is_poly() else UNBOUNDED
 
 
-class StarFamily(object):
+class StarFamily(Frozen):
     """Bidifferential family; its trace integrates against the density 1.
 
     term_fn(k, ctx) returns the k-th operator as a tuple of
@@ -209,14 +209,7 @@ class StarFamily(object):
     __slots__ = ("name", "ctx", "_term_fn", "_termination", "_cache")
 
     def __init__(self, name, ctx, term_fn, termination=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_term_fn", term_fn)
-        object.__setattr__(self, "_termination", termination)
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StarFamily is immutable")
+        Frozen.__init__(self, name, ctx, term_fn, termination, {})
 
     def terms(self, k):
         if k not in self._cache:
@@ -411,19 +404,13 @@ def star_trace(S, F):
 # Closedness
 # ============================================================
 
-class ClosednessReport(object):
+class ClosednessReport(Frozen):
     __slots__ = ("values", "b0_integral", "pointwise_integral", "closed")
 
     def __init__(self, values, b0_integral, pointwise_integral):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "b0_integral", b0_integral)
-        object.__setattr__(self, "pointwise_integral", pointwise_integral)
-        object.__setattr__(self, "closed",
-                           all(not v for k, v in values.items() if k >= 1)
-                           and b0_integral == pointwise_integral)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosednessReport is immutable")
+        Frozen.__init__(self, values, b0_integral, pointwise_integral,
+                        all(not v for k, v in values.items() if k >= 1)
+                        and b0_integral == pointwise_integral)
 
     def to_json(self):
         return {
@@ -453,18 +440,10 @@ def closedness_check(S, f, g, maxk):
 # Axiom suite
 # ============================================================
 
-class AxiomReport(object):
+class AxiomReport(Frozen):
     """Per-axiom verdicts with the finite scope they certify."""
 
     __slots__ = ("family", "scope", "entries")
-
-    def __init__(self, family, scope, entries):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AxiomReport is immutable")
 
     @property
     def passed(self):

@@ -71,6 +71,20 @@ def test_gauss_sum_neg_scale_and_conj_match_the_validating_constructor(rng):
             assert s.scale(zero).parts == ()
 
 
+def test_gauss_sum_add_mul_and_diff_match_the_validating_constructor(rng):
+    # these merge their engine-built parts by width without the constructor's
+    # type check; the result must be the constructor's
+    widths = [0, Fraction(1, 2), 1]
+    for _ in range(30):
+        s, t = (GaussSum(CTX, [rand_poly(rng, CTX, alpha=rng.choice(widths))
+                               for _ in range(rng.randint(0, 3))]) for _ in range(2))
+        assert s + t == GaussSum(CTX, s.parts + t.parts)
+        assert s * t == GaussSum(CTX, [a * b for a in s.parts for b in t.parts])
+        for var in ("q", "p"):
+            assert s.diff(var) == GaussSum(CTX, [p.diff(var) for p in s.parts])
+        assert (s + (-s)).parts == ()
+
+
 def test_gauss_sum_products_distribute_over_widths():
     s = GaussSum(CTX, (Q, GAUSS))
     t = s * s

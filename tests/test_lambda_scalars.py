@@ -239,6 +239,72 @@ def test_coefficient_brackets_in_rendered_scalars():
     assert render(PiScalar.pi(2) * Fraction(-3, 4)) == ("-3/4*pi^2", "-3/4*pi^2*lam")
 
 
+def test_print_rules_that_differ_between_callers():
+    import starforge as sf
+
+    # a pi polynomial prints its constant term unbracketed, a lam series does not
+    assert str(PiScalar((ExactComplex(1, 1), 1))) == "1+I + pi"
+    assert str(PiScalar((ExactComplex(1, 1), -EC_I), (1, 1))) == "(1+I - I*pi)/(1 + pi)"
+    assert str(FormalScalar(0, (PiScalar((ExactComplex(1, 1), 1)), -1))) == "(1+I + pi) - lam"
+    # a Gaussian part brackets a negative constant before its exp factor
+    ctx = sf.PhaseContext(1)
+    two_widths = sf.GaussSum(ctx, (sf.GaussPoly.constant(ctx, ExactComplex(1, -1)),
+                                   sf.GaussPoly.gaussian(ctx, 1).scale(-1)))
+    assert str(two_widths) == "(1-I) + (-1)*exp(-r^2)"
+
+
+def _frozen_instances():
+    import starforge as sf
+
+    ctx = sf.PhaseContext(1)
+    gauss = sf.GaussPoly.gaussian(ctx, 1)
+    moyal = sf.moyal_family(ctx)
+    delta = sf.FormalFunctional.delta(ctx)
+    one = sf.FormalFunction.one(ctx)
+    return {
+        "ExactComplex": (EC_ONE, "a"),
+        "LaurentSeries": (FormalScalar.one(), "coeffs"),
+        "LambdaBinding": (LambdaBinding(1), "value"),
+        "PhaseContext": (ctx, "n"),
+        "PiScalar": (PiScalar.pi(), "num"),
+        "GaussPoly": (gauss, "alpha"),
+        "GaussSum": (sf.GaussSum.of(gauss), "parts"),
+        "StarFamily": (moyal, "name"),
+        "ClosednessReport": (sf.closedness_check(moyal, gauss, gauss, 1), "closed"),
+        "AxiomReport": (sf.AxiomReport("moyal", {}, {}), "entries"),
+        "PointDeriv": (sf.PointDeriv(ctx, (0, 0)), "weight"),
+        "Density": (sf.Density(ctx, gauss), "g"),
+        "DualFunctional": (sf.func_mul(moyal, "left", one, delta), "side"),
+        "RealityReport": (sf.reality_check(delta), "verdict"),
+        "PositivityReport": (sf.PositivityReport("negative", (), (), None, {}), "verdict"),
+        "EigenReport": (sf.eigencheck_classical(gauss, 1, (0, 0)), "verdict"),
+        "RegionReport": (sf.RegionReport((0, 0), 0, "0", (), "pi", True), "verified"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_frozen_instances()))
+def test_every_value_and_report_class_is_immutable(name):
+    import starforge as sf
+
+    value, slot = _frozen_instances()[name]
+    assert isinstance(value, getattr(sf.lambda_scalars, name, None) or getattr(sf, name))
+    before = getattr(value, slot)
+    with pytest.raises(AttributeError, match="%s is immutable" % type(value).__name__):
+        setattr(value, slot, None)
+    with pytest.raises(AttributeError):
+        value.not_a_slot = 1
+    assert getattr(value, slot) is before
+
+
+def test_a_frozen_record_takes_exactly_its_fields():
+    import starforge as sf
+
+    with pytest.raises(ValueError):
+        sf.AxiomReport("moyal", {})
+    with pytest.raises(ValueError):
+        sf.AxiomReport("moyal", {}, {}, None)
+
+
 # ---- construction and canonical form ----
 
 def test_leading_zeros_are_pruned():
