@@ -94,9 +94,9 @@ def tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(Token(NUM, text[i:j], i))
             i = j
@@ -449,54 +449,48 @@ def function_to_scalar(F):
 
 
 def lower_functional(e, ctx):
-    """Expr -> ("functional", T) or ("function", F), with scalars folded in."""
+    """Expr -> FormalFunctional or FormalFunction, with scalars folded in."""
     kind = e[0]
     if kind == "delta":
         point = e[1] if e[1] else (0,) * ctx.dim
-        return ("functional", FormalFunctional.delta(ctx, point))
+        return FormalFunctional.delta(ctx, point)
     if kind == "density":
         inner = lower_expression(e[1], ctx)
         if inner.tail is not None or inner.valuation != 0 or len(inner.coeffs) != 1:
             raise EngineError("density(...) takes a single lam-free profile")
-        return ("functional", FormalFunctional.density(ctx, inner.coeffs[0]))
+        return FormalFunctional.density(ctx, inner.coeffs[0])
     if kind == "wigner":
-        return ("functional", wigner_state(ctx, e[1]))
+        return wigner_state(ctx, e[1])
     if kind == "neg":
-        tag, v = lower_functional(e[1], ctx)
-        return (tag, -v)
+        return -lower_functional(e[1], ctx)
     if kind in _ARITH:
         return _lower_chain(e, ctx, lower_functional, _combine_lowered)
-    if kind == "pow":
-        tag, v = lower_functional(e[1], ctx)
-        if tag == "functional":
-            raise EngineError("functionals cannot be raised to powers")
-        return ("function", lower_expression(e, ctx))
-    return ("function", lower_expression(e, ctx))
+    if kind == "pow" and isinstance(lower_functional(e[1], ctx), FormalFunctional):
+        raise EngineError("functionals cannot be raised to powers")
+    return lower_expression(e, ctx)
 
 
 def _combine_lowered(kind, left, right):
     """Combine two lower_functional results under +, - or *."""
-    t1, v1 = left
-    t2, v2 = right
-    if kind != "mul" or t1 == t2 == "function":
-        if t1 != t2:
+    lf, rf = isinstance(left, FormalFunctional), isinstance(right, FormalFunctional)
+    if kind != "mul" or not (lf or rf):
+        if lf != rf:
             raise EngineError("cannot add a functional to a plain function")
-        return (t1, _arith(kind, v1, v2))
-    if t1 == t2:
+        return _arith(kind, left, right)
+    if lf and rf:
         raise EngineError("cannot multiply two functionals here")
-    func = v1 if t1 == "functional" else v2
-    other = v2 if t1 == "functional" else v1
+    func, other = (left, right) if lf else (right, left)
     scal = function_to_scalar(other)
     if scal is None:
         raise EngineError("functionals can only be scaled by lam-scalars here")
-    return ("functional", func.scale_by_scalar(scal))
+    return func.scale_by_scalar(scal)
 
 
 def parse_functional(text, ctx):
-    tag, v = lower_functional(parse_expression(text, functional=True), ctx)
-    if tag != "functional":
+    T = lower_functional(parse_expression(text, functional=True), ctx)
+    if not isinstance(T, FormalFunctional):
         raise EngineError("expected a functional (delta/density/wigner term)")
-    return v
+    return T
 
 
 # ============================================================

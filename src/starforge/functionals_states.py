@@ -11,20 +11,21 @@ tests, all exact.
 
 from fractions import Fraction
 from functools import partial
-from math import comb
-from operator import add
+from itertools import product
+from math import comb, factorial, prod
+from operator import add, sub
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
                              ScopeError, ExactComplex, EC_ZERO, EC_ONE, as_coeff, _frac,
-                             Frozen, FormalScalar, FORMAL, LaurentSeries, graded_product,
-                             scalar_invert, scalar_eval, render_scalar,
+                             Frozen, _built, FormalScalar, FORMAL, LaurentSeries,
+                             graded_product, scalar_invert, scalar_eval, render_scalar,
                              render_series, series_to_json)
 from .phase_functions import (GaussPoly, PiScalar, coeff_sign, gp_pair,
-                              DimensionMismatch, render_gausspoly, _PI_ZERO)
+                              DimensionMismatch, render_gausspoly, _PI_ZERO, _gp)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
-from .star_products import (star_mul, TruncationRequired, UNBOUNDED, _derivative,
-                            _moyal_terms)
+from .star_products import (star_mul, moyal_family, TruncationRequired, UNBOUNDED,
+                            _derivative, _monomial_generators, _moyal_terms)
 
 
 class NotNormalizable(EngineError):
@@ -71,7 +72,35 @@ def _gaussian_free_value(gs, index, point, message):
     return total
 
 
-class PointDeriv(Frozen):
+class _Term(Frozen):
+    """An elementary term: its weight (the last slot) times a shape (the rest).
+
+    Terms of one shape add by adding weights; sort_key() names the shape.
+    """
+
+    __slots__ = ()
+
+    def _with(self, weight):
+        # the same shape with a new weight, built trusted
+        return _built(type(self), *[getattr(self, s) for s in self.__slots__[:-1]],
+                      weight)
+
+    def rescale(self, c):
+        return self._with(self.weight * c)
+
+    def conj(self):
+        return self._with(self.weight.conj())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__[1:])
+
+    def __hash__(self):
+        return hash((self.sort_key(), str(self.weight)))
+
+
+class PointDeriv(_Term):
     """weight * (-1)^|index| * (d^index f)(point)."""
 
     __slots__ = ("ctx", "point", "index", "weight")
@@ -98,31 +127,8 @@ class PointDeriv(Frozen):
             total = -total
         return self.weight * total
 
-    def rescale(self, c):
-        return PointDeriv(self.ctx, self.point, self.index, self.weight * c)
-
-    def conj(self):
-        return PointDeriv(self.ctx, self.point, self.index, self.weight.conj())
-
-    def same_shape(self, other):
-        return (isinstance(other, PointDeriv) and other.point == self.point
-                and other.index == self.index)
-
-    def combine(self, other):
-        return PointDeriv(self.ctx, self.point, self.index,
-                          self.weight + other.weight)
-
     def sort_key(self):
         return (0, self.point, self.index, "")
-
-    def __eq__(self, other):
-        if not isinstance(other, PointDeriv):
-            return NotImplemented
-        return (self.point == other.point and self.index == other.index
-                and self.weight == other.weight)
-
-    def __hash__(self):
-        return hash(("PointDeriv", self.point, self.index, str(self.weight)))
 
     def __str__(self):
         name = "delta(%s)" % ", ".join(str(x) for x in self.point)
@@ -141,7 +147,7 @@ class PointDeriv(Frozen):
         }
 
 
-class Density(Frozen):
+class Density(_Term):
     """weight * integral of g * f.
 
     width_lambda marks an extra lam^(-1)-sized Gaussian width: the effective
@@ -149,7 +155,7 @@ class Density(Frozen):
     strict lambda is bound.  Formal-mode pairings refuse such terms.
     """
 
-    __slots__ = ("ctx", "g", "weight", "width_lambda")
+    __slots__ = ("ctx", "g", "width_lambda", "weight")
 
     def __init__(self, ctx, g, weight=EC_ONE, width_lambda=0):
         if isinstance(g, GaussPoly):
@@ -160,7 +166,7 @@ class Density(Frozen):
         width_lambda = _frac(width_lambda)
         if width_lambda < 0:
             raise ValueError("width_lambda must be nonnegative")
-        Frozen.__init__(self, ctx, g, weight, width_lambda)
+        Frozen.__init__(self, ctx, g, width_lambda, weight)
 
     def act(self, gs):
         if self.width_lambda != 0:
@@ -172,41 +178,22 @@ class Density(Frozen):
                 total = total + gp_pair(f, h)
         return self.weight * total
 
-    def rescale(self, c):
-        return Density(self.ctx, self.g, self.weight * c, self.width_lambda)
-
     def conj(self):
-        return Density(self.ctx, self.g.conj(), self.weight.conj(),
-                       self.width_lambda)
+        return _built(Density, self.ctx, self.g.conj(), self.width_lambda,
+                      self.weight.conj())
 
     def bind(self, binding):
         """Resolve the lam-width against a strict binding."""
         if self.width_lambda == 0:
             return self
+        # one positive shift keeps the parts nonzero, distinct and sorted
         shift = self.width_lambda / binding.value
-        moved = [GaussPoly(self.ctx, poly.terms, poly.alpha + shift)
-                 for poly in self.g.parts]
-        return Density(self.ctx, GaussSum(self.ctx, moved), self.weight, 0)
-
-    def same_shape(self, other):
-        return (isinstance(other, Density) and other.width_lambda == self.width_lambda
-                and other.g == self.g)
-
-    def combine(self, other):
-        return Density(self.ctx, self.g, self.weight + other.weight,
-                       self.width_lambda)
+        moved = [_gp(self.ctx, poly.terms, poly.alpha + shift) for poly in self.g.parts]
+        return _built(Density, self.ctx, GaussSum._trusted(self.ctx, moved),
+                      Fraction(0), self.weight)
 
     def sort_key(self):
         return (1, (), (), "%s|%s" % (self.width_lambda, self.g))
-
-    def __eq__(self, other):
-        if not isinstance(other, Density):
-            return NotImplemented
-        return (self.g == other.g and self.weight == other.weight
-                and self.width_lambda == other.width_lambda)
-
-    def __hash__(self):
-        return hash(("Density", str(self.g), str(self.weight), self.width_lambda))
 
     def __str__(self):
         core = "density(%s)" % self.g
@@ -245,17 +232,13 @@ _NO_TERMS = _Terms()
 
 
 def _merge_terms(terms):
-    out = []
+    # one entry per shape key; terms of one shape add their weights
+    by_key = {}
     for t in terms:
-        for i, u in enumerate(out):
-            if u.same_shape(t):
-                out[i] = u.combine(t)
-                break
-        else:
-            out.append(t)
-    out = [t for t in out if t.weight != 0]
-    out.sort(key=lambda t: t.sort_key())
-    return _Terms(out)
+        key = t.sort_key()
+        prev = by_key.get(key)
+        by_key[key] = t if prev is None else prev._with(prev.weight + t.weight)
+    return _Terms(t for _, t in sorted(by_key.items()) if t.weight != 0)
 
 
 # ============================================================
@@ -442,13 +425,9 @@ class DualFunctional(Frozen):
 
     def star_action(self, F, order=None):
         F = _as_function(self.S.ctx, F)
-        if self.side == "left":
-            # <xi * T, F>_* = <T, F * xi>_*
-            return func_star_action(self.S, self.base,
-                                    star_mul(self.S, F, self.xi, order), order)
-        # <T * xi, F>_* = <T, xi * F>_*
-        return func_star_action(self.S, self.base,
-                                star_mul(self.S, self.xi, F, order), order)
+        # <xi * T, F>_* = <T, F * xi>_*  and  <T * xi, F>_* = <T, xi * F>_*
+        a, b = (F, self.xi) if self.side == "left" else (self.xi, F)
+        return func_star_action(self.S, self.base, star_mul(self.S, a, b, order), order)
 
     def __str__(self):
         if self.side == "left":
@@ -459,34 +438,20 @@ class DualFunctional(Frozen):
 def _bullet_term_mul(ctx, gs, term):
     """Pointwise product of one GaussSum with one elementary term."""
     if isinstance(term, Density):
-        return [Density(ctx, term.g * gs, term.weight, term.width_lambda)]
+        return [_built(Density, ctx, term.g * gs, term.width_lambda, term.weight)]
     # Leibniz: <xi . d^mu delta, f> expands into point derivatives of order
     # mu - nu weighted by d^nu xi at the point; the sign works out to (-1)^|nu|
     out = []
     mu = term.index
-    ups = [tuple(range(e + 1)) for e in mu]
-
-    def walk(i, nu):
-        if i == len(mu):
-            nu_t = tuple(nu)
-            val = _gaussian_free_value(
-                gs, nu_t, term.point,
-                "pointwise product against a point functional needs "
-                "the Gaussian factor to vanish at the point")
-            if not val:
-                return
-            binom = 1
-            for a, b in zip(mu, nu_t):
-                binom *= comb(a, b)
-            sign_nu = -1 if sum(nu_t) % 2 else 1
-            rest = tuple(a - b for a, b in zip(mu, nu_t))
-            w = term.weight * val * Fraction(binom * sign_nu)
-            out.append(PointDeriv(ctx, term.point, rest, w))
-            return
-        for e in ups[i]:
-            walk(i + 1, nu + [e])
-
-    walk(0, [])
+    for nu in product(*(range(e + 1) for e in mu)):
+        val = _gaussian_free_value(
+            gs, nu, term.point,
+            "pointwise product against a point functional needs "
+            "the Gaussian factor to vanish at the point")
+        if val:
+            c = (-1) ** sum(nu) * prod(map(comb, mu, nu))
+            out.append(_built(PointDeriv, ctx, term.point, tuple(map(sub, mu, nu)),
+                              term.weight * val * Fraction(c)))
     return out
 
 
@@ -576,6 +541,7 @@ def positivity_check(S, T, witness_fns, order=None, lambda_samples=DEFAULT_SAMPL
     covers the finite witness set and sample list.
     """
     witness_fns = list(witness_fns)
+    lambda_samples = tuple(lambda_samples)
     if not witness_fns:
         raise ScopeError("positivity needs at least one witness function")
     if not lambda_samples:
@@ -584,8 +550,8 @@ def positivity_check(S, T, witness_fns, order=None, lambda_samples=DEFAULT_SAMPL
     negativity = None
     for f in witness_fns:
         ff = _as_function(S.ctx, f)
-        prod = star_mul(S, ff.conj(), ff, order)
-        val = func_star_action(S, T, prod, order)
+        square = star_mul(S, ff.conj(), ff, order)
+        val = func_star_action(S, T, square, order)
         entry = {"witness": render_function(ff), "value": render_scalar(val),
                  "per_lambda": []}
         if not val.coeffs:
@@ -614,7 +580,7 @@ def positivity_check(S, T, witness_fns, order=None, lambda_samples=DEFAULT_SAMPL
     scope = {"witnesses": len(details), "samples": len(lambda_samples),
              "order": order,
              "note": "verdict covers the listed witnesses and lambda samples only"}
-    return PositivityReport(verdict, tuple(lambda_samples), tuple(details), negativity, scope)
+    return PositivityReport(verdict, lambda_samples, tuple(details), negativity, scope)
 
 
 def normalize_functional(S, T, order):
@@ -657,7 +623,6 @@ class EigenReport(Frozen):
 
 
 def _test_monomials(ctx, test_degree):
-    from .star_products import _monomial_generators
     tests = _monomial_generators(ctx, test_degree)
     if not tests:
         # a verdict over no test functions would certify nothing
@@ -731,11 +696,11 @@ def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
     first = None
     for psi in _test_monomials(ctx, test_degree):
         psif = FormalFunction.of(psi, 0)
-        prod = star_mul(S, psif, xi, order)
-        lhs = func_star_action(S, Tb, prod, order)
+        psi_xi = star_mul(S, psif, xi, order)
+        lhs = func_star_action(S, Tb, psi_xi, order)
         base = func_star_action(S, Tb, psif, order)
         r = lhs - a * base
-        cres = func_star_action(S, Tb, prod - star_mul(S, xi, psif, order), order)
+        cres = func_star_action(S, Tb, psi_xi - star_mul(S, xi, psif, order), order)
         if binding.is_strict:
             r, cres = scalar_eval(r, binding), scalar_eval(cres, binding)
         witness = render_gausspoly(psi)
@@ -753,20 +718,8 @@ def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
 # ============================================================
 
 def _laguerre_coeffs(n):
-    # L_0 = 1, L_1 = 1 - x, (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}
-    prev = [Fraction(1)]
-    if n == 0:
-        return prev
-    cur = [Fraction(1), Fraction(-1)]
-    for k in range(1, n):
-        nxt = [Fraction(0)] * (k + 2)
-        for j, c in enumerate(cur):
-            nxt[j] += Fraction(2 * k + 1, k + 1) * c
-            nxt[j + 1] -= Fraction(1, k + 1) * c
-        for j, c in enumerate(prev):
-            nxt[j] -= Fraction(k, k + 1) * c
-        prev, cur = cur, nxt
-    return cur
+    # L_n(x) = sum_j (-1)^j C(n, j) x^j / j!
+    return [Fraction((-1) ** j * comb(n, j), factorial(j)) for j in range(n + 1)]
 
 
 def wigner_state(ctx, level):
@@ -856,7 +809,6 @@ def negative_region(f, binding=FORMAL):
     q0 = -c0.re
     p0 = -c0.im / a
 
-    from .star_products import moyal_family
     S = moyal_family(ctx)
     ff = FormalFunction.of(f, 0)
     square = star_mul(S, ff.conj(), ff)

@@ -9,6 +9,7 @@ floating point anywhere.
 
 import operator
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 _INF = float("inf")
@@ -53,6 +54,25 @@ class Frozen(object):
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _built, past the refusing __setattr__
+        cls = type(self)
+        return (_built, (cls, *[getattr(self, name) for name in _slot_names(cls)]))
+
+
+@cache
+def _slot_names(cls):
+    return tuple(name for c in reversed(cls.__mro__)
+                 for name in c.__dict__.get("__slots__", ()))
+
+
+def _built(cls, *values):
+    # trusted constructor: values already valid, one per slot along the MRO
+    out = object.__new__(cls)
+    for name, value in zip(_slot_names(cls), values, strict=True):
+        _set_slot(out, name, value)
+    return out
+
 
 # ============================================================
 # Complex rationals
@@ -82,6 +102,9 @@ class ExactComplex(object):
                         re.denominator * im.denominator)
 
     __setattr__ = Frozen.__setattr__
+
+    def __reduce__(self):
+        return (_ec, (self.a, self.b, self.d))
 
     @property
     def re(self):

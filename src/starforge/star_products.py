@@ -426,6 +426,9 @@ class ClosednessReport(Frozen):
 
 def closedness_check(S, f, g, maxk):
     """Exact integrals of B_k(f,g) for k = 0..maxk; closed means all vanish for k >= 1."""
+    if maxk < 1:
+        # with no k >= 1 to check, "closed" would certify nothing
+        raise ScopeError("closedness needs maxk >= 1")
     if f.alpha + g.alpha == 0:
         raise NotIntegrable("closedness needs a Gaussian factor on at least one side")
     values = {}

@@ -113,12 +113,26 @@ def test_functional_atoms_are_rejected_outside_functional_mode():
     ("q^x", 2, "an integer exponent"),
     ("1/0", 2, "a nonzero denominator"),
     ("q $ p", 2, "a token"),
+    ("q^²", 2, "a token"),
+    ("٣ * p", 0, "a token"),
 ])
 def test_parse_errors_carry_offset_and_expectation(text, offset, expected):
     with pytest.raises(ParseError) as err:
         parse_expression(text)
     assert err.value.offset == offset
     assert err.value.expected == expected
+
+
+def test_functional_lowering_returns_values_not_tags():
+    from starforge import FormalFunction, FormalFunctional, PhaseContext
+    from starforge.cli_frontend import lower_functional, parse_functional
+
+    ctx = PhaseContext(1)
+    T = lower_functional(parse_expression("lam * delta(0,0)", functional=True), ctx)
+    assert isinstance(T, FormalFunctional) and T.valuation == 1
+    F = lower_functional(parse_expression("q^2", functional=True), ctx)
+    assert isinstance(F, FormalFunction)
+    assert parse_functional("delta(0,0) * 2", ctx) == FormalFunctional.delta(ctx).rescale(2)
 
 
 # ============================================================

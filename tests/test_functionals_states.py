@@ -132,6 +132,45 @@ def test_same_shape_terms_merge():
     assert (DELTA - DELTA) == FormalFunctional.zero(CTX)
 
 
+def test_a_grade_holds_one_term_per_shape_in_key_order():
+    dens = Density(CTX, GAUSS, 3)
+    terms = [dens, PointDeriv(CTX, (1, 0)), PointDeriv(CTX, (0, 0), (1, 0), 2),
+             Density(CTX, GAUSS, -3), PointDeriv(CTX, (1, 0), None, 5),
+             Density(CTX, GAUSS, 1, width_lambda=1), PointDeriv(CTX, (0, 0))]
+    grade = FormalFunctional(CTX, 0, (terms,)).coefficient(0)
+    assert [str(t) for t in grade] == [
+        "delta(0, 0)", "(2) * d^[1, 0] delta(0, 0)", "(6) * delta(1, 0)",
+        "density((exp(-r^2)) * exp(-1/lam*r^2))"]
+    assert [t.sort_key() for t in grade] == sorted(t.sort_key() for t in grade)
+
+
+def test_terms_compare_by_shape_and_weight():
+    d = PointDeriv(CTX, (1, 0), (0, 1), EC_I)
+    assert d == PointDeriv(CTX, (1, 0), (0, 1), EC_I)
+    assert hash(d) == hash(PointDeriv(CTX, (1, 0), (0, 1), EC_I))
+    assert d != PointDeriv(CTX, (1, 0), (0, 1), 1)
+    assert d != PointDeriv(CTX, (1, 0), (1, 0), EC_I)
+    assert d.conj() == PointDeriv(CTX, (1, 0), (0, 1), -EC_I)
+    assert d.rescale(EC_I) == PointDeriv(CTX, (1, 0), (0, 1), -1)
+    g = GaussSum.of((Q * P).scale(EC_I) * GAUSS)
+    dens = Density(CTX, g, EC_I, width_lambda=2)
+    assert dens.__slots__ == ("ctx", "g", "width_lambda", "weight")
+    assert dens == Density(CTX, g, EC_I, 2) and dens != Density(CTX, g, EC_I, 1)
+    assert dens != d and d != dens
+    assert dens.conj() == Density(CTX, g.conj(), -EC_I, 2)
+    assert dens.rescale(2) == Density(CTX, g, ExactComplex(0, 2), 2)
+
+
+def test_binding_a_density_width_matches_the_validating_constructor():
+    g = GaussSum(CTX, [Q * Q, (P * P).scale(3) * GAUSS])
+    bound = Density(CTX, g, EC_I, width_lambda=Fraction(1, 3)).bind(LambdaBinding(Fraction(1, 2)))
+    moved = GaussSum(CTX, [GaussPoly(CTX, part.terms, part.alpha + Fraction(2, 3))
+                           for part in g.parts])
+    want = Density(CTX, moved, EC_I)
+    assert bound == want and hash(bound) == hash(want) and str(bound) == str(want)
+    assert bound.width_lambda == 0 and bound.g.parts == moved.parts
+
+
 def test_functional_shift_truncate_conj():
     T = DELTA.shift(2)
     assert T.valuation == 2
@@ -487,6 +526,24 @@ def test_positivity_without_a_lambda_sample_is_a_scope_error():
 
     with pytest.raises(ScopeError):
         positivity_check(MOYAL, DELTA, [fn(Q)], lambda_samples=())
+
+
+def test_positivity_reads_one_shot_samples_once(monkeypatch):
+    from starforge import ScopeError, functionals_states
+
+    f = fn(Q) + fn(P.scale(EC_I))
+    samples = (Fraction(1, 2), Fraction(3))
+    want = positivity_check(MOYAL, DELTA, [f, fn(Q)], lambda_samples=samples)
+    got = positivity_check(MOYAL, DELTA, [f, fn(Q)], lambda_samples=iter(samples))
+    assert got.to_json() == want.to_json()
+    assert got.samples == samples
+
+    def no_products(*args):
+        raise AssertionError("an empty sample list must fail before any product")
+
+    monkeypatch.setattr(functionals_states, "star_mul", no_products)
+    with pytest.raises(ScopeError):
+        positivity_check(MOYAL, DELTA, [f], lambda_samples=(s for s in ()))
 
 
 # ---- normalization ----

@@ -296,6 +296,57 @@ def test_every_value_and_report_class_is_immutable(name):
     assert getattr(value, slot) is before
 
 
+def _slot_values(value):
+    return [getattr(value, name)
+            for c in type(value).__mro__ for name in c.__dict__.get("__slots__", ())]
+
+
+@pytest.mark.parametrize("name", sorted(_frozen_instances()))
+def test_every_value_and_report_class_copies(name):
+    import copy
+
+    value, slot = _frozen_instances()[name]
+    shallow = copy.copy(value)
+    assert type(shallow) is type(value)
+    assert all(a is b for a, b in zip(_slot_values(shallow), _slot_values(value), strict=True))
+    deep = copy.deepcopy(value)
+    assert type(deep) is type(value)
+    if type(value).__eq__ is object.__eq__:
+        # records without a value equality compare by what they print
+        assert str(deep) == str(value)
+    else:
+        assert deep == value
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(deep, slot, None)
+
+
+@pytest.mark.parametrize("name", ["ExactComplex", "LaurentSeries", "LambdaBinding",
+                                  "PhaseContext", "PiScalar", "GaussPoly", "GaussSum",
+                                  "PointDeriv", "Density"])
+def test_a_value_survives_a_pickle_round_trip(name):
+    import copy
+    import pickle
+
+    value, _ = _frozen_instances()[name]
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value)
+    assert back == value and copy.deepcopy(value) == value
+
+
+def test_functions_and_functionals_survive_a_pickle_round_trip():
+    import pickle
+
+    import starforge as sf
+
+    ctx = sf.PhaseContext(1)
+    F = sf.FormalFunction(ctx, -1, (sf.GaussPoly.coordinate(ctx, "q"),
+                                    sf.GaussPoly.gaussian(ctx, 2)), tail=3)
+    T = sf.wigner_state(ctx, 2) + sf.FormalFunctional.delta(ctx, (1, "1/2"))
+    for value in (F, T, FormalScalar.from_coeff_map({-1: 2, 0: EC_ONE}, tail=4)):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and str(back) == str(value) and back.tail == value.tail
+
+
 def test_a_frozen_record_takes_exactly_its_fields():
     import starforge as sf
 

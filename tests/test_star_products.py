@@ -316,6 +316,16 @@ def test_closedness_needs_a_gaussian_side():
         closedness_check(MOYAL, Q, P, 3)
 
 
+@pytest.mark.parametrize("maxk", [0, -1])
+def test_closedness_without_a_positive_order_is_a_scope_error(maxk):
+    # closed means B_k integrates to 0 for every k >= 1; with none checked
+    # the verdict would be vacuous
+    from starforge import ScopeError
+
+    with pytest.raises(ScopeError):
+        closedness_check(MOYAL, GAUSS, GAUSS, maxk)
+
+
 # ---- axiom suites ----
 
 def test_moyal_axiom_suite():
