@@ -11,7 +11,7 @@ from .lambda_scalars import (EngineError, ZeroNotInvertible, FormalModeError,
                              TruncatedTailError, ScopeError, ExactComplex,
                              EC_ZERO, EC_ONE, EC_I, FormalScalar, LambdaBinding,
                              FORMAL,
-                             scalar_add, scalar_mul, scalar_conj, scalar_invert,
+                             scalar_mul, scalar_invert,
                              scalar_eval, agreement_depth, agree,
                              converges_per_power, render_scalar,
                              scalar_to_json, scalar_from_json)

@@ -22,6 +22,7 @@ import argparse
 import json
 import operator
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .lambda_scalars import (EngineError, ExactComplex, FormalScalar,
@@ -73,16 +74,7 @@ END = "END"
 _OPS = "+-*^/(),"
 
 
-class Token(object):
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return "Token(%s, %r, %d)" % (self.kind, self.text, self.pos)
+Token = namedtuple("Token", "kind text pos")
 
 
 def tokenize(text):
@@ -297,11 +289,11 @@ def render_expr(e):
     out = _render_operand(e)
     for kind, left, right in reversed(spine):
         if kind == "mul":
-            if left[0] in ("add", "sub", "neg"):
+            if left[0] in _SUM:
                 out = "(%s)" % out
-            out = "%s*%s" % (out, _wrap_factor(right))
+            out = "%s*%s" % (out, _wrap(right, _PRODUCT))
         else:
-            out = "%s %s %s" % (out, "+" if kind == "add" else "-", _wrap_chain(right))
+            out = "%s %s %s" % (out, "+" if kind == "add" else "-", _wrap(right, _SUM))
     return out
 
 
@@ -318,12 +310,9 @@ def _render_operand(e):
     if kind == "gauss":
         return "gauss(%s)" % e[1]
     if kind == "neg":
-        body = render_expr(e[1])
-        if e[1][0] in ("add", "sub", "neg"):
-            return "-(%s)" % body
-        return "-" + body
+        return "-" + _wrap(e[1], _SUM)
     if kind == "pow":
-        return "%s^%d" % (_wrap_pow_base(e[1]), e[2])
+        return "%s^%d" % (_wrap(e[1], _POWER), e[2])
     if kind == "delta":
         return "delta(%s)" % ", ".join(str(x) for x in e[1])
     if kind == "density":
@@ -333,24 +322,17 @@ def _render_operand(e):
     raise ValueError("unknown node %r" % (kind,))
 
 
-def _wrap_chain(e):
-    """Parenthesize sum-level nodes so +/- chains stay left-associated."""
-    if e[0] in ("add", "sub", "neg"):
-        return "(%s)" % render_expr(e)
-    return render_expr(e)
+# node kinds an operand must bracket: sum-level nodes keep +/- chains
+# left-associated, a right factor of '*' also shields nested products, and a
+# power base shields everything but atoms
+_SUM = ("add", "sub", "neg")
+_PRODUCT = _SUM + ("mul",)
+_POWER = _PRODUCT + ("pow",)
 
 
-def _wrap_factor(e):
-    """The right factor of '*' also shields nested products."""
-    if e[0] in ("add", "sub", "neg", "mul"):
-        return "(%s)" % render_expr(e)
-    return render_expr(e)
-
-
-def _wrap_pow_base(e):
-    if e[0] in ("add", "sub", "neg", "mul", "pow"):
-        return "(%s)" % render_expr(e)
-    return render_expr(e)
+def _wrap(e, kinds):
+    text = render_expr(e)
+    return "(%s)" % text if e[0] in kinds else text
 
 
 # ============================================================
@@ -401,34 +383,21 @@ def lower_expression(e, ctx):
         return _lower_chain(e, ctx, lower_expression, _arith)
     if kind == "pow":
         base = lower_expression(e[1], ctx)
-        k = e[2]
-        if k >= 0:
-            out = FormalFunction.one(ctx)
-            for _ in range(k):
-                out = fs_bullet(out, base)
-            return out
-        inv = _invert_monomial(base, ctx)
-        if inv is None:
-            raise EngineError("negative powers need an invertible lam-monomial base")
+        if e[2] < 0:
+            base = _invert_monomial(base)
         out = FormalFunction.one(ctx)
-        for _ in range(-k):
-            out = fs_bullet(out, inv)
+        for _ in range(abs(e[2])):
+            out = fs_bullet(out, base)
         return out
     raise EngineError("functional atoms are not allowed in a plain expression")
 
 
-def _invert_monomial(F, ctx):
+def _invert_monomial(F):
     # invertible means a single lam-power whose coefficient is a nonzero constant
-    if F.tail is not None or len(F.coeffs) != 1:
-        return None
-    gs = F.coeffs[0]
-    if len(gs.parts) != 1:
-        return None
-    part = gs.parts[0]
-    if part.alpha != 0 or set(part.terms) != {(0,) * ctx.dim}:
-        return None
-    c = part.terms[(0,) * ctx.dim]
-    return _const_fn(ctx, c.reciprocal(), power=-F.valuation)
+    a = function_to_scalar(F)
+    if a is None or a.tail is not None or len(a.coeffs) != 1:
+        raise EngineError("negative powers need an invertible lam-monomial base")
+    return _const_fn(F.ctx, a.coeffs[0].reciprocal(), power=-a.valuation)
 
 
 def function_to_scalar(F):
@@ -497,20 +466,7 @@ def parse_functional(text, ctx):
 # Commands
 # ============================================================
 
-class CommandResult(object):
-    __slots__ = ("command", "payload", "status")
-
-    def __init__(self, command, payload, status):
-        self.command = command
-        self.payload = payload
-        self.status = status
-
-    def __repr__(self):
-        return "CommandResult(%s, exit=%d)" % (self.command, self.status)
-
-
-def _family(name, ctx):
-    return bullet_family(ctx) if name == "bullet" else moyal_family(ctx)
+CommandResult = namedtuple("CommandResult", "command payload status")
 
 
 def _emit(payload):
@@ -525,6 +481,17 @@ def _scalar_payload(value, full):
     except ValueError:
         wire = None
     return {"result": render_scalar(value), "series": wire}
+
+
+def _verdict(report, full, verdict, passed, **detail):
+    """A check's payload and exit status: the full report under --json, else
+    the verdict plus each detail that is present; only a failed check exits 1."""
+    if full:
+        payload = report.to_json()
+    else:
+        payload = {"verdict": verdict}
+        payload.update((key, value) for key, value in detail.items() if value)
+    return payload, 0 if passed else 1
 
 
 def _make_parser():
@@ -603,116 +570,83 @@ def _dispatch(args):
     except ValueError as exc:
         raise EngineError(str(exc))
     binding = _binding(args)
+    fam = bullet_family(ctx) if "bullet" in (cmd, args.product) else moyal_family(ctx)
+
+    def fn(text):
+        return lower_expression(parse_expression(text), ctx)
+
+    def functional(text):
+        # every functional argument is bound here, so --lambda reaches them all
+        return bind_functional(parse_functional(text, ctx), binding)
 
     if cmd in ("star", "bullet", "commutator"):
-        F = lower_expression(parse_expression(args.left), ctx)
-        G = lower_expression(parse_expression(args.right), ctx)
-        fam = bullet_family(ctx) if cmd == "bullet" else _family(args.product, ctx)
-        if cmd == "commutator":
-            out = star_commutator(fam, F, G, args.order)
-        else:
-            out = star_mul(fam, F, G, args.order)
+        product = star_commutator if cmd == "commutator" else star_mul
+        out = product(fam, fn(args.left), fn(args.right), args.order)
         payload = {"result": render_function(out)}
         if args.full:
             payload["series"] = fs_to_json(out)
         return payload, 0
 
-    if cmd == "trace":
-        F = lower_expression(parse_expression(args.operand), ctx)
-        fam = _family(args.product, ctx)
-        out = star_trace(fam, F)
-        return _scalar_payload(out, args.full), 0
-
-    if cmd == "integrate":
-        F = lower_expression(parse_expression(args.operand), ctx)
-        out = fs_integrate(F)
+    if cmd in ("trace", "integrate"):
+        F = fn(args.operand)
+        out = star_trace(fam, F) if cmd == "trace" else fs_integrate(F)
         return _scalar_payload(out, args.full), 0
 
     if cmd == "region":
-        F = lower_expression(parse_expression(args.operand), ctx)
-        if F.valuation != 0 or len(F.coeffs) != 1 or len(F.coeffs[0].parts) != 1:
-            raise EngineError("region expects a lam-free linear expression")
-        report = negative_region(F.coeffs[0].parts[0], binding)
+        report = negative_region(fn(args.operand), binding)
         if args.full:
             return report.to_json(), 0
         return {"area": report.area_str, "min": report.min_value_str}, 0
 
     if cmd == "axioms":
-        fam = _family(args.product, ctx)
-        order = args.order if args.order is not None else 4
-        report = axiom_suite(fam, args.degree, order)
-        status = 0 if report.passed else 1
-        if args.full:
-            return report.to_json(), status
-        failed = sorted(k for k, e in report.entries.items()
-                        if e["verdict"] == "fail")
-        payload = {"verdict": "pass" if report.passed else "fail"}
-        if failed:
-            payload["failed_axioms"] = failed
-        return payload, status
+        report = axiom_suite(fam, args.degree, 4 if args.order is None else args.order)
+        failed = sorted(k for k, e in report.entries.items() if e["verdict"] == "fail")
+        return _verdict(report, args.full, "pass" if report.passed else "fail",
+                        report.passed, failed_axioms=failed)
 
     if cmd == "positivity":
-        fam = _family(args.product, ctx)
-        T = bind_functional(parse_functional(args.functional, ctx), binding)
-        wits = [lower_expression(parse_expression(w), ctx) for w in args.witnesses]
-        samples = (Fraction(args.lam),) if args.lam is not None else DEFAULT_SAMPLES
+        T = functional(args.functional)
+        wits = [fn(w) for w in args.witnesses]
+        samples = (binding.value,) if binding.is_strict else DEFAULT_SAMPLES
         report = positivity_check(fam, T, wits, order=args.order, lambda_samples=samples)
-        status = 0 if report.verdict != "negative" else 1
-        if args.full:
-            return report.to_json(), status
-        payload = {"verdict": report.verdict}
-        if report.negativity:
-            payload["negativity"] = report.negativity
-        return payload, status
+        return _verdict(report, args.full, report.verdict, report.verdict != "negative",
+                        negativity=report.negativity)
 
     if cmd == "normalize":
-        fam = _family(args.product, ctx)
-        T = bind_functional(parse_functional(args.functional, ctx), binding)
-        order = args.order if args.order is not None else 6
-        A, T2 = normalize_functional(fam, T, order)
+        order = 6 if args.order is None else args.order
+        A, T = normalize_functional(fam, functional(args.functional), order)
+        payload = {"normalizer": render_scalar(A)}
         if args.full:
-            return {"normalizer": render_scalar(A),
-                    "functional": T2.to_json()}, 0
-        return {"normalizer": render_scalar(A)}, 0
+            payload["functional"] = T.to_json()
+        return payload, 0
 
-    if cmd == "eigencheck":
-        fam = _family(args.product, ctx)
-        xi = lower_expression(parse_expression(args.xi), ctx)
-        a_fn = lower_expression(parse_expression(args.value), ctx)
-        a = function_to_scalar(a_fn)
-        if a is None:
-            raise EngineError("the genvalue must be a lam-scalar expression")
-        if args.kind == "classical":
-            if args.point is None:
-                raise EngineError("--kind classical needs --point r,r")
-            try:
-                point = tuple(Fraction(x) for x in args.point.split(","))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise EngineError("bad --point value: %s" % exc)
-            if xi.valuation != 0 or len(xi.coeffs) != 1:
-                raise EngineError("classical checks take a lam-free expression")
-            const = a.coefficient(0)
-            if a.coeffs and (a.valuation != 0 or len(a.coeffs) != 1):
-                raise EngineError("classical genvalues are plain rationals")
-            report = eigencheck_classical(xi.coeffs[0], const, point)
-        else:
-            if args.functional is None:
-                raise EngineError("eigencheck needs a functional argument")
-            T = parse_functional(args.functional, ctx)
-            if args.kind == "bullet":
-                report = eigencheck_bullet(xi, a, T, args.test_degree)
-            else:
-                report = eigencheck_star(fam, xi, a, T, args.test_degree,
-                                         order=args.order, binding=binding)
-        status = 0 if report.passed else 1
-        if args.full:
-            return report.to_json(), status
-        payload = {"verdict": report.verdict}
-        if report.first_failure:
-            payload["first_failure"] = report.first_failure
-        return payload, status
-
-    raise EngineError("unknown command %r" % cmd)
+    # eigencheck
+    xi = fn(args.xi)
+    a = function_to_scalar(fn(args.value))
+    if a is None:
+        raise EngineError("the genvalue must be a lam-scalar expression")
+    if args.kind == "classical":
+        if args.point is None:
+            raise EngineError("--kind classical needs --point r,r")
+        try:
+            point = tuple(Fraction(x) for x in args.point.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise EngineError("bad --point value: %s" % exc)
+        if xi.valuation != 0 or len(xi.coeffs) != 1:
+            raise EngineError("classical checks take a lam-free expression")
+        if a.coeffs and (a.valuation != 0 or len(a.coeffs) != 1):
+            raise EngineError("classical genvalues are plain rationals")
+        report = eigencheck_classical(xi.coeffs[0], a.coefficient(0), point)
+    elif args.functional is None:
+        raise EngineError("eigencheck needs a functional argument")
+    elif args.kind == "bullet":
+        report = eigencheck_bullet(xi, a, functional(args.functional), args.test_degree,
+                                   binding=binding)
+    else:
+        report = eigencheck_star(fam, xi, a, functional(args.functional), args.test_degree,
+                                 order=args.order, binding=binding)
+    return _verdict(report, args.full, report.verdict, report.passed,
+                    first_failure=report.first_failure)
 
 
 def main():

@@ -581,19 +581,9 @@ class FormalScalar(LaurentSeries):
         return render_scalar(self)
 
 
-def scalar_add(a, b):
-    """Coefficientwise sum; the weaker tail marker wins."""
-    return a + b
-
-
 def scalar_mul(a, b):
     """Cauchy product; truncation bounds shift by the partner's valuation."""
     return graded_product(a, b, mul_add, FormalScalar, EC_ZERO)
-
-
-def scalar_conj(a):
-    """Coefficientwise complex conjugate (lam itself is real)."""
-    return a.conj()
 
 
 def _reciprocal(c):
@@ -662,10 +652,6 @@ class LambdaBinding(Frozen):
     @property
     def is_strict(self):
         return self.value is not None
-
-    @staticmethod
-    def formal():
-        return FORMAL
 
     @staticmethod
     def strict(value):

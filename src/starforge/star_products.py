@@ -373,12 +373,10 @@ def star_mul(S, F, G, order=None):
                 % (order, F.valuation + G.valuation))
         t = tail_min(t, order)
 
+    # (l, j) = (0, 0) always pairs two nonzero coefficients, so top is set;
+    # an unbounded top always comes with a tail, and a tail is never below lo
     lo = F.valuation + G.valuation
-    hi = top if top not in (None, UNBOUNDED) else lo
-    if t is not None:
-        hi = t
-    if hi < lo:
-        return FormalFunction(ctx, t + 1 if t is not None else 0, (), t)
+    hi = top if t is None else t
     acc = [{} for _ in range(hi - lo + 1)]
     # one set of derivative memos, shared by every (l, j) and order m
     tables = CoordinateTables()

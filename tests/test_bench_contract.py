@@ -9,6 +9,7 @@ no bytecode is written next to them.
 """
 
 import os
+import subprocess
 import sys
 import time
 
@@ -46,3 +47,27 @@ def test_one_pass_of_each_library_workload_has_no_failure():
         if failed:
             failures[name] = failed
     assert not failures
+
+
+_INSTALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import starforge
+from tracer import SPAN_FUNCTIONS, Tracer
+Tracer().install()
+for targets in SPAN_FUNCTIONS.values():
+    for module, attr in targets:
+        assert hasattr(getattr(sys.modules["starforge." + module], attr), "__wrapped__"), attr
+"""
+
+
+def test_tracer_installs_over_every_wrapped_name():
+    # bench/tracer.py patches starforge by module and attribute name, so a
+    # renamed function fails here; the child process keeps the patches out
+    # of this suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starforge.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-B", "-c", _INSTALL, BENCH],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -336,6 +336,27 @@ def test_wigner_functionals_still_refuse_formal_mode(capsys):
     res, out = go(capsys, "normalize", "wigner(2)")
     assert res.status == 2
     assert json.loads(out)["error"]["type"] == "FormalModeError"
+    res, out = go(capsys, "eigencheck", "q", "1", "wigner(1)", "--kind", "bullet")
+    assert res.status == 2
+    assert json.loads(out)["error"]["type"] == "FormalModeError"
+
+
+def test_bullet_eigencheck_evaluates_residuals_at_lambda(capsys):
+    # the residual series is 1 - lam, which vanishes at lam = 1 only
+    argv = ("eigencheck", "1", "lam", "delta(0,0)", "--kind", "bullet")
+    res, out = go(capsys, *argv, "--lambda", "1")
+    assert (res.status, out) == (0, '{"verdict": "pass"}\n')
+    res, out = go(capsys, *argv)
+    assert (res.status, out) == (1, '{"first_failure": {"residual": "1 - lam", "witness": "1"},'
+                                    ' "verdict": "fail"}\n')
+
+
+def test_bullet_eigencheck_binds_wigner_widths_under_lambda(capsys):
+    # a density is no bullet eigenstate: a genuine fail, not a formal-mode error
+    res, out = go(capsys, "eigencheck", "q", "1", "wigner(1)", "--lambda", "1",
+                  "--kind", "bullet")
+    assert (res.status, out) == (1, '{"first_failure": {"residual": "-pi", "witness": "1"},'
+                                    ' "verdict": "fail"}\n')
 
 
 # ============================================================
@@ -467,6 +488,51 @@ def test_render_walks_long_chains_and_reparses(text):
     rendered = render_expr(tree)
     assert _same_tree(parse_expression(rendered), tree)
     assert not _same_tree(parse_expression(rendered + " + q"), tree)
+
+
+# ============================================================
+# Lowering errors: one JSON line, exit 2, the exact message
+# ============================================================
+
+def _engine_error(message, kind="EngineError"):
+    return json.dumps({"error": {"message": message, "type": kind}}) + "\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["star", "q^-1", "p"], "negative powers need an invertible lam-monomial base"),
+    (["star", "0^-1", "p"], "negative powers need an invertible lam-monomial base"),
+    (["star", "(q + lam)^-2", "p"], "negative powers need an invertible lam-monomial base"),
+    (["normalize", "delta(0,0)^2"], "functionals cannot be raised to powers"),
+    (["normalize", "delta(0,0) + q"], "cannot add a functional to a plain function"),
+    (["normalize", "q - delta(0,0)"], "cannot add a functional to a plain function"),
+    (["normalize", "delta(0,0)*delta(1,0)"], "cannot multiply two functionals here"),
+    (["normalize", "q*delta(0,0)"], "functionals can only be scaled by lam-scalars here"),
+    (["positivity", "q", "p"], "expected a functional (delta/density/wigner term)"),
+    (["eigencheck", "q", "1", "q^2", "--kind", "bullet"],
+     "expected a functional (delta/density/wigner term)"),
+    (["normalize", "density(lam*gauss(1))"], "density(...) takes a single lam-free profile"),
+    (["normalize", "density(q + lam)"], "density(...) takes a single lam-free profile"),
+])
+def test_lowering_errors_are_one_json_line(capsys, argv, message):
+    res, out = go(capsys, *argv)
+    assert (res.status, out) == (2, _engine_error(message))
+
+
+def test_negative_powers_of_lam_monomials_still_lower(capsys):
+    res, out = go(capsys, "star", "(2*lam)^-2", "q")
+    assert (res.status, out) == (0, '{"result": "1/4*q*lam^-2"}\n')
+    res, out = go(capsys, "integrate", "(I*lam)^-1*gauss(1)")
+    assert (res.status, out) == (0, '{"result": "-I*pi*lam^-1"}\n')
+
+
+def test_region_rejects_a_non_polynomial_operand(capsys):
+    # the shape checks live in negative_region alone, with their own message
+    res, out = go(capsys, "region", "q*gauss(1) + p")
+    assert (res.status, out) == (2, _engine_error("expected a single polynomial part",
+                                                  "NotSupportedForm"))
+    res, out = go(capsys, "region", "lam*q")
+    assert (res.status, out) == (2, _engine_error("expected a lam-free linear expression",
+                                                  "NotSupportedForm"))
 
 
 # ============================================================

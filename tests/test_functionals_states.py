@@ -638,6 +638,29 @@ def test_bullet_eigen_rejects_density_support():
     assert rep.first_failure == {"witness": "1", "residual": "-pi"}
 
 
+def test_bullet_eigen_evaluates_residuals_at_a_strict_lambda():
+    # xi = 1 with genvalue lam leaves the residual 1 - lam at the test function 1
+    lam = FormalScalar.lam(1, 1)
+    assert eigencheck_bullet(ONE, lam, DELTA, 1).first_failure == {
+        "witness": "1", "residual": "1 - lam"}
+    rep = eigencheck_bullet(ONE, lam, DELTA, 1, binding=LambdaBinding.strict(1))
+    assert rep.passed and [r for _, r in rep.residuals] == ["0", "0", "0"]
+    rep = eigencheck_bullet(ONE, lam, DELTA, 1, binding=LambdaBinding.strict(Fraction(1, 2)))
+    assert rep.first_failure == {"witness": "1", "residual": "1/2"}
+
+
+def test_bullet_eigen_binds_lambda_widths():
+    W = wigner_state(CTX, 1)
+    with pytest.raises(FormalModeError):
+        eigencheck_bullet(fn(Q), 1, W, 1)
+    binding = LambdaBinding.strict(Fraction(1, 3))
+    rep = eigencheck_bullet(fn(Q), 1, W, 1, binding=binding)
+    bound = eigencheck_bullet(fn(Q), 1, bind_functional(W, binding), 1, binding=binding)
+    assert rep.to_json() == bound.to_json()
+    assert (rep.kind, rep.commutation) == ("bullet", ())
+    assert not rep.passed
+
+
 def test_bullet_eigen_solutions_form_a_module():
     # scalar multiples of a solution stay solutions
     T = FormalFunctional.delta(CTX, (1, 0))
