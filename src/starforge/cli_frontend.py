@@ -576,7 +576,7 @@ def _dispatch(args):
         return lower_expression(parse_expression(text), ctx)
 
     def functional(text):
-        # every functional argument is bound here, so --lambda reaches them all
+        # positivity and normalize bind --lambda here; eigencheck binds in the library
         return bind_functional(parse_functional(text, ctx), binding)
 
     if cmd in ("star", "bullet", "commutator"):
@@ -640,11 +640,11 @@ def _dispatch(args):
     elif args.functional is None:
         raise EngineError("eigencheck needs a functional argument")
     elif args.kind == "bullet":
-        report = eigencheck_bullet(xi, a, functional(args.functional), args.test_degree,
-                                   binding=binding)
+        report = eigencheck_bullet(xi, a, parse_functional(args.functional, ctx),
+                                   args.test_degree, binding=binding)
     else:
-        report = eigencheck_star(fam, xi, a, functional(args.functional), args.test_degree,
-                                 order=args.order, binding=binding)
+        report = eigencheck_star(fam, xi, a, parse_functional(args.functional, ctx),
+                                 args.test_degree, order=args.order, binding=binding)
     return _verdict(report, args.full, report.verdict, report.passed,
                     first_failure=report.first_failure)
 

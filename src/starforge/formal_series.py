@@ -7,7 +7,7 @@ convolution with pointwise products — the trivial commutative extension of
 multiplication to series.
 """
 
-from .lambda_scalars import (as_coeff, FormalScalar, Frozen, LaurentSeries, _built,
+from .lambda_scalars import (as_coeff, FormalScalar, Frozen, LaurentSeries,
                              graded_product, join_signed, mul_add, render_series,
                              series_to_json, tail_from_json)
 from .phase_functions import (GaussPoly, NotIntegrable, _PI_ZERO,
@@ -50,7 +50,10 @@ class GaussSum(Frozen):
     @staticmethod
     def _trusted(ctx, parts):
         # parts built by the engine: nonzero, distinct widths, sorted by alpha
-        return _built(GaussSum, ctx, tuple(parts))
+        out = object.__new__(GaussSum)
+        object.__setattr__(out, "ctx", ctx)
+        object.__setattr__(out, "parts", tuple(parts))
+        return out
 
     @staticmethod
     def zero(ctx):

@@ -667,10 +667,22 @@ def eigencheck_bullet(xi, a, T, test_degree, binding=FORMAL):
     evaluated at the bound lambda; formally, residuals must vanish as series.
     """
     ctx = T.ctx
-    shifted = fs_linear_comb(FormalScalar.one(), _as_function(ctx, xi),
-                             -_as_scalar(a), FormalFunction.one(ctx))
-    return _eigen_scan("bullet", T, test_degree, None, binding,
-                       lambda Tb, psi: (func_action(Tb, fs_bullet(shifted, psi)),))
+    xi = _as_function(ctx, xi)
+    if isinstance(a, (int, Fraction, ExactComplex)):
+        a = FormalScalar.from_const(a)
+    shifted = fs_linear_comb(FormalScalar.one(), xi, -a, FormalFunction.one(ctx))
+    Tb = bind_functional(T, binding)
+    residuals = []
+    first = None
+    for psi in _test_monomials(ctx, test_degree):
+        r = func_action(Tb, fs_bullet(shifted, FormalFunction.of(psi, 0)))
+        if binding.is_strict:
+            r = scalar_eval(r, binding)
+        residuals.append((render_gausspoly(psi), str(r)))
+        if r and first is None:
+            first = {"witness": render_gausspoly(psi), "residual": str(r)}
+    verdict = "pass" if first is None else "fail"
+    return EigenReport("bullet", verdict, test_degree, None, tuple(residuals), (), first)
 
 
 def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
@@ -680,46 +692,31 @@ def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
     Under a strict binding, widths are resolved first and residual series are
     evaluated at the bound lambda; formally, residuals must vanish as series.
     """
-    xi = _as_function(S.ctx, xi)
-    a = _as_scalar(a)
-
-    def residuals(Tb, psi):
-        psi_xi = star_mul(S, psi, xi, order)
-        r = func_star_action(S, Tb, psi_xi, order) - a * func_star_action(S, Tb, psi, order)
-        return r, func_star_action(S, Tb, psi_xi - star_mul(S, xi, psi, order), order)
-
-    return _eigen_scan("star", T, test_degree, order, binding, residuals)
-
-
-def _as_scalar(a):
+    ctx = S.ctx
+    xi = _as_function(ctx, xi)
     if isinstance(a, (int, Fraction, ExactComplex)):
-        return FormalScalar.from_const(a)
-    return a
-
-
-def _eigen_scan(kind, T, test_degree, order, binding, residuals):
-    """One EigenReport over the test monomials.
-
-    residuals(Tb, psi) gives the genvalue residual of one test function and,
-    for the star check, its commutation residual; the first nonzero one is
-    the report's first failure.
-    """
+        a = FormalScalar.from_const(a)
     Tb = bind_functional(T, binding)
-    rows, commutation = [], []
+    residuals = []
+    commutation = []
     first = None
-    for psi in _test_monomials(T.ctx, test_degree):
-        rs = residuals(Tb, FormalFunction.of(psi, 0))
+    for psi in _test_monomials(ctx, test_degree):
+        psif = FormalFunction.of(psi, 0)
+        psi_xi = star_mul(S, psif, xi, order)
+        lhs = func_star_action(S, Tb, psi_xi, order)
+        base = func_star_action(S, Tb, psif, order)
+        r = lhs - a * base
+        cres = func_star_action(S, Tb, psi_xi - star_mul(S, xi, psif, order), order)
         if binding.is_strict:
-            rs = [scalar_eval(r, binding) for r in rs]
+            r, cres = scalar_eval(r, binding), scalar_eval(cres, binding)
         witness = render_gausspoly(psi)
-        rows.append((witness, str(rs[0])))
-        commutation.extend((witness, str(r)) for r in rs[1:])
-        failed = [r for r in rs if r]
-        if failed and first is None:
-            first = {"witness": witness, "residual": str(failed[0])}
+        residuals.append((witness, str(r)))
+        commutation.append((witness, str(cres)))
+        if first is None and (r or cres):
+            first = {"witness": witness, "residual": str(r or cres)}
     verdict = "pass" if first is None else "fail"
-    return EigenReport(kind, verdict, test_degree, order, tuple(rows), tuple(commutation),
-                       first)
+    return EigenReport("star", verdict, test_degree, order, tuple(residuals),
+                       tuple(commutation), first)
 
 
 # ============================================================
