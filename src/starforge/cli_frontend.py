@@ -494,56 +494,61 @@ def _verdict(report, full, verdict, passed, **detail):
     return payload, 0 if passed else 1
 
 
+# An option without a default is None when absent, so _dispatch can tell which
+# of eigencheck's options were given.
+_OPTIONS = {
+    "--pairs": dict(type=int, default=1, metavar="N",
+                    help="number of coordinate pairs (default 1)"),
+    "--order": dict(type=int, metavar="K", help="lam truncation order"),
+    "--lambda": dict(dest="lam", metavar="R", help="strict lambda value (exact rational)"),
+    "--product": dict(choices=("moyal", "bullet"), help="star family (default moyal)"),
+    "--degree": dict(type=int, default=3, help="generator degree bound (default 3)"),
+    "--kind": dict(choices=("classical", "bullet", "star"), default="star"),
+    "--point": dict(metavar="R,R", help="evaluation point for --kind classical"),
+    "--test-degree": dict(type=int, help="witness monomial degree bound (default 2)"),
+    "--json": dict(dest="full", action="store_true", help="emit the full report payload"),
+}
+
+# (subcommand, positionals, the options _dispatch reads beyond --pairs and --json);
+# a trailing ? or + is argparse's nargs.  README's "Command line" lists the rows.
+_COMMANDS = (
+    ("star", ("left", "right"), ("--order",)),
+    ("bullet", ("left", "right"), ()),
+    ("commutator", ("left", "right"), ("--order",)),
+    ("trace", ("operand",), ()),
+    ("integrate", ("operand",), ()),
+    ("region", ("operand",), ("--lambda",)),
+    ("axioms", (), ("--order", "--product", "--degree")),
+    ("positivity", ("functional", "witnesses+"), ("--order", "--lambda", "--product")),
+    ("normalize", ("functional",), ("--order", "--lambda", "--product")),
+    ("eigencheck", ("xi", "value", "functional?"),
+     ("--kind", "--order", "--lambda", "--product", "--point", "--test-degree")),
+)
+
+_ORDER_DEFAULTS = {"axioms": 4, "normalize": 6}
+
+# the eigencheck arguments that only some kinds read, and what each kind reads
+_KIND_ARGS = (("--point", "point"), ("--lambda", "lam"), ("--test-degree", "test_degree"),
+              ("--order", "order"), ("--product", "product"), ("functional", "functional"))
+_KIND_READS = {"classical": {"point"},
+               "bullet": {"lam", "test_degree", "functional"},
+               "star": {"lam", "test_degree", "order", "product", "functional"}}
+
+
 def _make_parser():
     top = _Parser(prog="starforge", description="exact deformation-quantization toolkit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pairs", type=int, default=1, metavar="N",
-                        help="number of coordinate pairs (default 1)")
-    common.add_argument("--order", type=int, default=None, metavar="K",
-                        help="lam truncation order")
-    common.add_argument("--lambda", dest="lam", default=None, metavar="R",
-                        help="strict lambda value (exact rational)")
-    common.add_argument("--product", choices=("moyal", "bullet"),
-                        default="moyal", help="star family (default moyal)")
-    common.add_argument("--json", dest="full", action="store_true",
-                        help="emit the full report payload")
     sub = top.add_subparsers(dest="command", required=True)
-
-    for name in ("star", "bullet", "commutator"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("left")
-        p.add_argument("right")
-    for name in ("trace", "integrate", "region"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("operand")
-    p = sub.add_parser("axioms", parents=[common])
-    p.add_argument("--degree", type=int, default=3,
-                   help="generator degree bound (default 3)")
-    p = sub.add_parser("positivity", parents=[common])
-    p.add_argument("functional")
-    p.add_argument("witnesses", nargs="+")
-    p = sub.add_parser("normalize", parents=[common])
-    p.add_argument("functional")
-    p = sub.add_parser("eigencheck", parents=[common])
-    p.add_argument("xi")
-    p.add_argument("value")
-    p.add_argument("functional", nargs="?", default=None)
-    p.add_argument("--kind", choices=("classical", "bullet", "star"),
-                   default="star")
-    p.add_argument("--point", default=None, metavar="R,R",
-                   help="evaluation point for --kind classical")
-    p.add_argument("--test-degree", type=int, default=2, dest="test_degree",
-                   help="witness monomial degree bound (default 2)")
+    for name, positionals, options in _COMMANDS:
+        p = sub.add_parser(name)
+        for arg in positionals:
+            p.add_argument(arg.rstrip("?+"), nargs=arg[-1] if arg[-1] in "?+" else None)
+        for flag in ("--pairs",) + options + ("--json",):
+            spec = _OPTIONS[flag]
+            if flag == "--order" and name in _ORDER_DEFAULTS:
+                spec = dict(spec, default=_ORDER_DEFAULTS[name],
+                            help="lam truncation order (default %(default)s)")
+            p.add_argument(flag, **spec)
     return top
-
-
-def _binding(args):
-    if args.lam is None:
-        return FORMAL
-    try:
-        return LambdaBinding.strict(Fraction(args.lam))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise EngineError("bad --lambda value: %s" % exc)
 
 
 def run_command(argv):
@@ -565,12 +570,22 @@ def run_command(argv):
 
 def _dispatch(args):
     cmd = args.command
+    if cmd == "eigencheck":
+        for name, dest in _KIND_ARGS:
+            if getattr(args, dest) is not None and dest not in _KIND_READS[args.kind]:
+                raise UsageError("starforge eigencheck: --kind %s takes no %s" % (args.kind, name))
     try:
         ctx = PhaseContext(args.pairs)
     except ValueError as exc:
         raise EngineError(str(exc))
-    binding = _binding(args)
-    fam = bullet_family(ctx) if "bullet" in (cmd, args.product) else moyal_family(ctx)
+    binding = FORMAL        # also for the subcommands that take no --lambda
+    if getattr(args, "lam", None) is not None:
+        try:
+            binding = LambdaBinding.strict(Fraction(args.lam))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise EngineError("bad --lambda value: %s" % exc)
+    family = getattr(args, "product", None) or cmd
+    fam = bullet_family(ctx) if family == "bullet" else moyal_family(ctx)
 
     def fn(text):
         return lower_expression(parse_expression(text), ctx)
@@ -581,7 +596,8 @@ def _dispatch(args):
 
     if cmd in ("star", "bullet", "commutator"):
         product = star_commutator if cmd == "commutator" else star_mul
-        out = product(fam, fn(args.left), fn(args.right), args.order)
+        # bullet takes no --order: the pointwise product always terminates
+        out = product(fam, fn(args.left), fn(args.right), getattr(args, "order", None))
         payload = {"result": render_function(out)}
         if args.full:
             payload["series"] = fs_to_json(out)
@@ -599,7 +615,7 @@ def _dispatch(args):
         return {"area": report.area_str, "min": report.min_value_str}, 0
 
     if cmd == "axioms":
-        report = axiom_suite(fam, args.degree, 4 if args.order is None else args.order)
+        report = axiom_suite(fam, args.degree, args.order)
         failed = sorted(k for k, e in report.entries.items() if e["verdict"] == "fail")
         return _verdict(report, args.full, "pass" if report.passed else "fail",
                         report.passed, failed_axioms=failed)
@@ -613,14 +629,14 @@ def _dispatch(args):
                         negativity=report.negativity)
 
     if cmd == "normalize":
-        order = 6 if args.order is None else args.order
-        A, T = normalize_functional(fam, functional(args.functional), order)
+        A, T = normalize_functional(fam, functional(args.functional), args.order)
         payload = {"normalizer": render_scalar(A)}
         if args.full:
             payload["functional"] = T.to_json()
         return payload, 0
 
     # eigencheck
+    test_degree = 2 if args.test_degree is None else args.test_degree
     xi = fn(args.xi)
     a = function_to_scalar(fn(args.value))
     if a is None:
@@ -641,10 +657,10 @@ def _dispatch(args):
         raise EngineError("eigencheck needs a functional argument")
     elif args.kind == "bullet":
         report = eigencheck_bullet(xi, a, parse_functional(args.functional, ctx),
-                                   args.test_degree, binding=binding)
+                                   test_degree, binding=binding)
     else:
         report = eigencheck_star(fam, xi, a, parse_functional(args.functional, ctx),
-                                 args.test_degree, order=args.order, binding=binding)
+                                 test_degree, order=args.order, binding=binding)
     return _verdict(report, args.full, report.verdict, report.passed,
                     first_failure=report.first_failure)
 

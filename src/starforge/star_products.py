@@ -9,6 +9,7 @@ polynomial — that termination is what makes the oscillator checks exact.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, lcm
 
 from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ONE, Frozen,
@@ -26,12 +27,18 @@ class TruncationRequired(EngineError):
 
 
 def _multi_indices(total, slots):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _multi_indices(total - head, slots - 1):
-            yield (head,) + rest
+    # stars and bars: the slots - 1 bar cells among total + slots - 1, taken
+    # in lexicographic order, split total into parts in lexicographic order;
+    # a loop, not a recursion per slot, so any number of pairs enumerates
+    cells = total + slots - 1
+    for cuts in combinations(range(cells), slots - 1):
+        prev = -1
+        parts = []
+        for cut in cuts:
+            parts.append(cut - prev - 1)
+            prev = cut
+        parts.append(cells - 1 - prev)
+        yield tuple(parts)
 
 
 def _derivative(memo, beta, diff):

@@ -571,3 +571,261 @@ def test_help_still_prints_usage_and_exits_0():
     with pytest.raises(SystemExit) as stop:
         run_command(["--help"])
     assert stop.value.code == 0
+
+
+# ============================================================
+# The option grammar: each subcommand takes only the options it reads
+# ============================================================
+
+def _subparser_map():
+    import argparse
+
+    from starforge.cli_frontend import _make_parser
+
+    top = _make_parser()
+    return next(a for a in top._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _subparsers():
+    """{subcommand: its option strings beyond -h}, from the parser itself."""
+    return {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, p in _subparser_map().items()}
+
+
+OPTION_VALUES = {"--order": "2", "--lambda": "1", "--product": "moyal", "--degree": "1",
+                 "--kind": "star", "--point": "1,0", "--test-degree": "1"}
+
+# one valid argv per subcommand, and per eigencheck kind
+BASE = {
+    "star": ["star", "q", "p"],
+    "bullet": ["bullet", "q", "p"],
+    "commutator": ["commutator", "q", "p"],
+    "trace": ["trace", "gauss(1)"],
+    "integrate": ["integrate", "gauss(1)"],
+    "region": ["region", "q + I*p"],
+    "axioms": ["axioms", "--degree", "1", "--order", "1"],
+    "positivity": ["positivity", "delta(0,0)", "q + I*p"],
+    "normalize": ["normalize", "delta(0,0)"],
+    "eigencheck": ["eigencheck", "q", "1", "delta(1,0)", "--kind", "bullet"],
+}
+KIND_BASE = {
+    "classical": ["eigencheck", "q", "1", "--kind", "classical", "--point", "1,0"],
+    "bullet": BASE["eigencheck"],
+    "star": ["eigencheck", "q", "1", "delta(1,0)"],
+}
+# what each kind reads of eigencheck's row, with "functional" for its third operand
+KIND_READS = {
+    "classical": {"--point"},
+    "bullet": {"--lambda", "--test-degree", "functional"},
+    "star": {"--lambda", "--test-degree", "--order", "--product", "functional"},
+}
+KIND_ARGS = {"--order", "--lambda", "--product", "--point", "--test-degree", "functional"}
+
+
+def _with(kind, arg):
+    argv = list(KIND_BASE[kind])
+    if arg == "functional":
+        return argv[:3] + ["delta(1,0)"] + argv[3:]
+    return argv + [arg, OPTION_VALUES[arg]]
+
+
+def test_each_subcommand_takes_its_row_and_no_more():
+    rows = {name: opts - {"--pairs", "--json"} for name, opts in _subparsers().items()}
+    assert rows == {
+        "star": {"--order"}, "commutator": {"--order"},
+        "bullet": set(), "trace": set(), "integrate": set(),
+        "region": {"--lambda"},
+        "axioms": {"--order", "--product", "--degree"},
+        "positivity": {"--order", "--lambda", "--product"},
+        "normalize": {"--order", "--lambda", "--product"},
+        "eigencheck": {"--kind", "--order", "--lambda", "--product", "--point",
+                       "--test-degree"},
+    }
+    assert sum(len(opts) for opts in _subparsers().values()) == 38
+
+
+def test_the_bases_are_not_usage_errors(capsys):
+    for argv in list(BASE.values()) + list(KIND_BASE.values()):
+        res, out = go(capsys, *argv)
+        assert res.status in (0, 1), (argv, out)
+
+
+REJECTED = sorted((name, opt) for name, opts in _subparsers().items()
+                  for opt in set(OPTION_VALUES) - opts)
+KIND_REJECTED = sorted((kind, arg) for kind in KIND_READS
+                       for arg in KIND_ARGS - KIND_READS[kind])
+
+
+def _usage_error(capsys, argv):
+    res, out = go(capsys, *argv)
+    assert res.status == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "UsageError"
+    assert capsys.readouterr().err == ""
+    return json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("name,opt", REJECTED, ids=["%s %s" % c for c in REJECTED])
+def test_an_option_outside_the_row_is_a_usage_error(capsys, name, opt):
+    msg = _usage_error(capsys, BASE[name] + [opt, OPTION_VALUES[opt]])
+    assert msg == "starforge: unrecognized arguments: %s %s" % (opt, OPTION_VALUES[opt])
+
+
+@pytest.mark.parametrize("kind,arg", KIND_REJECTED, ids=["%s %s" % c for c in KIND_REJECTED])
+def test_an_argument_outside_the_kind_is_a_usage_error(capsys, kind, arg):
+    msg = _usage_error(capsys, _with(kind, arg))
+    assert msg == "starforge eigencheck: --kind %s takes no %s" % (kind, arg)
+
+
+def test_eigencheck_rules_come_before_any_expression_is_parsed(capsys):
+    msg = _usage_error(capsys, ["eigencheck", "q +*", "1", "zzz", "--kind", "classical",
+                                "--point", "1,0"])
+    assert msg == "starforge eigencheck: --kind classical takes no functional"
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "q", "p", "--lambda", "1"],
+    ["bullet", "q", "p", "--product", "moyal"],
+    ["region", "q + I*p", "--product", "bullet"],
+    ["trace", "gauss(1)", "--lambda", "1"],
+    ["integrate", "gauss(1)", "--product", "bullet", "--order", "3"],
+    ["axioms", "--degree", "1", "--order", "1", "--lambda", "3"],
+    ["eigencheck", "q", "1", "--kind", "classical", "--point", "1,0", "--order", "5",
+     "--product", "bullet"],
+    ["bullet", "q", "p", "--order", "2"],
+    ["star", "q", "p", "--product", "bullet"],
+    ["commutator", "q", "p", "--product", "bullet"],
+    ["trace", "gauss(1)", "--product", "bullet"],
+    ["eigencheck", "q", "1", "zzz", "--kind", "classical", "--point", "1,0"],
+])
+def test_once_ignored_options_are_usage_errors(capsys, argv):
+    _usage_error(capsys, argv)
+
+
+def test_an_unread_option_exits_2_without_a_traceback():
+    proc = _run_proc([sys.executable, "-m", "starforge", "eigencheck", "q", "1", "zzz",
+                      "--kind", "classical", "--point", "1,0"])
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout) == {"error": {
+        "message": "starforge eigencheck: --kind classical takes no functional",
+        "type": "UsageError"}}
+
+
+# For every option a subcommand takes: two argv that differ only in that
+# option, and whose stdout differs, so no row names an option _dispatch ignores.
+# None leaves the option out; True passes a flag without a value.
+_OSC = ["eigencheck", "1/2 * (q^2 + p^2)", "1/2 * lam", "density(gauss(1))"]
+READ = {
+    ("star", "--pairs"): (["star", "gauss(1)", "gauss(1)", "--order", "2"], None, "2"),
+    ("star", "--order"): (["star", "gauss(1)", "gauss(1)"], "1", "2"),
+    ("star", "--json"): (["star", "q", "p"], None, True),
+    ("bullet", "--pairs"): (["bullet", "q1", "p1", "--json"], None, "2"),
+    ("bullet", "--json"): (["bullet", "q", "p"], None, True),
+    ("commutator", "--pairs"): (["commutator", "q2", "p2"], None, "2"),
+    ("commutator", "--order"): (["commutator", "q*gauss(1)", "gauss(1)"], "1", "2"),
+    ("commutator", "--json"): (["commutator", "q", "p"], None, True),
+    ("trace", "--pairs"): (["trace", "gauss(1)"], None, "2"),
+    ("trace", "--json"): (["trace", "gauss(1)"], None, True),
+    ("integrate", "--pairs"): (["integrate", "gauss(1)"], None, "2"),
+    ("integrate", "--json"): (["integrate", "gauss(1)"], None, True),
+    ("region", "--pairs"): (["region", "q1 + I*p1"], None, "2"),
+    ("region", "--lambda"): (["region", "(q - 1) + 2*I*(p + 1/2)"], None, "1/3"),
+    ("region", "--json"): (["region", "q + I*p"], None, True),
+    ("axioms", "--pairs"): (["axioms", "--degree", "1", "--order", "1", "--json"], None, "2"),
+    ("axioms", "--order"): (["axioms", "--degree", "1", "--json"], "1", "2"),
+    ("axioms", "--product"): (["axioms", "--degree", "1", "--order", "1"], None, "bullet"),
+    ("axioms", "--degree"): (["axioms", "--order", "1", "--json"], "1", "2"),
+    ("axioms", "--json"): (["axioms", "--degree", "1", "--order", "1"], None, True),
+    ("positivity", "--pairs"): (["positivity", "delta()", "q1 + I*p1"], None, "2"),
+    ("positivity", "--order"): (["positivity", "density(gauss(1))", "gauss(1)"], "2", "3"),
+    ("positivity", "--lambda"): (["positivity", "delta(0,0)", "q + I*p"], None, "1/2"),
+    ("positivity", "--product"): (["positivity", "delta(0,0)", "q + I*p"], None, "bullet"),
+    ("positivity", "--json"): (["positivity", "delta(0,0)", "q + I*p"], None, True),
+    ("normalize", "--pairs"): (["normalize", "density(gauss(1))"], None, "2"),
+    ("normalize", "--order"): (["normalize", "wigner(2)", "--lambda", "1"], "2", "3"),
+    ("normalize", "--lambda"): (["normalize", "wigner(1)"], "1", "2"),
+    ("normalize", "--product"): (["normalize", "density(gauss(1))"], None, "bullet"),
+    ("normalize", "--json"): (["normalize", "delta(0,0)"], None, True),
+    ("eigencheck", "--pairs"): (["eigencheck", "1/2 * (q1^2 + p1^2)", "1/2 * lam",
+                                 "density(gauss(1))", "--lambda", "1", "--json"], None, "2"),
+    ("eigencheck", "--kind"): (_OSC + ["--lambda", "1"], None, "bullet"),
+    ("eigencheck", "--order"): (_OSC + ["--lambda", "1", "--json"], None, "2"),
+    ("eigencheck", "--lambda"): (_OSC, "1", "2"),
+    ("eigencheck", "--product"): (_OSC + ["--lambda", "1"], None, "bullet"),
+    ("eigencheck", "--point"): (["eigencheck", "q", "1", "--kind", "classical"], "1,0", "2,0"),
+    ("eigencheck", "--test-degree"): (KIND_BASE["star"] + ["--json"], "1", "2"),
+    ("eigencheck", "--json"): (KIND_BASE["star"], None, True),
+}
+
+
+def _set(argv, opt, value):
+    if value is None:
+        return list(argv)
+    return list(argv) + ([opt] if value is True else [opt, value])
+
+
+def test_every_option_in_a_row_has_a_read_case():
+    assert set(READ) == {(name, opt) for name, opts in _subparsers().items() for opt in opts}
+
+
+@pytest.mark.parametrize("name,opt", sorted(READ), ids=["%s %s" % c for c in sorted(READ)])
+def test_every_option_in_a_row_changes_the_output(capsys, name, opt):
+    base, first, second = READ[(name, opt)]
+    outs = [go(capsys, *_set(base, opt, value))[1] for value in (first, second)]
+    assert outs[0] != outs[1]
+
+
+# the same for what each eigencheck kind reads, the functional included, as
+# the two argv whose stdout must differ
+_CLASSICAL = ["eigencheck", "q", "1", "--kind", "classical"]
+_BULLET = ["eigencheck", "1", "lam", "delta(0,0)", "--kind", "bullet", "--json"]
+_STAR = _OSC + ["--lambda", "1", "--json"]
+KIND_READ = {
+    ("classical", "--point"): (_CLASSICAL + ["--point", "1,0"], _CLASSICAL + ["--point", "2,0"]),
+    ("bullet", "--lambda"): (_BULLET, _BULLET + ["--lambda", "1"]),
+    ("bullet", "--test-degree"): (_BULLET + ["--test-degree", "1"],
+                                  _BULLET + ["--test-degree", "2"]),
+    ("bullet", "functional"): (["eigencheck", "q", "1", "delta(1,0)", "--kind", "bullet"],
+                               ["eigencheck", "q", "1", "delta(2,0)", "--kind", "bullet"]),
+    ("star", "--lambda"): (_OSC + ["--lambda", "1"], _OSC + ["--lambda", "2"]),
+    ("star", "--test-degree"): (_STAR + ["--test-degree", "1"], _STAR + ["--test-degree", "2"]),
+    ("star", "--order"): (_STAR + ["--order", "1"], _STAR + ["--order", "2"]),
+    ("star", "--product"): (_STAR + ["--product", "moyal"], _STAR + ["--product", "bullet"]),
+    ("star", "functional"): (_OSC + ["--lambda", "1"],
+                             _OSC[:3] + ["delta(0,0)", "--lambda", "1"]),
+}
+
+
+def test_every_kind_read_has_a_case():
+    assert set(KIND_READ) == {(kind, arg) for kind in KIND_READS for arg in KIND_READS[kind]}
+
+
+@pytest.mark.parametrize("kind,arg", sorted(KIND_READ),
+                         ids=["%s %s" % c for c in sorted(KIND_READ)])
+def test_every_argument_a_kind_reads_changes_the_output(capsys, kind, arg):
+    first, second = KIND_READ[(kind, arg)]
+    assert go(capsys, *first)[1] != go(capsys, *second)[1]
+
+
+def test_readme_lists_the_option_rows_of_the_parser():
+    import re
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        rows = {m.group(1): set(re.findall(r"`(--[a-z-]+)", m.group(2)))
+                for m in re.finditer(r"^- `(\w+)[^`]*`: (.*)$", fh.read(), re.M)}
+    assert rows == {name: opts - {"--pairs", "--json"} for name, opts in _subparsers().items()}
+
+
+def test_help_states_the_defaults():
+    def help_of(name, flag):
+        parser = _subparser_map()[name]
+        action = next(a for a in parser._actions if flag in a.option_strings)
+        return action.help % {"default": action.default}
+
+    for name, order in (("axioms", 4), ("normalize", 6)):
+        assert _subparser_map()[name].get_default("order") == order
+        assert help_of(name, "--order") == "lam truncation order (default %d)" % order
+    assert help_of("star", "--order") == "lam truncation order"
+    assert help_of("eigencheck", "--test-degree") == "witness monomial degree bound (default 2)"

@@ -859,3 +859,33 @@ def test_every_counterexample_is_a_real_one(name):
         diff = _difference(S, axiom, [_input(s) for s in ce["inputs"]], k)
         assert diff, (name, axiom)
         assert str(diff) == ce["difference"], (name, axiom)
+
+
+# ============================================================
+# Multi-index enumeration: lexicographic order, no recursion per slot
+# ============================================================
+
+@pytest.mark.parametrize("total,slots", [(t, s) for t in range(6) for s in range(1, 6)])
+def test_multi_indices_are_the_sorted_compositions(total, slots):
+    from itertools import product
+
+    from starforge.star_products import _multi_indices
+
+    want = sorted(x for x in product(range(total + 1), repeat=slots) if sum(x) == total)
+    assert list(_multi_indices(total, slots)) == want
+
+
+def test_multi_indices_take_any_number_of_slots():
+    from starforge.star_products import _multi_indices
+
+    assert list(_multi_indices(0, 5000)) == [(0,) * 5000]
+    ones = list(_multi_indices(1, 1500))
+    assert ones == [(0,) * i + (1,) + (0,) * (1499 - i) for i in range(1499, -1, -1)]
+
+
+def test_a_product_in_many_pairs_needs_no_deep_recursion():
+    # the Moyal tables enumerate multi-indices over n slots for n pairs
+    ctx = PhaseContext(1000)
+    q1 = FormalFunction.of(GaussPoly.coordinate(ctx, "q1"))
+    p1 = FormalFunction.of(GaussPoly.coordinate(ctx, "p1"))
+    assert render_function(star_mul(moyal_family(ctx), q1, p1)) == "q1*p1 + 1/2*I*lam"
