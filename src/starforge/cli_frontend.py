@@ -509,30 +509,31 @@ _OPTIONS = {
     "--json": dict(dest="full", action="store_true", help="emit the full report payload"),
 }
 
-# (subcommand, positionals, the options _dispatch reads beyond --pairs and --json);
+# (subcommand, positionals, the options _dispatch reads beyond --json);
 # a trailing ? or + is argparse's nargs.  README's "Command line" lists the rows.
 _COMMANDS = (
-    ("star", ("left", "right"), ("--order",)),
-    ("bullet", ("left", "right"), ()),
-    ("commutator", ("left", "right"), ("--order",)),
-    ("trace", ("operand",), ()),
-    ("integrate", ("operand",), ()),
+    ("star", ("left", "right"), ("--pairs", "--order")),
+    ("bullet", ("left", "right"), ("--pairs",)),
+    ("commutator", ("left", "right"), ("--pairs", "--order")),
+    ("trace", ("operand",), ("--pairs",)),
+    ("integrate", ("operand",), ("--pairs",)),
     ("region", ("operand",), ("--lambda",)),
-    ("axioms", (), ("--order", "--product", "--degree")),
-    ("positivity", ("functional", "witnesses+"), ("--order", "--lambda", "--product")),
-    ("normalize", ("functional",), ("--order", "--lambda", "--product")),
+    ("axioms", (), ("--pairs", "--order", "--product", "--degree")),
+    ("positivity", ("functional", "witnesses+"),
+     ("--pairs", "--order", "--lambda", "--product")),
+    ("normalize", ("functional",), ("--pairs", "--order", "--lambda")),
     ("eigencheck", ("xi", "value", "functional?"),
-     ("--kind", "--order", "--lambda", "--product", "--point", "--test-degree")),
+     ("--pairs", "--kind", "--order", "--lambda", "--point", "--test-degree")),
 )
 
 _ORDER_DEFAULTS = {"axioms": 4, "normalize": 6}
 
 # the eigencheck arguments that only some kinds read, and what each kind reads
 _KIND_ARGS = (("--point", "point"), ("--lambda", "lam"), ("--test-degree", "test_degree"),
-              ("--order", "order"), ("--product", "product"), ("functional", "functional"))
+              ("--order", "order"), ("functional", "functional"))
 _KIND_READS = {"classical": {"point"},
                "bullet": {"lam", "test_degree", "functional"},
-               "star": {"lam", "test_degree", "order", "product", "functional"}}
+               "star": {"lam", "test_degree", "order", "functional"}}
 
 
 def _make_parser():
@@ -542,7 +543,7 @@ def _make_parser():
         p = sub.add_parser(name)
         for arg in positionals:
             p.add_argument(arg.rstrip("?+"), nargs=arg[-1] if arg[-1] in "?+" else None)
-        for flag in ("--pairs",) + options + ("--json",):
+        for flag in options + ("--json",):
             spec = _OPTIONS[flag]
             if flag == "--order" and name in _ORDER_DEFAULTS:
                 spec = dict(spec, default=_ORDER_DEFAULTS[name],
@@ -575,7 +576,7 @@ def _dispatch(args):
             if getattr(args, dest) is not None and dest not in _KIND_READS[args.kind]:
                 raise UsageError("starforge eigencheck: --kind %s takes no %s" % (args.kind, name))
     try:
-        ctx = PhaseContext(args.pairs)
+        ctx = PhaseContext(getattr(args, "pairs", 1))
     except ValueError as exc:
         raise EngineError(str(exc))
     binding = FORMAL        # also for the subcommands that take no --lambda

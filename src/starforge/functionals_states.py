@@ -378,22 +378,16 @@ def _star_action_adjoint(S, T, F, order=None):
     # <T, F>_* = lam^(-n) sum_k lam^k sum_(c,dl,dr) c (-1)^|dr| <T, d^(dl+dr) F>
     F = _as_function(S.ctx, F)
     n = S.ctx.n
-    if order is None:
-        # the family's own termination rule, driven by the function side only
-        # (the functional side is opaque, so both slots get the same factor)
-        k_stop = 0
-        for gs in F.coeffs:
-            if not gs:
-                continue
-            b = S.termination_bound(gs, gs)
-            if b == UNBOUNDED:
-                raise TruncationRequired(
-                    "star pairing does not terminate here; pass a truncation order")
-            k_stop = max(k_stop, b)
-    else:
-        k_stop = order + n - T.valuation - F.valuation
-        if k_stop < 0:
-            k_stop = 0
+    # the family's own termination rule, driven by the function side only
+    # (the functional side is opaque, so both slots get the same factor); as
+    # in star_mul, a pairing that terminates is exact whatever the order
+    k_stop = max((S.termination_bound(gs, gs) for gs in F.coeffs if gs), default=0)
+    unbounded = k_stop == UNBOUNDED
+    if unbounded:
+        if order is None:
+            raise TruncationRequired(
+                "star pairing does not terminate here; pass a truncation order")
+        k_stop = max(order + n - T.valuation - F.valuation, 0)
     total = FormalScalar.zero()
     # d^beta F by multi-index, shared by every term and order
     derivs = {(0,) * S.ctx.dim: F}
@@ -408,9 +402,7 @@ def _star_action_adjoint(S, T, F, order=None):
         if piece is not None:
             total = total + piece.shift(k)
     total = total.shift(-n)
-    if order is not None:
-        total = total.truncate(order)
-    return total
+    return total.truncate(order) if unbounded else total
 
 
 # ============================================================
@@ -455,7 +447,7 @@ def _bullet_term_mul(ctx, gs, term):
     return out
 
 
-def func_mul(S, side, xi, T, order=None):
+def func_mul(S, side, xi, T):
     """Multiply a functional by a function on the given side.
 
     side "bullet" materializes the pointwise product as a new functional;

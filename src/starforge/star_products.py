@@ -502,21 +502,21 @@ def axiom_suite(S, degree_bound, order_bound):
              "generators": len(gens)}
     entries = {}
 
-    def fail(axiom, inputs, k, diff):
-        entries[axiom] = {
-            "verdict": "fail",
-            "scope": scope,
-            "counterexample": {
-                "inputs": [render_gausspoly(x) if isinstance(x, GaussPoly) else str(x)
-                           for x in inputs],
-                "order": k,
-                "difference": str(diff),
-            },
-        }
-
-    def ok(axiom):
-        if axiom not in entries:
-            entries[axiom] = {"verdict": "pass", "scope": scope, "counterexample": None}
+    def record(axiom, search):
+        # the first (inputs, order, difference) the search yields fails the axiom
+        for inputs, k, diff in search:
+            entries[axiom] = {
+                "verdict": "fail",
+                "scope": scope,
+                "counterexample": {
+                    "inputs": [render_gausspoly(x) if isinstance(x, GaussPoly) else str(x)
+                               for x in inputs],
+                    "order": k,
+                    "difference": str(diff),
+                },
+            }
+            return
+        entries[axiom] = {"verdict": "pass", "scope": scope, "counterexample": None}
 
     # the orders whose operator table is not empty; B is zero at the others
     live = [m for m in range(order_bound + 1) if S.terms(m)]
@@ -533,124 +533,103 @@ def axiom_suite(S, degree_bound, order_bound):
         return pairs[key]
 
     # axiom 1: bilinearity over the coefficient field
-    c = ExactComplex(2, 1)
-    # c*f + g, shared by every order
-    mixes = [[f.scale(c) + g for g in gens] for f in gens]
-    for k in live:
-        if 1 in entries:
-            break
-        for fi, f in enumerate(gens):
-            if 1 in entries:
-                break
-            for gi, g in enumerate(gens):
-                hi = (gi + 1) % len(gens)
-                h = gens[hi]
-                mixed = mixes[fi][gi]
-                lhs = S.B(k, mixed, h, tables)
-                rhs = pair(k, fi, hi).scale(c) + pair(k, gi, hi)
-                if lhs != rhs:
-                    fail(1, [f, g, h], k, lhs - rhs)
-                    break
-                lhs = S.B(k, h, mixed, tables)
-                rhs = pair(k, hi, fi).scale(c) + pair(k, hi, gi)
-                if lhs != rhs:
-                    fail(1, [h, f, g], k, lhs - rhs)
-                    break
-    ok(1)
+    def bilinearity():
+        c = ExactComplex(2, 1)
+        # c*f + g, shared by every order
+        mixes = [[f.scale(c) + g for g in gens] for f in gens]
+        for k in live:
+            for fi, f in enumerate(gens):
+                for gi, g in enumerate(gens):
+                    hi = (gi + 1) % len(gens)
+                    h = gens[hi]
+                    mixed = mixes[fi][gi]
+                    lhs = S.B(k, mixed, h, tables)
+                    rhs = pair(k, fi, hi).scale(c) + pair(k, gi, hi)
+                    if lhs != rhs:
+                        yield [f, g, h], k, lhs - rhs
+                    lhs = S.B(k, h, mixed, tables)
+                    rhs = pair(k, hi, fi).scale(c) + pair(k, hi, gi)
+                    if lhs != rhs:
+                        yield [h, f, g], k, lhs - rhs
+    record(1, bilinearity())
 
     # axiom 2: locality — certified structurally
     entries[2] = {"verdict": "by_construction", "scope": scope, "counterexample": None,
                   "note": "operators are finite derivative combinations; supports cannot grow"}
 
     # axiom 3: associativity order by order
-    for k in range(order_bound + 1):
-        if 3 in entries:
-            break
-        orders = [l for l in live if l <= k]
-        # ops[a][b]: the live l <= k with their nonzero B_(k-l)(gens[a], gens[b])
-        ops = [[[(l, x) for l in orders for x in (pair(k - l, a, b),) if x]
-                for b in range(len(gens))] for a in range(len(gens))]
-        for fi, f in enumerate(gens):
-            if 3 in entries:
-                break
-            for gi, g in enumerate(gens):
-                if 3 in entries:
-                    break
-                fg = ops[fi][gi]
-                for hi, h in enumerate(gens):
-                    lhs, rhs = {}, {}
-                    for l, x in fg:
-                        S.B_into(lhs, l, x, h, tables)
-                    for l, y in ops[gi][hi]:
-                        S.B_into(rhs, l, f, y, tables)
-                    if lhs != rhs:
-                        left, right = _sum_of(ctx, lhs), _sum_of(ctx, rhs)
-                        if left != right:
-                            fail(3, [f, g, h], k, left - right)
-                            break
-    ok(3)
+    def associativity():
+        for k in range(order_bound + 1):
+            orders = [l for l in live if l <= k]
+            # ops[a][b]: the live l <= k with their nonzero B_(k-l)(gens[a], gens[b])
+            ops = [[[(l, x) for l in orders for x in (pair(k - l, a, b),) if x]
+                    for b in range(len(gens))] for a in range(len(gens))]
+            for fi, f in enumerate(gens):
+                for gi, g in enumerate(gens):
+                    fg = ops[fi][gi]
+                    for hi, h in enumerate(gens):
+                        lhs, rhs = {}, {}
+                        for l, x in fg:
+                            S.B_into(lhs, l, x, h, tables)
+                        for l, y in ops[gi][hi]:
+                            S.B_into(rhs, l, f, y, tables)
+                        if lhs != rhs:
+                            left, right = _sum_of(ctx, lhs), _sum_of(ctx, rhs)
+                            if left != right:
+                                yield [f, g, h], k, left - right
+    record(3, associativity())
 
     # axiom 4: B_0 is the pointwise product
-    for fi, f in enumerate(gens):
-        if 4 in entries:
-            break
-        for gi, g in enumerate(gens):
-            got = pair(0, fi, gi)
-            want = GaussSum.of(f * g)
-            if got != want:
-                fail(4, [f, g], 0, got - want)
-                break
-    ok(4)
+    def pointwise():
+        for fi, f in enumerate(gens):
+            for gi, g in enumerate(gens):
+                got = pair(0, fi, gi)
+                want = GaussSum.of(f * g)
+                if got != want:
+                    yield [f, g], 0, got - want
+    record(4, pointwise())
 
     # axiom 5: the constant 1 is the identity
-    for f in gens:
-        if 5 in entries:
-            break
-        want = GaussSum.of(f)
-        for k in range(order_bound + 1):
-            if k in live:
-                left = S.B(k, one, f, tables) - want
-                right = S.B(k, f, one, tables) - want
-            else:
-                left = right = -want
-            if left or right:
-                fail(5, [f], k, left or right)
-                break
-            want = zero
-    ok(5)
+    def identity():
+        for f in gens:
+            want = GaussSum.of(f)
+            for k in range(order_bound + 1):
+                if k in live:
+                    left = S.B(k, one, f, tables) - want
+                    right = S.B(k, f, one, tables) - want
+                else:
+                    left = right = -want
+                if left or right:
+                    yield [f], k, left or right
+                want = zero
+    record(5, identity())
 
     # axiom 6: first-order commutator is i times the Poisson bracket
-    for fi, f in enumerate(gens):
-        if 6 in entries:
-            break
-        for gi, g in enumerate(gens):
-            got = pair(1, fi, gi) - pair(1, gi, fi)
-            want = GaussSum.of(gp_poisson(f, g).scale(i_unit))
-            if got != want:
-                fail(6, [f, g], 1, got - want)
-                break
-    ok(6)
+    def bracket():
+        for fi, f in enumerate(gens):
+            for gi, g in enumerate(gens):
+                got = pair(1, fi, gi) - pair(1, gi, fi)
+                want = GaussSum.of(gp_poisson(f, g).scale(i_unit))
+                if got != want:
+                    yield [f, g], 1, got - want
+    record(6, bracket())
 
     # axiom 7: Hermiticity conj(B_k(f,g)) = B_k(conj g, conj f)
-    complex_gens = gens + [f + g.scale(i_unit) for f, g in zip(gens, gens[1:])]
-    conj_gens = [f.conj() for f in complex_gens]
-    for k in live:
-        if 7 in entries:
-            break
-        for fi, f in enumerate(complex_gens):
-            if 7 in entries:
-                break
-            for gi, g in enumerate(complex_gens):
-                got, want = {}, {}
-                S.B_into(got, k, f, g, tables)
-                S.B_into(want, k, conj_gens[gi], conj_gens[fi], tables)
-                if not (got or want):
-                    continue
-                got, want = _sum_of(ctx, got).conj(), _sum_of(ctx, want)
-                if got != want:
-                    fail(7, [f, g], k, got - want)
-                    break
-    ok(7)
+    def hermiticity():
+        complex_gens = gens + [f + g.scale(i_unit) for f, g in zip(gens, gens[1:])]
+        conj_gens = [f.conj() for f in complex_gens]
+        for k in live:
+            for fi, f in enumerate(complex_gens):
+                for gi, g in enumerate(complex_gens):
+                    got, want = {}, {}
+                    S.B_into(got, k, f, g, tables)
+                    S.B_into(want, k, conj_gens[gi], conj_gens[fi], tables)
+                    if not (got or want):
+                        continue
+                    got, want = _sum_of(ctx, got).conj(), _sum_of(ctx, want)
+                    if got != want:
+                        yield [f, g], k, got - want
+    record(7, hermiticity())
 
     # axiom 8: bidifferential — certified structurally
     entries[8] = {"verdict": "by_construction", "scope": scope, "counterexample": None,
@@ -664,10 +643,10 @@ def axiom_suite(S, degree_bound, order_bound):
         right = max((sum(dr) for _, _, dr in terms), default=0)
         orders[k] = (left, right)
         if left > k or right > k:
-            fail(9, ["operator table"], k,
-                 "left order %d / right order %d exceeds %d" % (left, right, k))
+            record(9, [(["operator table"], k,
+                        "left order %d / right order %d exceeds %d" % (left, right, k))])
             break
-    if 9 not in entries:
+    else:
         entries[9] = {"verdict": "pass", "scope": scope, "counterexample": None,
                       "measured_orders": {str(k): list(v) for k, v in orders.items()}}
 

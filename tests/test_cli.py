@@ -617,9 +617,9 @@ KIND_BASE = {
 KIND_READS = {
     "classical": {"--point"},
     "bullet": {"--lambda", "--test-degree", "functional"},
-    "star": {"--lambda", "--test-degree", "--order", "--product", "functional"},
+    "star": {"--lambda", "--test-degree", "--order", "functional"},
 }
-KIND_ARGS = {"--order", "--lambda", "--product", "--point", "--test-degree", "functional"}
+KIND_ARGS = {"--order", "--lambda", "--point", "--test-degree", "functional"}
 
 
 def _with(kind, arg):
@@ -637,11 +637,11 @@ def test_each_subcommand_takes_its_row_and_no_more():
         "region": {"--lambda"},
         "axioms": {"--order", "--product", "--degree"},
         "positivity": {"--order", "--lambda", "--product"},
-        "normalize": {"--order", "--lambda", "--product"},
-        "eigencheck": {"--kind", "--order", "--lambda", "--product", "--point",
-                       "--test-degree"},
+        "normalize": {"--order", "--lambda"},
+        "eigencheck": {"--kind", "--order", "--lambda", "--point", "--test-degree"},
     }
-    assert sum(len(opts) for opts in _subparsers().values()) == 38
+    assert "--pairs" not in _subparsers()["region"]
+    assert sum(len(opts) for opts in _subparsers().values()) == 35
 
 
 def test_the_bases_are_not_usage_errors(capsys):
@@ -697,9 +697,23 @@ def test_eigencheck_rules_come_before_any_expression_is_parsed(capsys):
     ["commutator", "q", "p", "--product", "bullet"],
     ["trace", "gauss(1)", "--product", "bullet"],
     ["eigencheck", "q", "1", "zzz", "--kind", "classical", "--point", "1,0"],
+    # inert or a duplicate of another argv once pairings terminate exactly
+    ["eigencheck", "q", "1+lam^3", "delta(1,0)", "--product", "bullet", "--order", "1"],
+    ["eigencheck", "q", "1", "delta(1,0)", "--product", "moyal"],
+    ["normalize", "delta(0,0)", "--product", "bullet"],
+    ["region", "q + I*p", "--pairs", "1"],
 ])
 def test_once_ignored_options_are_usage_errors(capsys, argv):
     _usage_error(capsys, argv)
+
+
+def test_a_terminating_bullet_pairing_is_not_cut_at_the_order(capsys):
+    # <delta - lam^3 delta, 1>_* = lam^-1 - lam^2 is negative at lambda = 2
+    res, out = go(capsys, "positivity", "delta(0,0)-lam^3*delta(0,0)", "1",
+                  "--product", "bullet", "--order", "1")
+    assert res.status == 1
+    assert json.loads(out) == {"verdict": "negative", "negativity": {
+        "lambda": "2", "value": "lam^-1 - lam^2", "witness": "1"}}
 
 
 def test_an_unread_option_exits_2_without_a_traceback():
@@ -728,7 +742,6 @@ READ = {
     ("trace", "--json"): (["trace", "gauss(1)"], None, True),
     ("integrate", "--pairs"): (["integrate", "gauss(1)"], None, "2"),
     ("integrate", "--json"): (["integrate", "gauss(1)"], None, True),
-    ("region", "--pairs"): (["region", "q1 + I*p1"], None, "2"),
     ("region", "--lambda"): (["region", "(q - 1) + 2*I*(p + 1/2)"], None, "1/3"),
     ("region", "--json"): (["region", "q + I*p"], None, True),
     ("axioms", "--pairs"): (["axioms", "--degree", "1", "--order", "1", "--json"], None, "2"),
@@ -744,14 +757,12 @@ READ = {
     ("normalize", "--pairs"): (["normalize", "density(gauss(1))"], None, "2"),
     ("normalize", "--order"): (["normalize", "wigner(2)", "--lambda", "1"], "2", "3"),
     ("normalize", "--lambda"): (["normalize", "wigner(1)"], "1", "2"),
-    ("normalize", "--product"): (["normalize", "density(gauss(1))"], None, "bullet"),
     ("normalize", "--json"): (["normalize", "delta(0,0)"], None, True),
     ("eigencheck", "--pairs"): (["eigencheck", "1/2 * (q1^2 + p1^2)", "1/2 * lam",
                                  "density(gauss(1))", "--lambda", "1", "--json"], None, "2"),
     ("eigencheck", "--kind"): (_OSC + ["--lambda", "1"], None, "bullet"),
     ("eigencheck", "--order"): (_OSC + ["--lambda", "1", "--json"], None, "2"),
     ("eigencheck", "--lambda"): (_OSC, "1", "2"),
-    ("eigencheck", "--product"): (_OSC + ["--lambda", "1"], None, "bullet"),
     ("eigencheck", "--point"): (["eigencheck", "q", "1", "--kind", "classical"], "1,0", "2,0"),
     ("eigencheck", "--test-degree"): (KIND_BASE["star"] + ["--json"], "1", "2"),
     ("eigencheck", "--json"): (KIND_BASE["star"], None, True),
@@ -790,7 +801,6 @@ KIND_READ = {
     ("star", "--lambda"): (_OSC + ["--lambda", "1"], _OSC + ["--lambda", "2"]),
     ("star", "--test-degree"): (_STAR + ["--test-degree", "1"], _STAR + ["--test-degree", "2"]),
     ("star", "--order"): (_STAR + ["--order", "1"], _STAR + ["--order", "2"]),
-    ("star", "--product"): (_STAR + ["--product", "moyal"], _STAR + ["--product", "bullet"]),
     ("star", "functional"): (_OSC + ["--lambda", "1"],
                              _OSC[:3] + ["delta(0,0)", "--lambda", "1"]),
 }

@@ -27,6 +27,8 @@ from starforge import (
     PhaseContext,
     PiScalar,
     PointDeriv,
+    StarFamily,
+    TruncationRequired,
     bind_functional,
     bullet_family,
     coeff_sign,
@@ -316,23 +318,27 @@ def test_moyal_reduction_identity(rng):
         assert slow == fast
 
 
+def _real_b1(k, ctx):
+    # B_1 = (1/2)(f_q g_p - f_p g_q), first order; Moyal's B_k otherwise
+    if k == 1:
+        half = ExactComplex(Fraction(1, 2))
+        return ((half, (1, 0), (0, 1)), (-half, (0, 1), (1, 0)))
+    return MOYAL.terms(k)
+
+
+# a family that is not Moyal, so it pairs through _star_action_adjoint
+REAL_B1 = StarFamily("real_b1", CTX, _real_b1)
+
+
 def test_the_adjoint_pairing_takes_each_derivative_once(rng, monkeypatch):
     # a family that is not Moyal pairs by parts: the sum over the terms
     # (c, dl, dr) of B_k of c (-1)^|dr| lam^(k-n) <T, d^(dl+dr) F>.  Its
     # derivatives are memoised by multi-index, so a degree-3 F takes the
     # nine d^beta on the prefix chains of (1,1), (2,2) and (3,3) once each
     import starforge.functionals_states as fsmod
-    from starforge import StarFamily, fs_diff
+    from starforge import fs_diff
 
-    half = ExactComplex(Fraction(1, 2))
-
-    def real_b1(k, ctx):
-        # B_1 = (1/2)(f_q g_p - f_p g_q), first order; Moyal's B_k otherwise
-        if k == 1:
-            return ((half, (1, 0), (0, 1)), (-half, (0, 1), (1, 0)))
-        return MOYAL.terms(k)
-
-    S = StarFamily("real_b1", CTX, real_b1)
+    S = REAL_B1
     F = fn(Q * Q * P + P * P * P.scale(3) + Q.scale(EC_I) + GaussPoly.constant(CTX, 2))
     diffs = []
     monkeypatch.setattr(fsmod, "fs_diff", lambda u, i: diffs.append(i) or fs_diff(u, i))
@@ -367,6 +373,53 @@ def test_the_moyal_shortcut_follows_the_operator_table_not_the_name():
         assert func_star_action(S, DELTA, fn(Q * P)) == want
     renamed = StarFamily("other", CTX, MOYAL._term_fn)
     assert func_star_action(renamed, DELTA, fn(Q * P)) == func_action(DELTA, fn(Q * P)).shift(-1)
+
+
+def test_a_terminating_adjoint_pairing_is_exact_whatever_the_order():
+    # a polynomial ends the expansion at k = 3, so an order below that cuts nothing
+    F = fn(Q * Q * P + P * P * P.scale(3) + Q.scale(EC_I) + GaussPoly.constant(CTX, 2))
+    T = FormalFunctional.delta(CTX, (1, 2))
+    exact = func_star_action(REAL_B1, T, F)
+    assert exact.tail is None
+    for order in (-1, 0, 1, 5):
+        got = func_star_action(REAL_B1, T, F, order)
+        assert got.tail is None
+        assert render_scalar(got) == render_scalar(exact)
+
+
+def test_a_gaussian_adjoint_pairing_is_still_truncated():
+    F = fn((Q * Q + P + GaussPoly.constant(CTX, 1)) * GAUSS)
+    T = DELTA
+    with pytest.raises(TruncationRequired):
+        func_star_action(REAL_B1, T, F)
+    got = func_star_action(REAL_B1, T, F, 2)
+    assert got.tail == 2
+    assert got == func_star_action(REAL_B1, T, F, 4).truncate(2)
+    assert got.coeffs
+
+
+def test_bullet_positivity_keeps_the_terms_above_the_order():
+    # <delta - lam^3 delta, 1>_* = lam^-1 - lam^2, negative at lambda = 2;
+    # cutting it at lam^1 would drop the term that makes it negative
+    T = DELTA - DELTA.scale_by_scalar(FormalScalar.lam(3))
+    rep = positivity_check(BULLET, T, [ONE], order=1)
+    assert rep.verdict == "negative"
+    assert rep.negativity == {"witness": "1", "lambda": "2", "value": "lam^-1 - lam^2"}
+
+
+def test_bullet_star_eigencheck_keeps_the_residual_above_the_order():
+    a = FormalScalar.one() + FormalScalar.lam(3)
+    rep = eigencheck_star(bullet_family(CTX), fn(Q), a, FormalFunctional.delta(CTX, (1, 0)),
+                          2, order=1)
+    assert not rep.passed
+    assert rep.first_failure == {"witness": "1", "residual": "-lam^2"}
+
+
+def test_normalize_delta_over_bullet_is_exact():
+    A, T = normalize_functional(BULLET, DELTA, 6)
+    assert A == FormalScalar.lam()
+    assert A.tail is None
+    assert func_star_action(BULLET, T, ONE) == FormalScalar.one()
 
 
 # ---- products with functions ----
