@@ -476,11 +476,7 @@ def _emit(payload):
 def _scalar_payload(value, full):
     if not full:
         return {"result": render_scalar(value)}
-    try:
-        wire = scalar_to_json(value)
-    except ValueError:
-        wire = None
-    return {"result": render_scalar(value), "series": wire}
+    return {"result": render_scalar(value), "series": scalar_to_json(value)}
 
 
 def _verdict(report, full, verdict, passed, **detail):
@@ -519,21 +515,20 @@ _COMMANDS = (
     ("integrate", ("operand",), ("--pairs",)),
     ("region", ("operand",), ("--lambda",)),
     ("axioms", (), ("--pairs", "--order", "--product", "--degree")),
-    ("positivity", ("functional", "witnesses+"),
-     ("--pairs", "--order", "--lambda", "--product")),
+    ("positivity", ("functional", "witnesses+"), ("--pairs", "--lambda", "--product")),
     ("normalize", ("functional",), ("--pairs", "--order", "--lambda")),
     ("eigencheck", ("xi", "value", "functional?"),
-     ("--pairs", "--kind", "--order", "--lambda", "--point", "--test-degree")),
+     ("--pairs", "--kind", "--lambda", "--point", "--test-degree")),
 )
 
 _ORDER_DEFAULTS = {"axioms": 4, "normalize": 6}
 
 # the eigencheck arguments that only some kinds read, and what each kind reads
 _KIND_ARGS = (("--point", "point"), ("--lambda", "lam"), ("--test-degree", "test_degree"),
-              ("--order", "order"), ("functional", "functional"))
+              ("functional", "functional"))
 _KIND_READS = {"classical": {"point"},
                "bullet": {"lam", "test_degree", "functional"},
-               "star": {"lam", "test_degree", "order", "functional"}}
+               "star": {"lam", "test_degree", "functional"}}
 
 
 def _make_parser():
@@ -625,7 +620,7 @@ def _dispatch(args):
         T = functional(args.functional)
         wits = [fn(w) for w in args.witnesses]
         samples = (binding.value,) if binding.is_strict else DEFAULT_SAMPLES
-        report = positivity_check(fam, T, wits, order=args.order, lambda_samples=samples)
+        report = positivity_check(fam, T, wits, lambda_samples=samples)
         return _verdict(report, args.full, report.verdict, report.verdict != "negative",
                         negativity=report.negativity)
 
@@ -661,7 +656,7 @@ def _dispatch(args):
                                    test_degree, binding=binding)
     else:
         report = eigencheck_star(fam, xi, a, parse_functional(args.functional, ctx),
-                                 test_degree, order=args.order, binding=binding)
+                                 test_degree, binding=binding)
     return _verdict(report, args.full, report.verdict, report.passed,
                     first_failure=report.first_failure)
 

@@ -16,16 +16,16 @@ from math import comb, factorial, prod
 from operator import add, sub
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
-                             ScopeError, ExactComplex, EC_ZERO, EC_ONE, as_coeff, _frac,
-                             Frozen, _built, FormalScalar, FORMAL, LaurentSeries,
-                             graded_product, scalar_invert, scalar_eval, render_scalar,
-                             render_series, series_to_json)
+                             TruncatedTailError, ScopeError, ExactComplex, EC_ZERO,
+                             EC_ONE, as_coeff, _frac, Frozen, _built, FormalScalar,
+                             FORMAL, LaurentSeries, graded_product, scalar_invert,
+                             scalar_eval, render_scalar, render_series, series_to_json)
 from .phase_functions import (GaussPoly, PiScalar, coeff_sign, gp_pair,
                               DimensionMismatch, render_gausspoly, _PI_ZERO, _gp)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
-from .star_products import (star_mul, moyal_family, TruncationRequired, UNBOUNDED,
-                            _derivative, _monomial_generators, _moyal_terms)
+from .star_products import (star_mul, moyal_family, truncation_order, TruncationRequired,
+                            UNBOUNDED, _derivative, _monomial_generators, _moyal_terms)
 
 
 class NotNormalizable(EngineError):
@@ -384,10 +384,8 @@ def _star_action_adjoint(S, T, F, order=None):
     k_stop = max((S.termination_bound(gs, gs) for gs in F.coeffs if gs), default=0)
     unbounded = k_stop == UNBOUNDED
     if unbounded:
-        if order is None:
-            raise TruncationRequired(
-                "star pairing does not terminate here; pass a truncation order")
-        k_stop = max(order + n - T.valuation - F.valuation, 0)
+        lowest = T.valuation + F.valuation - n
+        k_stop = truncation_order("pairing", order, lowest) - lowest
     total = FormalScalar.zero()
     # d^beta F by multi-index, shared by every term and order
     derivs = {(0,) * S.ctx.dim: F}
@@ -524,13 +522,14 @@ class PositivityReport(Frozen):
 DEFAULT_SAMPLES = (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
-def positivity_check(S, T, witness_fns, order=None, lambda_samples=DEFAULT_SAMPLES):
+def positivity_check(S, T, witness_fns, lambda_samples=DEFAULT_SAMPLES):
     """Partial-sum positivity of <T, conj(f) * f>_* at sample lambdas.
 
-    For each witness and sample, the partial sums of the value series are
-    scanned for a stabilization index past which they stay nonnegative; a
-    strictly negative total is a negativity certificate.  The verdict only
-    covers the finite witness set and sample list.
+    Each value must be exact (else TruncatedTailError) and real.  For each
+    witness and sample, the partial sums of the value series are scanned for a
+    stabilization index past which they stay nonnegative; a strictly negative
+    total is a negativity certificate.  The verdict only covers the finite
+    witness set and sample list.
     """
     witness_fns = list(witness_fns)
     lambda_samples = tuple(lambda_samples)
@@ -542,35 +541,36 @@ def positivity_check(S, T, witness_fns, order=None, lambda_samples=DEFAULT_SAMPL
     negativity = None
     for f in witness_fns:
         ff = _as_function(S.ctx, f)
-        square = star_mul(S, ff.conj(), ff, order)
-        val = func_star_action(S, T, square, order)
-        entry = {"witness": render_function(ff), "value": render_scalar(val),
-                 "per_lambda": []}
-        if not val.coeffs:
-            entry["per_lambda"] = [{"lambda": str(s), "k0": val.valuation,
-                                    "total_sign": 0} for s in lambda_samples]
-            details.append(entry)
-            continue
+        witness = render_function(ff)
+        try:
+            val = func_star_action(S, T, star_mul(S, ff.conj(), ff))
+        except TruncationRequired:
+            val = None
+        if val is None or val.tail is not None:
+            raise TruncatedTailError(
+                "positivity decides exact values only, and the value for witness "
+                "%s does not terminate" % witness)
+        if val.conj() != val:
+            raise EngineError("positivity needs real values, and the value for witness "
+                              "%s is %s" % (witness, render_scalar(val)))
+        entry = {"witness": witness, "value": render_scalar(val), "per_lambda": []}
         for s in lambda_samples:
-            run = None
+            run = EC_ZERO
             k0 = val.valuation
-            for idx, c in enumerate(val.coeffs):
-                z = val.valuation + idx
-                step = c * (s ** z)
-                run = step if run is None else run + step
-                sign = coeff_sign(run)
-                if sign < 0:
+            total_sign = 0
+            for z, c in enumerate(val.coeffs, val.valuation):
+                run = run + c * (s ** z)
+                total_sign = coeff_sign(run)
+                if total_sign < 0:
                     k0 = z + 1
-            total_sign = coeff_sign(run)
             entry["per_lambda"].append({"lambda": str(s), "k0": k0,
                                         "total_sign": total_sign})
             if total_sign < 0 and negativity is None:
-                negativity = {"witness": render_function(ff), "lambda": str(s),
+                negativity = {"witness": witness, "lambda": str(s),
                               "value": render_scalar(val)}
         details.append(entry)
     verdict = "negative" if negativity else "positive_on_samples"
     scope = {"witnesses": len(details), "samples": len(lambda_samples),
-             "order": order,
              "note": "verdict covers the listed witnesses and lambda samples only"}
     return PositivityReport(verdict, lambda_samples, tuple(details), negativity, scope)
 
@@ -591,8 +591,8 @@ def normalize_functional(S, T, order):
 # ============================================================
 
 class EigenReport(Frozen):
-    __slots__ = ("kind", "verdict", "test_degree", "order", "residuals",
-                 "commutation", "first_failure")
+    __slots__ = ("kind", "verdict", "test_degree", "residuals", "commutation",
+                 "first_failure")
 
     @property
     def passed(self):
@@ -603,7 +603,6 @@ class EigenReport(Frozen):
             "kind": self.kind,
             "verdict": self.verdict,
             "test_degree": self.test_degree,
-            "order": self.order,
             "residuals": [{"witness": w, "residual": r} for w, r in self.residuals],
             "commutation_residuals": [{"witness": w, "residual": r}
                                       for w, r in self.commutation],
@@ -641,14 +640,12 @@ def eigencheck_classical(phi, a, point):
             # nonzero * exp(nonzero rational) is irrational, so equality with
             # the rational target fails outright
             residual = "(%s)*exp(%s)" % (value, exp_arg)
-            return EigenReport("classical", "fail", 0, None,
-                               (("1", residual),), (),
+            return EigenReport("classical", "fail", 0, (("1", residual),), (),
                                {"witness": "1", "residual": residual})
     residual = rational - a
     if residual.is_zero():
-        return EigenReport("classical", "pass", 0, None, (("1", "0"),), (), None)
-    return EigenReport("classical", "fail", 0, None,
-                       (("1", str(residual)),), (),
+        return EigenReport("classical", "pass", 0, (("1", "0"),), (), None)
+    return EigenReport("classical", "fail", 0, (("1", str(residual)),), (),
                        {"witness": "1", "residual": str(residual)})
 
 
@@ -674,10 +671,10 @@ def eigencheck_bullet(xi, a, T, test_degree, binding=FORMAL):
         if r and first is None:
             first = {"witness": render_gausspoly(psi), "residual": str(r)}
     verdict = "pass" if first is None else "fail"
-    return EigenReport("bullet", verdict, test_degree, None, tuple(residuals), (), first)
+    return EigenReport("bullet", verdict, test_degree, tuple(residuals), (), first)
 
 
-def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
+def eigencheck_star(S, xi, a, T, test_degree, binding=FORMAL):
     """Star-genvalue test: <T, psi * xi>_* = a <T, psi>_* over monomials,
     plus the commutation residual <T, psi * xi - xi * psi>_*.
 
@@ -694,11 +691,9 @@ def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
     first = None
     for psi in _test_monomials(ctx, test_degree):
         psif = FormalFunction.of(psi, 0)
-        psi_xi = star_mul(S, psif, xi, order)
-        lhs = func_star_action(S, Tb, psi_xi, order)
-        base = func_star_action(S, Tb, psif, order)
-        r = lhs - a * base
-        cres = func_star_action(S, Tb, psi_xi - star_mul(S, xi, psif, order), order)
+        psi_xi = star_mul(S, psif, xi)
+        r = func_star_action(S, Tb, psi_xi) - a * func_star_action(S, Tb, psif)
+        cres = func_star_action(S, Tb, psi_xi - star_mul(S, xi, psif))
         if binding.is_strict:
             r, cres = scalar_eval(r, binding), scalar_eval(cres, binding)
         witness = render_gausspoly(psi)
@@ -707,7 +702,7 @@ def eigencheck_star(S, xi, a, T, test_degree, order=None, binding=FORMAL):
         if first is None and (r or cres):
             first = {"witness": witness, "residual": str(r or cres)}
     verdict = "pass" if first is None else "fail"
-    return EigenReport("star", verdict, test_degree, order, tuple(residuals),
+    return EigenReport("star", verdict, test_degree, tuple(residuals),
                        tuple(commutation), first)
 
 

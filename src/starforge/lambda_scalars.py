@@ -792,18 +792,16 @@ def render_scalar(a):
     return render_series(a, coeff_piece)
 
 
-def _exact_json(c):
-    if not isinstance(c, ExactComplex):
-        raise ValueError("only complex-rational scalars serialise to this schema")
-    return c.to_json()
-
-
 def scalar_to_json(a):
-    """The complex-rational wire format; richer coefficient algebras do not fit here."""
-    return series_to_json(a, _exact_json)
+    """Each coefficient in its own wire form: an ExactComplex as a list of four
+    ints, a PiScalar as a {"num", "den"} object."""
+    return series_to_json(a, lambda c: c.to_json())
 
 
 def scalar_from_json(data):
+    from .phase_functions import PiScalar      # it imports this module
+
     return FormalScalar(data["valuation"],
-                        [ExactComplex.from_json(c) for c in data["coeffs"]],
+                        [(ExactComplex if isinstance(c, list) else PiScalar).from_json(c)
+                         for c in data["coeffs"]],
                         tail_from_json(data))

@@ -489,6 +489,11 @@ class PiScalar(Frozen):
         return {"num": [c.to_json() for c in self.num],
                 "den": [c.to_json() for c in self.den]}
 
+    @staticmethod
+    def from_json(data):
+        return PiScalar([ExactComplex.from_json(c) for c in data["num"]],
+                        [ExactComplex.from_json(c) for c in data["den"]])
+
 
 _set_num = PiScalar.num.__set__
 _set_den = PiScalar.den.__set__

@@ -345,6 +345,19 @@ def moyal_term(k, f, g):
 # Star product on series
 # ============================================================
 
+def truncation_order(what, order, lowest):
+    """The order at which an expansion that does not terminate is cut: one
+    is needed, and it may not lie below the expansion's lowest power."""
+    if order is None:
+        raise TruncationRequired(
+            "star %s does not terminate here; pass a truncation order" % what)
+    if order < lowest:
+        raise ScopeError(
+            "truncation order %d is below the %s's lowest power %d, "
+            "so no coefficient would be known" % (order, what, lowest))
+    return order
+
+
 def star_mul(S, F, G, order=None):
     """Graded star product; exact when every coefficient pair terminates."""
     ctx = S.ctx
@@ -370,15 +383,7 @@ def star_mul(S, F, G, order=None):
                 z = F.valuation + l + G.valuation + j + k_bound
                 top = z if top is None else max(top, z)
     if top is UNBOUNDED:
-        if order is None:
-            raise TruncationRequired(
-                "star product does not terminate here; pass a truncation order")
-        if order < F.valuation + G.valuation:
-            raise ScopeError(
-                "truncation order %d is below the product's lowest power %d, "
-                "so no coefficient would be known"
-                % (order, F.valuation + G.valuation))
-        t = tail_min(t, order)
+        t = tail_min(t, truncation_order("product", order, F.valuation + G.valuation))
 
     # (l, j) = (0, 0) always pairs two nonzero coefficients, so top is set;
     # an unbounded top always comes with a tail, and a tail is never below lo

@@ -242,11 +242,20 @@ def test_region_full_payload(capsys):
 
 
 def test_trace_json_degrades_for_pi_valued_scalars(capsys):
-    # Traces carry pi coefficients, which have no exact-complex wire form;
-    # the payload keeps its shape and reports the series slot as null.
+    # Traces carry pi coefficients; the series slot writes each one in its own
+    # wire form (a PiScalar as num/den over pi), not null, and reads back
+    from starforge import PiScalar, scalar_from_json
+
     res, out = go(capsys, "trace", "gauss(1)", "--json")
-    assert json.loads(out) == {"result": "pi*lam^-1", "series": None}
+    pi = {"num": [[0, 1, 0, 1], [1, 1, 0, 1]], "den": [[1, 1, 0, 1]]}
+    series = {"valuation": -1, "coeffs": [pi], "tail": "exact"}
+    assert json.loads(out) == {"result": "pi*lam^-1", "series": series}
     assert res.status == 0
+    assert scalar_from_json(series).coeffs == (PiScalar.pi(),)
+    # a zero integral has the same shape, with no coefficients
+    res, out = go(capsys, "integrate", "q*gauss(1)", "--json")
+    assert json.loads(out) == {"result": "0", "series": {
+        "valuation": 0, "coeffs": [], "tail": "exact"}}
 
 
 def test_axioms_full_report(capsys):
@@ -263,7 +272,7 @@ def test_eigencheck_classical_full_report(capsys):
     res, out = go(capsys, "eigencheck", "q", "1", "--kind", "classical",
                   "--point", "1,0", "--json")
     assert out == ('{"commutation_residuals": [], "first_failure": null,'
-                   ' "kind": "classical", "order": null, "residuals":'
+                   ' "kind": "classical", "residuals":'
                    ' [{"residual": "0", "witness": "1"}], "test_degree": 0,'
                    ' "verdict": "pass"}\n')
     assert res.status == 0
@@ -617,9 +626,9 @@ KIND_BASE = {
 KIND_READS = {
     "classical": {"--point"},
     "bullet": {"--lambda", "--test-degree", "functional"},
-    "star": {"--lambda", "--test-degree", "--order", "functional"},
+    "star": {"--lambda", "--test-degree", "functional"},
 }
-KIND_ARGS = {"--order", "--lambda", "--point", "--test-degree", "functional"}
+KIND_ARGS = {"--lambda", "--point", "--test-degree", "functional"}
 
 
 def _with(kind, arg):
@@ -636,12 +645,12 @@ def test_each_subcommand_takes_its_row_and_no_more():
         "bullet": set(), "trace": set(), "integrate": set(),
         "region": {"--lambda"},
         "axioms": {"--order", "--product", "--degree"},
-        "positivity": {"--order", "--lambda", "--product"},
+        "positivity": {"--lambda", "--product"},
         "normalize": {"--order", "--lambda"},
-        "eigencheck": {"--kind", "--order", "--lambda", "--point", "--test-degree"},
+        "eigencheck": {"--kind", "--lambda", "--point", "--test-degree"},
     }
     assert "--pairs" not in _subparsers()["region"]
-    assert sum(len(opts) for opts in _subparsers().values()) == 35
+    assert sum(len(opts) for opts in _subparsers().values()) == 33
 
 
 def test_the_bases_are_not_usage_errors(capsys):
@@ -710,10 +719,46 @@ def test_once_ignored_options_are_usage_errors(capsys, argv):
 def test_a_terminating_bullet_pairing_is_not_cut_at_the_order(capsys):
     # <delta - lam^3 delta, 1>_* = lam^-1 - lam^2 is negative at lambda = 2
     res, out = go(capsys, "positivity", "delta(0,0)-lam^3*delta(0,0)", "1",
-                  "--product", "bullet", "--order", "1")
+                  "--product", "bullet")
     assert res.status == 1
     assert json.loads(out) == {"verdict": "negative", "negativity": {
         "lambda": "2", "value": "lam^-1 - lam^2", "witness": "1"}}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_BASE))
+def test_eigencheck_takes_no_order_under_any_kind(capsys, kind):
+    # test functions are polynomials, so every residual is exact: --order was inert
+    msg = _usage_error(capsys, KIND_BASE[kind] + ["--order", "2"])
+    assert msg == "starforge: unrecognized arguments: --order 2"
+
+
+# ============================================================
+# Positivity decides exact values only
+# ============================================================
+
+@pytest.mark.parametrize("functional", ["delta(0,0)", "density(gauss(1))"])
+@pytest.mark.parametrize("witness", ["gauss(1)", "(q + I*p)*gauss(1/2)"])
+def test_positivity_refuses_a_witness_whose_value_does_not_terminate(capsys, functional,
+                                                                     witness):
+    # <delta, gauss(1) * gauss(1)>_* = lam^-1/(1 + lam^2) is positive, yet a
+    # sign read off its cut-off tail printed "negative" at --order 2 and 3
+    from starforge import PhaseContext, lower_expression, parse_expression, render_function
+
+    name = render_function(lower_expression(parse_expression(witness), PhaseContext(1)))
+    res, out = go(capsys, "positivity", functional, "q", witness)
+    assert res.status == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"error": {"type": "TruncatedTailError", "message": (
+        "positivity decides exact values only, and the value for witness %s "
+        "does not terminate" % name)}}
+    _usage_error(capsys, ["positivity", functional, witness, "--order", "2"])
+
+
+def test_positivity_on_a_non_real_value_is_an_error_not_a_traceback():
+    proc = _run_proc([sys.executable, "-m", "starforge", "positivity", "I*delta(0,0)", "1"])
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": {"type": "EngineError", "message": (
+        "positivity needs real values, and the value for witness 1 is I*lam^-1")}}
 
 
 def test_an_unread_option_exits_2_without_a_traceback():
@@ -750,7 +795,6 @@ READ = {
     ("axioms", "--degree"): (["axioms", "--order", "1", "--json"], "1", "2"),
     ("axioms", "--json"): (["axioms", "--degree", "1", "--order", "1"], None, True),
     ("positivity", "--pairs"): (["positivity", "delta()", "q1 + I*p1"], None, "2"),
-    ("positivity", "--order"): (["positivity", "density(gauss(1))", "gauss(1)"], "2", "3"),
     ("positivity", "--lambda"): (["positivity", "delta(0,0)", "q + I*p"], None, "1/2"),
     ("positivity", "--product"): (["positivity", "delta(0,0)", "q + I*p"], None, "bullet"),
     ("positivity", "--json"): (["positivity", "delta(0,0)", "q + I*p"], None, True),
@@ -761,7 +805,6 @@ READ = {
     ("eigencheck", "--pairs"): (["eigencheck", "1/2 * (q1^2 + p1^2)", "1/2 * lam",
                                  "density(gauss(1))", "--lambda", "1", "--json"], None, "2"),
     ("eigencheck", "--kind"): (_OSC + ["--lambda", "1"], None, "bullet"),
-    ("eigencheck", "--order"): (_OSC + ["--lambda", "1", "--json"], None, "2"),
     ("eigencheck", "--lambda"): (_OSC, "1", "2"),
     ("eigencheck", "--point"): (["eigencheck", "q", "1", "--kind", "classical"], "1,0", "2,0"),
     ("eigencheck", "--test-degree"): (KIND_BASE["star"] + ["--json"], "1", "2"),
@@ -800,7 +843,6 @@ KIND_READ = {
                                ["eigencheck", "q", "1", "delta(2,0)", "--kind", "bullet"]),
     ("star", "--lambda"): (_OSC + ["--lambda", "1"], _OSC + ["--lambda", "2"]),
     ("star", "--test-degree"): (_STAR + ["--test-degree", "1"], _STAR + ["--test-degree", "2"]),
-    ("star", "--order"): (_STAR + ["--order", "1"], _STAR + ["--order", "2"]),
     ("star", "functional"): (_OSC + ["--lambda", "1"],
                              _OSC[:3] + ["delta(0,0)", "--lambda", "1"]),
 }

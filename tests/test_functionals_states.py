@@ -45,6 +45,7 @@ from starforge import (
     normalize_functional,
     positivity_check,
     reality_check,
+    render_function,
     render_gausspoly,
     render_scalar,
     scalar_eval,
@@ -398,19 +399,28 @@ def test_a_gaussian_adjoint_pairing_is_still_truncated():
     assert got.coeffs
 
 
+def test_an_adjoint_truncation_below_the_lowest_power_is_a_scope_error():
+    # star_mul's rule: a cut below the lowest power would know no coefficient
+    from starforge import ScopeError
+
+    F = fn(GAUSS)
+    with pytest.raises(ScopeError, match="below the pairing's lowest power -1"):
+        func_star_action(REAL_B1, DELTA, F, -5)
+    assert func_star_action(REAL_B1, DELTA, F, -1).tail == -1
+
+
 def test_bullet_positivity_keeps_the_terms_above_the_order():
     # <delta - lam^3 delta, 1>_* = lam^-1 - lam^2, negative at lambda = 2;
     # cutting it at lam^1 would drop the term that makes it negative
     T = DELTA - DELTA.scale_by_scalar(FormalScalar.lam(3))
-    rep = positivity_check(BULLET, T, [ONE], order=1)
+    rep = positivity_check(BULLET, T, [ONE])
     assert rep.verdict == "negative"
     assert rep.negativity == {"witness": "1", "lambda": "2", "value": "lam^-1 - lam^2"}
 
 
 def test_bullet_star_eigencheck_keeps_the_residual_above_the_order():
     a = FormalScalar.one() + FormalScalar.lam(3)
-    rep = eigencheck_star(bullet_family(CTX), fn(Q), a, FormalFunctional.delta(CTX, (1, 0)),
-                          2, order=1)
+    rep = eigencheck_star(bullet_family(CTX), fn(Q), a, FormalFunctional.delta(CTX, (1, 0)), 2)
     assert not rep.passed
     assert rep.first_failure == {"witness": "1", "residual": "-lam^2"}
 
@@ -565,6 +575,47 @@ def test_per_power_positivity_is_the_wrong_reading():
     # while the adopted partial-sum reading accepts both witnesses
     rep = positivity_check(BULLET, DELTA, [up, down])
     assert rep.verdict == "positive_on_samples"
+
+
+@pytest.mark.parametrize("T", [DELTA, FormalFunctional.density(CTX, GAUSS)],
+                         ids=["delta", "density"])
+@pytest.mark.parametrize("f", [fn(GAUSS), fn((Q + P.scale(EC_I)) * GaussPoly.gaussian(
+    CTX, Fraction(1, 2)))], ids=["gauss", "q+ip_gauss"])
+def test_positivity_refuses_a_value_that_does_not_terminate(T, f):
+    # the star square of a Gaussian witness has no last term; a sign read off
+    # its cut-off tail once made <delta, gauss(1) * gauss(1)>_* = lam^-1/(1+lam^2)
+    # "negative" at two orders and positive at two others
+    from starforge import TruncatedTailError
+
+    with pytest.raises(TruncatedTailError) as err:
+        positivity_check(MOYAL, T, [fn(Q), f])
+    message = str(err.value)
+    assert message.startswith("positivity decides exact values only")
+    assert render_function(f) in message and "order" not in message
+
+
+def test_positivity_refuses_a_witness_with_a_tail():
+    from starforge import TruncatedTailError
+
+    f = FormalFunction(CTX, 0, [GaussSum.of(Q), GaussSum.of(P)], 1)
+    for S in (MOYAL, BULLET):
+        with pytest.raises(TruncatedTailError) as err:
+            positivity_check(S, DELTA, [f])
+        assert "witness q + p*lam + O(lam^2) does not terminate" in str(err.value)
+
+
+def test_positivity_refuses_a_value_that_is_not_real():
+    # coeff_sign keeps its own ValueError; positivity names the witness instead
+    from starforge import EngineError
+
+    T = DELTA.rescale(EC_I)
+    with pytest.raises(EngineError) as err:
+        positivity_check(MOYAL, T, [ONE])
+    assert not isinstance(err.value, ValueError)
+    assert str(err.value) == ("positivity needs real values, and the value for "
+                              "witness 1 is I*lam^-1")
+    with pytest.raises(ValueError, match="sign of a non-real value"):
+        coeff_sign(EC_I)
 
 
 def test_positivity_without_a_witness_is_a_scope_error():
@@ -780,7 +831,7 @@ def test_star_commutation_entries_equal_the_star_commutator(level):
 def test_truncated_star_commutation_entries_equal_the_star_commutator():
     T = FormalFunctional.density(CTX, GaussPoly.gaussian(CTX, Fraction(1, 2)))
     xi = FormalFunction(CTX, 0, [Q * P * GAUSS, (Q * Q * P).scale(3) * GAUSS], 1)
-    rep = eigencheck_star(MOYAL, xi, 0, T, 2, order=1)
+    rep = eigencheck_star(MOYAL, xi, 0, T, 2)
     want = _commutation_by_star_commutator(MOYAL, xi, T, 2, 1, FORMAL)
     assert list(rep.commutation) == want
     assert all(c.endswith("O(lam^1)") for _, c in want)

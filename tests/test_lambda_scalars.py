@@ -559,6 +559,32 @@ def test_scalar_json_roundtrip(rng):
         assert (back.valuation, back.coeffs, back.tail) == (s.valuation, s.coeffs, s.tail)
 
 
+def test_scalar_json_carries_pi_valued_and_mixed_coefficients():
+    # each coefficient in its own wire form: four ints, or a num/den object
+    quotient = PiScalar((ExactComplex(1, 1), -EC_I), (1, 1))
+    for s in (FormalScalar(-1, [PiScalar.pi(2) * Fraction(-3, 4)]),
+              FormalScalar(-1, [PiScalar.pi(), ExactComplex(1, 2), quotient], 3),
+              FormalScalar(0, [quotient, 0, PiScalar.const(5)])):
+        data = scalar_to_json(s)
+        assert [type(c) for c in data["coeffs"]] == [
+            list if isinstance(c, ExactComplex) else dict for c in s.coeffs]
+        back = scalar_from_json(data)
+        assert (back.valuation, back.coeffs, back.tail) == (s.valuation, s.coeffs, s.tail)
+        assert [type(c) for c in back.coeffs] == [type(c) for c in s.coeffs]
+    assert scalar_to_json(FormalScalar(0, [PiScalar.pi()]))["coeffs"] == [
+        {"num": [[0, 1, 0, 1], [1, 1, 0, 1]], "den": [[1, 1, 0, 1]]}]
+
+
+def test_pi_scalar_from_json_validates_like_the_constructor():
+    # a non-monic, unreduced pair comes back in lowest terms; a zero den is refused
+    two_pi = {"num": [[0, 1, 0, 1], [2, 1, 0, 1]], "den": [[2, 1, 0, 1]]}
+    assert PiScalar.from_json(two_pi) == PiScalar.pi()
+    with pytest.raises(ZeroDivisionError):
+        PiScalar.from_json({"num": [[1, 1, 0, 1]], "den": []})
+    with pytest.raises(ZeroDivisionError):
+        PiScalar.from_json({"num": [[1, 1, 0, 1]], "den": [[1, 0, 0, 1]]})
+
+
 # ---- algebraic laws ----
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
