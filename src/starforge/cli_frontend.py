@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .lambda_scalars import (EngineError, ExactComplex, FormalScalar,
-                             LambdaBinding, FORMAL, render_scalar,
+                             LambdaBinding, FORMAL, power, render_scalar,
                              scalar_to_json)
 from .phase_functions import PhaseContext, GaussPoly
 from .formal_series import (FormalFunction, fs_bullet, fs_integrate,
@@ -60,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
     # run_command reports the error as its one JSON line (-h still exits 0)
     def error(self, message):
         raise UsageError("%s: %s" % (self.prog, message))
+
+    # every option is --long and -h is the only short flag, so any other token
+    # with one leading "-" is an operand or a value: "-q", "-1/2", "-1,0"
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super(_Parser, self)._parse_optional(arg_string)
 
 
 # ============================================================
@@ -346,50 +353,59 @@ def _const_fn(ctx, c, power=0):
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": fs_bullet}
 
 
-def _lower_chain(e, ctx, lower, combine):
-    """Lower a +/-/* node.  Long chains parse left-deep, so walk the left
-    spine in a loop and recurse only into right operands, whose depth the
-    parser bounds."""
+def lower_expression(e, ctx):
+    """Expr -> FormalFunction (pointwise semantics; lam is the grading)."""
+    return _lower(e, ctx, False)
+
+
+def lower_functional(e, ctx):
+    """Expr -> FormalFunctional or FormalFunction, with scalars folded in."""
+    return _lower(e, ctx, True)
+
+
+def _lower(e, ctx, functional):
+    """The one walk behind both entry points; delta, density and wigner are
+    refused unless functional.  Long chains parse left-deep, so the left
+    spine of +, - and * is walked in a loop; only right operands and the
+    operands of neg, pow and density recurse, and the parser bounds those."""
     spine = []
     while e[0] in _ARITH:
         spine.append(e)
         e = e[1]
-    out = lower(e, ctx)
-    for kind, _, right in reversed(spine):
-        out = combine(kind, out, lower(right, ctx))
-    return out
-
-
-def _arith(kind, left, right):
-    return _ARITH[kind](left, right)
-
-
-def lower_expression(e, ctx):
-    """Expr -> FormalFunction (pointwise semantics; lam is the grading)."""
     kind = e[0]
     if kind == "num":
-        return _const_fn(ctx, e[1])
-    if kind == "i":
-        return _const_fn(ctx, ExactComplex(0, 1))
-    if kind == "lam":
-        return _const_fn(ctx, 1, power=1)
-    if kind == "coord":
-        return FormalFunction.of(GaussPoly.coordinate(ctx, e[1]), 0)
-    if kind == "gauss":
-        return FormalFunction.of(GaussPoly.gaussian(ctx, e[1]), 0)
-    if kind == "neg":
-        return -lower_expression(e[1], ctx)
-    if kind in _ARITH:
-        return _lower_chain(e, ctx, lower_expression, _arith)
-    if kind == "pow":
-        base = lower_expression(e[1], ctx)
+        out = _const_fn(ctx, e[1])
+    elif kind == "i":
+        out = _const_fn(ctx, ExactComplex(0, 1))
+    elif kind == "lam":
+        out = _const_fn(ctx, 1, power=1)
+    elif kind == "coord":
+        out = FormalFunction.of(GaussPoly.coordinate(ctx, e[1]), 0)
+    elif kind == "gauss":
+        out = FormalFunction.of(GaussPoly.gaussian(ctx, e[1]), 0)
+    elif kind == "neg":
+        out = -_lower(e[1], ctx, functional)
+    elif kind == "pow":
+        out = _lower(e[1], ctx, functional)
+        if isinstance(out, FormalFunctional):
+            raise EngineError("functionals cannot be raised to powers")
         if e[2] < 0:
-            base = _invert_monomial(base)
-        out = FormalFunction.one(ctx)
-        for _ in range(abs(e[2])):
-            out = fs_bullet(out, base)
-        return out
-    raise EngineError("functional atoms are not allowed in a plain expression")
+            out = _invert_monomial(out)
+        out = power(out, abs(e[2]), FormalFunction.one(ctx), fs_bullet)
+    elif not functional:
+        raise EngineError("functional atoms are not allowed in a plain expression")
+    elif kind == "delta":
+        out = FormalFunctional.delta(ctx, e[1] or (0,) * ctx.dim)
+    elif kind == "density":
+        inner = _lower(e[1], ctx, False)
+        if inner.tail is not None or inner.valuation != 0 or len(inner.coeffs) != 1:
+            raise EngineError("density(...) takes a single lam-free profile")
+        out = FormalFunctional.density(ctx, inner.coeffs[0])
+    else:
+        out = wigner_state(ctx, e[1])
+    for kind, _, right in reversed(spine):
+        out = _combine_lowered(kind, out, _lower(right, ctx, functional))
+    return out
 
 
 def _invert_monomial(F):
@@ -417,35 +433,14 @@ def function_to_scalar(F):
     return FormalScalar(F.valuation, vals, F.tail)
 
 
-def lower_functional(e, ctx):
-    """Expr -> FormalFunctional or FormalFunction, with scalars folded in."""
-    kind = e[0]
-    if kind == "delta":
-        point = e[1] if e[1] else (0,) * ctx.dim
-        return FormalFunctional.delta(ctx, point)
-    if kind == "density":
-        inner = lower_expression(e[1], ctx)
-        if inner.tail is not None or inner.valuation != 0 or len(inner.coeffs) != 1:
-            raise EngineError("density(...) takes a single lam-free profile")
-        return FormalFunctional.density(ctx, inner.coeffs[0])
-    if kind == "wigner":
-        return wigner_state(ctx, e[1])
-    if kind == "neg":
-        return -lower_functional(e[1], ctx)
-    if kind in _ARITH:
-        return _lower_chain(e, ctx, lower_functional, _combine_lowered)
-    if kind == "pow" and isinstance(lower_functional(e[1], ctx), FormalFunctional):
-        raise EngineError("functionals cannot be raised to powers")
-    return lower_expression(e, ctx)
-
-
 def _combine_lowered(kind, left, right):
-    """Combine two lower_functional results under +, - or *."""
+    """Combine two lowered operands under +, - or *; a functional adds only
+    to a functional and is scaled only by a lam-scalar."""
     lf, rf = isinstance(left, FormalFunctional), isinstance(right, FormalFunctional)
     if kind != "mul" or not (lf or rf):
         if lf != rf:
             raise EngineError("cannot add a functional to a plain function")
-        return _arith(kind, left, right)
+        return _ARITH[kind](left, right)
     if lf and rf:
         raise EngineError("cannot multiply two functionals here")
     func, other = (left, right) if lf else (right, left)
@@ -613,8 +608,8 @@ def _dispatch(args):
     if cmd == "axioms":
         report = axiom_suite(fam, args.degree, args.order)
         failed = sorted(k for k, e in report.entries.items() if e["verdict"] == "fail")
-        return _verdict(report, args.full, "pass" if report.passed else "fail",
-                        report.passed, failed_axioms=failed)
+        return _verdict(report, args.full, report.verdict, report.passed,
+                        failed_axioms=failed)
 
     if cmd == "positivity":
         T = functional(args.functional)
@@ -644,11 +639,11 @@ def _dispatch(args):
             point = tuple(Fraction(x) for x in args.point.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise EngineError("bad --point value: %s" % exc)
-        if xi.valuation != 0 or len(xi.coeffs) != 1:
+        if not _lam_free(xi):
             raise EngineError("classical checks take a lam-free expression")
-        if a.coeffs and (a.valuation != 0 or len(a.coeffs) != 1):
+        if not _lam_free(a):
             raise EngineError("classical genvalues are plain rationals")
-        report = eigencheck_classical(xi.coeffs[0], a.coefficient(0), point)
+        report = eigencheck_classical(xi.coefficient(0), a.coefficient(0), point)
     elif args.functional is None:
         raise EngineError("eigencheck needs a functional argument")
     elif args.kind == "bullet":
@@ -659,6 +654,11 @@ def _dispatch(args):
                                  test_degree, binding=binding)
     return _verdict(report, args.full, report.verdict, report.passed,
                     first_failure=report.first_failure)
+
+
+def _lam_free(x):
+    # zero counts: it has no lam-power at all
+    return not x.coeffs or (x.valuation == 0 and len(x.coeffs) == 1)
 
 
 def main():

@@ -782,18 +782,8 @@ def negative_region(f, binding=FORMAL):
     if not f.is_poly() or (f.total_degree() or 0) != 1:
         raise NotSupportedForm(
             "expected a degree-1 complex coordinate: (q - q0) + i*a*(p - p0)")
-    c0 = EC_ZERO
-    cq = EC_ZERO
-    cp = EC_ZERO
-    for exps, c in f.terms.items():
-        if exps == (0, 0):
-            c0 = c
-        elif exps == (1, 0):
-            cq = c
-        elif exps == (0, 1):
-            cp = c
-        else:
-            raise NotSupportedForm("expected a linear expression in q and p")
+    # degree 1 in one pair: the only exponents are (0, 0), (1, 0) and (0, 1)
+    c0, cq, cp = (f.terms.get(exps, EC_ZERO) for exps in ((0, 0), (1, 0), (0, 1)))
     if cq != EC_ONE:
         raise NotSupportedForm("normalize so the q coefficient is exactly 1")
     if not cp.re == 0 or cp.im <= 0:
@@ -813,13 +803,12 @@ def negative_region(f, binding=FORMAL):
     verified = (square == expected)
 
     min_series = FormalScalar.lam(1, -a)
+    semi = (FormalScalar.lam(1, a), FormalScalar.lam(1, 1 / a))
     if binding.is_strict:
         lam = binding.value
-        min_val = -a * lam
-        semi = (a * lam, lam / a)
+        min_val = scalar_eval(min_series, binding).re
+        semi = tuple(scalar_eval(x, binding).re for x in semi)
         area = "pi" if lam == 1 else "pi*%s" % lam
-        return RegionReport((q0, p0), min_val, str(Fraction(min_val)),
-                            tuple(Fraction(x) for x in semi), area, verified)
-    semi = (FormalScalar.lam(1, a), FormalScalar.lam(1, Fraction(1, 1) / a))
+        return RegionReport((q0, p0), min_val, str(min_val), semi, area, verified)
     return RegionReport((q0, p0), min_series, render_scalar(min_series),
                         tuple(render_scalar(x) for x in semi), "pi*lam", verified)

@@ -74,6 +74,19 @@ def _built(cls, *values):
     return out
 
 
+def power(base, k, one, mul=operator.mul):
+    """base^k for an int k >= 0 by square-and-multiply: one product per set
+    bit of k and one square per bit but the last."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
+
+
 # ============================================================
 # Complex rationals
 # ============================================================
@@ -195,13 +208,7 @@ class ExactComplex(object):
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("integer power >= 0 expected")
-        out, base = EC_ONE, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, EC_ONE)
 
     def __eq__(self, other):
         if type(other) is ExactComplex:
@@ -559,13 +566,7 @@ class FormalScalar(LaurentSeries):
             raise ValueError("integer power expected")
         if k < 0:
             return scalar_invert(self ** (-k), 0)  # monomials only in practice
-        out, base = FormalScalar.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, FormalScalar.one())
 
     def scale(self, c):
         c = as_coeff(c)

@@ -17,8 +17,8 @@ from math import gcd
 from operator import add
 
 from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE, Frozen,
-                             as_coeff, coeff_piece, join_signed, _frac, _reduced,
-                             _accumulate)
+                             as_coeff, coeff_piece, join_signed, power, _frac,
+                             _reduced, _accumulate)
 
 _ONE_DEN = (EC_ONE,)
 
@@ -436,14 +436,7 @@ class PiScalar(Frozen):
             raise ValueError("integer power expected")
         if k < 0:
             return self.reciprocal() ** (-k)
-        out = _PI_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, _PI_ONE)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -546,21 +539,16 @@ class GaussPoly(Frozen):
             raise ValueError("alpha must be nonnegative")
         clean = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
             if len(exps) != ctx.dim:
                 raise DimensionMismatch("exponent tuple %r does not match 2n=%d" % (exps, ctx.dim))
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent in %r" % (exps,))
+            # ints only (no bool, float or str), so distinct keys are distinct monomials
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError("exponents must be nonnegative ints, got %r" % (exps,))
             c = as_coeff(c)
             if not isinstance(c, ExactComplex):
                 raise TypeError("GaussPoly coefficients must be complex-rational")
             if c:
-                prev = clean.get(exps)
-                c = c if prev is None else prev + c
-                if c:
-                    clean[exps] = c
-                elif exps in clean:
-                    del clean[exps]
+                clean[exps] = c
         if not clean or not alpha:
             alpha = 0
         Frozen.__init__(self, ctx, alpha, clean)

@@ -462,12 +462,17 @@ class AxiomReport(Frozen):
     def passed(self):
         return all(e["verdict"] != "fail" for e in self.entries.values())
 
+    @property
+    def verdict(self):
+        return "pass" if self.passed else "fail"
+
     def to_json(self):
         return {
             "family": self.family,
             "scope": self.scope,
             "axioms": [dict(axiom=k, **self.entries[k]) for k in sorted(self.entries)],
             "passed": self.passed,
+            "verdict": self.verdict,
         }
 
     def __repr__(self):

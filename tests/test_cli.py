@@ -318,6 +318,42 @@ def test_exit_codes_cover_the_contract():
         assert proc.returncode == want, (argv, proc.stdout, proc.stderr)
 
 
+_HUGE_POWER = ('{"result": "q^99999999999999999999*p'
+               ' + 99999999999999999999/2*I*q^99999999999999999998*lam"}\n')
+
+
+# every option is --long, so a token with one leading "-" other than -h is an
+# operand or a value; these run in a child process to pin the argv reading
+@pytest.mark.parametrize("argv,status,line", [
+    (["star", "-q", "p"], 0, '{"result": "-q*p - 1/2*I*lam"}\n'),
+    (["star", "-(q)", "p"], 0, '{"result": "-q*p - 1/2*I*lam"}\n'),
+    (["positivity", "delta(0,0)", "-q"], 0, '{"verdict": "positive_on_samples"}\n'),
+    (["eigencheck", "q", "1", "--kind", "classical", "--point", "-1,0"], 1,
+     '{"first_failure": {"residual": "-2", "witness": "1"}, "verdict": "fail"}\n'),
+    (["normalize", "delta(0,0)", "--lambda", "-1/2"], 2,
+     '{"error": {"message": "bad --lambda value: strict lambda must be positive",'
+     ' "type": "EngineError"}}\n'),
+    (["star", "-x", "p"], 2,
+     '{"error": {"message": "unknown coordinate \'x\'", "type": "UnknownCoordinate"}}\n'),
+    # a power is computed by repeated squaring, so a huge exponent finishes
+    (["star", "q^99999999999999999999", "p"], 0, _HUGE_POWER),
+])
+def test_a_leading_minus_starts_an_operand_or_a_value(argv, status, line):
+    proc = _run_proc([sys.executable, "-m", "starforge"] + argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, line, "")
+
+
+def test_only_h_and_double_dash_tokens_are_flags(capsys):
+    assert json.loads(go(capsys, "-x")[1])["error"]["type"] == "UsageError"
+    res, out = go(capsys, "star", "-q", "p", "--frobnicate")
+    assert (res.status, out) == (2, json.dumps({"error": {
+        "message": "starforge: unrecognized arguments: --frobnicate",
+        "type": "UsageError"}}) + "\n")
+    with pytest.raises(SystemExit) as stop:
+        run_command(["star", "-q", "-h"])
+    assert stop.value.code == 0
+
+
 # ============================================================
 # Wigner functionals under --lambda
 # ============================================================
@@ -532,6 +568,28 @@ def test_negative_powers_of_lam_monomials_still_lower(capsys):
     assert (res.status, out) == (0, '{"result": "1/4*q*lam^-2"}\n')
     res, out = go(capsys, "integrate", "(I*lam)^-1*gauss(1)")
     assert (res.status, out) == (0, '{"result": "-I*pi*lam^-1"}\n')
+
+
+def test_a_power_takes_logarithmically_many_bullet_products(monkeypatch):
+    from starforge import PhaseContext, cli_frontend, fs_bullet, render_function
+
+    calls = []
+
+    def counted(left, right):
+        calls.append(1)
+        return fs_bullet(left, right)
+
+    monkeypatch.setattr(cli_frontend, "fs_bullet", counted)
+    F = cli_frontend.lower_expression(parse_expression("q^1000"), PhaseContext(1))
+    assert render_function(F) == "q^1000"
+    assert 0 < len(calls) <= 2 * 9 + 1     # 2*floor(log2(1000)) + 1
+
+
+def test_classical_eigencheck_counts_zero_as_lam_free(capsys):
+    res, out = go(capsys, "eigencheck", "0", "0", "--kind", "classical", "--point", "0,0")
+    assert (res.status, out) == (0, '{"verdict": "pass"}\n')
+    res, out = go(capsys, "eigencheck", "lam*q", "0", "--kind", "classical", "--point", "0,0")
+    assert (res.status, out) == (2, _engine_error("classical checks take a lam-free expression"))
 
 
 def test_region_rejects_a_non_polynomial_operand(capsys):

@@ -16,7 +16,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starforge.cli_frontend import (_COMMANDS, _KIND_ARGS, _KIND_READS, _OPTIONS,
@@ -36,7 +36,7 @@ def expressions(depth=3, atoms=ATOMS):
     sub = expressions(depth - 1, atoms)
     return st.one_of(
         sub,
-        st.builds("(-({}))".format, sub),    # argparse reads a leading - as a flag
+        st.builds("-({})".format, sub),      # a leading - starts an operand
         st.builds("({}) {} ({})".format, sub, st.sampled_from("+-*"), sub),
         st.builds("({})^{}".format, sub, st.integers(-3, 3)))
 
@@ -62,11 +62,11 @@ FUNCTIONALS = st.one_of(
 VALUES = {
     "--pairs": ("1", "2", "1", "2", "0"),
     "--order": ("-1", "0", "1", "2", "3"),
-    "--lambda": ("1", "1/2", "2", "1/3", "3", "0", "1/0"),
+    "--lambda": ("1", "1/2", "2", "1/3", "3", "0", "1/0", "-1/2"),
     "--product": ("moyal", "bullet"),
     "--degree": ("-1", "0", "1", "2"),
     "--kind": ("classical", "bullet", "star"),
-    "--point": ("1,0", "0,0", "1/2,-1", "1", "1,0,0,0", "a,b"),
+    "--point": ("1,0", "0,0", "1/2,-1", "-1,0", "1", "1,0,0,0", "a,b"),
     "--test-degree": ("-1", "0", "1", "2"),
 }
 # axiom suites grow fast in degree and order, so they always name small ones
@@ -135,6 +135,8 @@ def _run(argv):
 
 @settings(max_examples=200)
 @given(argvs())
+# a fail verdict that the full report must state too, not only by exit 1
+@example(["axioms", "--degree", "1", "--order", "1", "--product", "bullet", "--json"])
 def test_every_drawn_argv_keeps_the_cli_contract(argv):
     status, out = _run(argv)
     assert out.endswith("\n") and out.count("\n") == 1, (argv, out)

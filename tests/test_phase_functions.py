@@ -75,6 +75,17 @@ def test_dimension_checks():
         Q * q1
 
 
+def test_exponents_must_be_nonnegative_ints():
+    # int() once read 1.5 as 1, "2" as 2 and True as 1, so a bad key merged
+    # into another term or printed as a different monomial
+    for terms in ({(1.5, 0): 1, (1, 0): 2}, {("2", 0): 1}, {(True, 0): 1}):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            GaussPoly(CTX, terms)
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        GaussPoly.monomial(CTX, (Fraction(3, 2), 0))
+    assert str(GaussPoly(CTX, {(1, 0): 2, (0, 2): 1})) == "2*q + p^2"
+
+
 def test_unknown_coordinate():
     with pytest.raises(UnknownCoordinate):
         GaussPoly.coordinate(CTX, "q2")
@@ -322,6 +333,16 @@ def test_pi_rational_arithmetic():
             other.coeff
         with pytest.raises(ValueError):
             other.pi_power
+
+
+def test_pi_scalar_powers_are_repeated_products_and_reciprocals():
+    for x in (PiScalar.pi(), PiScalar.pi() * ExactComplex(1, 2) + 3,
+              PiScalar((1, 1), (2, 0, 1))):
+        for k in range(-3, 6):
+            factor = x if k >= 0 else x.reciprocal()
+            assert x ** k == prod([factor] * abs(k), start=PiScalar.const(1)), (x, k)
+    with pytest.raises(ValueError):
+        PiScalar.pi() ** Fraction(1, 2)
 
 
 def test_pi_rational_validates_at_the_boundary():
