@@ -398,9 +398,9 @@ def _lower(e, ctx, functional):
         out = FormalFunctional.delta(ctx, e[1] or (0,) * ctx.dim)
     elif kind == "density":
         inner = _lower(e[1], ctx, False)
-        if inner.tail is not None or inner.valuation != 0 or len(inner.coeffs) != 1:
+        if not _lam_free(inner):
             raise EngineError("density(...) takes a single lam-free profile")
-        out = FormalFunctional.density(ctx, inner.coeffs[0])
+        out = FormalFunctional.density(ctx, inner.coefficient(0))
     else:
         out = wigner_state(ctx, e[1])
     for kind, _, right in reversed(spine):

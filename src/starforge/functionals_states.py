@@ -24,8 +24,9 @@ from .phase_functions import (GaussPoly, PiScalar, coeff_sign, gp_pair,
                               DimensionMismatch, render_gausspoly, _PI_ZERO, _gp)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
-from .star_products import (star_mul, moyal_family, truncation_order, TruncationRequired,
-                            UNBOUNDED, _derivative, _monomial_generators, _moyal_terms)
+from .star_products import (star_mul, star_commutator, moyal_family, truncation_order,
+                            TruncationRequired, UNBOUNDED, _derivative,
+                            _monomial_generators, _moyal_terms)
 
 
 class NotNormalizable(EngineError):
@@ -691,9 +692,8 @@ def eigencheck_star(S, xi, a, T, test_degree, binding=FORMAL):
     first = None
     for psi in _test_monomials(ctx, test_degree):
         psif = FormalFunction.of(psi, 0)
-        psi_xi = star_mul(S, psif, xi)
-        r = func_star_action(S, Tb, psi_xi) - a * func_star_action(S, Tb, psif)
-        cres = func_star_action(S, Tb, psi_xi - star_mul(S, xi, psif))
+        r = func_star_action(S, Tb, star_mul(S, psif, xi)) - a * func_star_action(S, Tb, psif)
+        cres = func_star_action(S, Tb, star_commutator(S, psif, xi))
         if binding.is_strict:
             r, cres = scalar_eval(r, binding), scalar_eval(cres, binding)
         witness = render_gausspoly(psi)

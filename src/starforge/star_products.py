@@ -360,6 +360,12 @@ def truncation_order(what, order, lowest):
 
 def star_mul(S, F, G, order=None):
     """Graded star product; exact when every coefficient pair terminates."""
+    return _graded_product(S, F, G, order, 1)
+
+
+def _graded_product(S, F, G, order, step):
+    # the graded triple sum over lam^(l+j+m) B_m(F_l, G_j) with the operator
+    # orders m = 0, 1, 2, ... (step 1) or m = 1, 3, 5, ... (step 2)
     ctx = S.ctx
     if (not F.coeffs and F.tail is None) or (not G.coeffs and G.tail is None):
         return FormalFunction.zero(ctx)
@@ -395,13 +401,26 @@ def star_mul(S, F, G, order=None):
     for (l, j), k_bound in bounds.items():
         base = F.valuation + l + G.valuation + j
         m_max = hi - base if k_bound == UNBOUNDED else min(k_bound, hi - base)
-        for m in range(0, m_max + 1):
+        for m in range(step - 1, m_max + 1, step):
             S.B_into(acc[base + m - lo], m, F.coeffs[l], G.coeffs[j], tables)
     return FormalFunction(ctx, lo, [_sum_of(ctx, out) for out in acc], t)
 
 
 def star_commutator(S, F, G, order=None):
-    """F * G - G * F."""
+    """F * G - G * F.
+
+    The Moyal and bullet operators have the parity B_m(g, f) = (-1)^m B_m(f, g),
+    so the even orders m cancel and F * G - G * F = 2 O, where O is the part
+    of F * G from the odd m alone: under those two tables one pass over the
+    odd orders builds O (under bullet, whose only operator is B_0, O is zero).
+    The split goes by the operator order m, not by the power of lam, so it
+    holds for operands with any powers of lam.  The truncation, tail and
+    lowest power are those of F * G, which are those of G * F.  Any other
+    table takes both products.
+    """
+    if S._term_fn is _moyal_terms or S._term_fn is _bullet_terms:
+        odd = _graded_product(S, F, G, order, 2)
+        return odd + odd
     return star_mul(S, F, G, order) - star_mul(S, G, F, order)
 
 

@@ -592,6 +592,16 @@ def test_classical_eigencheck_counts_zero_as_lam_free(capsys):
     assert (res.status, out) == (2, _engine_error("classical checks take a lam-free expression"))
 
 
+def test_a_zero_density_profile_counts_as_lam_free(capsys):
+    # zero has no lam-power at all, as in the classical eigencheck; the
+    # functional it makes pairs to zero, which the engine itself judges
+    res, out = go(capsys, "normalize", "density(0)")
+    assert (res.status, out) == (2, _engine_error("functional pairs to 0 against the constant 1",
+                                                  "NotNormalizable"))
+    res, out = go(capsys, "positivity", "density(0)", "q")
+    assert (res.status, out) == (0, '{"verdict": "positive_on_samples"}\n')
+
+
 def test_region_rejects_a_non_polynomial_operand(capsys):
     # the shape checks live in negative_region alone, with their own message
     res, out = go(capsys, "region", "q*gauss(1) + p")

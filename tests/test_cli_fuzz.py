@@ -137,6 +137,8 @@ def _run(argv):
 @given(argvs())
 # a fail verdict that the full report must state too, not only by exit 1
 @example(["axioms", "--degree", "1", "--order", "1", "--product", "bullet", "--json"])
+# a commutator taken from the odd operator orders alone, cut with a tail
+@example(["commutator", "q*gauss(1)", "gauss(1)", "--order", "3"])
 def test_every_drawn_argv_keeps_the_cli_contract(argv):
     status, out = _run(argv)
     assert out.endswith("\n") and out.count("\n") == 1, (argv, out)

@@ -889,3 +889,134 @@ def test_a_product_in_many_pairs_needs_no_deep_recursion():
     q1 = FormalFunction.of(GaussPoly.coordinate(ctx, "q1"))
     p1 = FormalFunction.of(GaussPoly.coordinate(ctx, "p1"))
     assert render_function(star_mul(moyal_family(ctx), q1, p1)) == "q1*p1 + 1/2*I*lam"
+
+
+# ============================================================
+# Commutators from the odd operator orders
+# ============================================================
+
+def _merged(table):
+    # an operator table as {(dl, dr): summed coefficient}, zero sums dropped
+    out = {}
+    for c, dl, dr in table:
+        out[(dl, dr)] = out.get((dl, dr), ExactComplex(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_moyal_and_bullet_operators_have_the_parity_of_their_order(n):
+    # B_k(g, f) = (-1)^k B_k(f, g): terms(k) with dl and dr swapped and each
+    # coefficient times (-1)^k is the same table
+    ctx = PhaseContext(n)
+    for fam in (moyal_family(ctx), bullet_family(ctx)):
+        for k in range(9):
+            table = fam.terms(k)
+            swapped = [(-c if k % 2 else c, dr, dl) for c, dl, dr in table]
+            assert _merged(swapped) == _merged(table), (fam.name, n, k)
+            assert _merged(table) or fam.name == "bullet"
+
+
+def _two_products(S, F, G, order=None):
+    # the commutator by its definition
+    return star_mul(S, F, G, order) - star_mul(S, G, F, order)
+
+
+def _same_series(got, want):
+    assert (got.valuation, got.tail) == (want.valuation, want.tail)
+    assert got.coeffs == want.coeffs
+    assert render_function(got) == render_function(want)
+
+
+def _graded_operand(rng, ctx):
+    # a few consecutive lam-powers from a random (possibly negative, possibly
+    # odd) valuation, each a polynomial, a Gaussian or a sum of both; now and
+    # then a zero coefficient or a truncated tail
+    valuation = rng.randint(-2, 1)
+    coeffs = []
+    for _ in range(rng.randint(1, 3)):
+        parts = []
+        if rng.random() < 0.6:
+            parts.append(rand_poly(rng, ctx, degree=2, nterms=2))
+        if rng.random() < 0.6:
+            parts.append(rand_gaussian(rng, ctx, degree=1, nterms=2))
+        coeffs.append(GaussSum(ctx, parts))
+    tail = None
+    if rng.random() < 0.25:
+        tail = valuation + rng.randint(0, len(coeffs))
+    return FormalFunction(ctx, valuation, coeffs, tail)
+
+
+@pytest.mark.parametrize("n,draws,depth", [(1, 30, 5), (2, 8, 2)])
+def test_the_commutator_is_the_difference_of_two_products(rng, n, draws, depth):
+    ctx = PhaseContext(n)
+    families = (moyal_family(ctx), bullet_family(ctx))
+    seen_odd_power = False
+    for _ in range(draws):
+        F, G = _graded_operand(rng, ctx), _graded_operand(rng, ctx)
+        seen_odd_power |= any(c and (F.valuation + i) % 2
+                              for i, c in enumerate(F.coeffs))
+        order = F.valuation + G.valuation + rng.randint(0, depth)
+        for S in families:
+            _same_series(star_commutator(S, F, G, order), _two_products(S, F, G, order))
+    # operands with odd powers of lam are where a split by lam-power fails
+    assert seen_odd_power
+
+
+@pytest.mark.parametrize("S", [MOYAL, BULLET], ids=["moyal", "bullet"])
+def test_the_commutator_keeps_the_products_edge_cases(S):
+    # exact zeros, truncated zeros, terminating products without an order and
+    # a terminating product with an order below its top power
+    poly = FormalFunction(CTX, -1, (Q * Q * P, Q + GaussPoly.constant(CTX, 2), P))
+    gauss = FormalFunction(CTX, 1, (GAUSS, Q * GAUSS), 2)
+    zero = FormalFunction.zero(CTX)
+    cut_zero = FormalFunction(CTX, 0, (), 2)
+    cases = [(zero, gauss, None), (gauss, zero, None), (cut_zero, poly, None),
+             (poly, cut_zero, None), (poly, poly.shift(1), None),
+             (fn(Q * Q), poly, None), (poly, fn(P * Q * Q), 0), (gauss, poly, 3),
+             (gauss, gauss, 5)]
+    for F, G, order in cases:
+        _same_series(star_commutator(S, F, G, order), _two_products(S, F, G, order))
+
+
+def _record_orders(monkeypatch):
+    calls = []
+    real = StarFamily.B_into
+
+    def recorded(self, out, k, f, g, tables=None):
+        calls.append(k)
+        return real(self, out, k, f, g, tables)
+
+    monkeypatch.setattr(StarFamily, "B_into", recorded)
+    return calls
+
+
+def test_parity_families_visit_only_the_odd_orders(monkeypatch):
+    calls = _record_orders(monkeypatch)
+    F = FormalFunction(CTX, 0, (Q * GAUSS, P * P))
+    G = FormalFunction(CTX, -1, (GAUSS, GaussPoly.constant(CTX, 3)))
+    star_commutator(MOYAL, F, G, 4)
+    assert calls and all(k % 2 for k in calls)
+    del calls[:]
+    star_commutator(BULLET, F, G, 4)
+    assert calls == []
+
+
+def test_a_table_without_the_parity_takes_both_products(monkeypatch):
+    # Moyal's table with only the first term kept at k = 1 has no parity, so
+    # its commutator needs the even orders too, and both products
+    from starforge.star_products import _graded_product
+
+    def cut(k, ctx):
+        terms = MOYAL.terms(k)
+        return terms[:1] if k == 1 else terms
+
+    S = StarFamily("cut", CTX, cut)
+    F = FormalFunction(CTX, 0, (Q * GAUSS, P * P))
+    G = FormalFunction(CTX, -1, (GAUSS, Q * P))
+    calls = _record_orders(monkeypatch)
+    got = star_commutator(S, F, G, 3)
+    assert {k % 2 for k in calls} == {0, 1}
+    want = _two_products(S, F, G, 3)
+    _same_series(got, want)
+    odd = _graded_product(S, F, G, 3, 2)
+    assert odd + odd != want
