@@ -12,8 +12,7 @@ from .lambda_scalars import (EngineError, ZeroNotInvertible, FormalModeError,
                              EC_ZERO, EC_ONE, EC_I, FormalScalar, LambdaBinding,
                              FORMAL,
                              scalar_mul, scalar_invert,
-                             scalar_eval, agreement_depth, agree,
-                             converges_per_power, render_scalar,
+                             scalar_eval, agreement_depth, agree, render_scalar,
                              scalar_to_json, scalar_from_json)
 from .phase_functions import (AlphaMismatch, NotIntegrable, UnknownCoordinate,
                               DimensionMismatch, PiSeparationError,
@@ -25,15 +24,14 @@ from .formal_series import (GaussSum, FormalFunction, fs_linear_comb,
                             fs_bullet, fs_diff, fs_integrate, render_function,
                             fs_to_json, fs_from_json)
 from .star_products import (UNBOUNDED, TruncationRequired, StarFamily,
-                            bullet_family, moyal_family, moyal_term, star_mul,
+                            bullet_family, moyal_family, star_mul,
                             star_commutator, star_trace, ClosednessReport,
                             closedness_check, AxiomReport, axiom_suite)
 from .functionals_states import (NotNormalizable, NotSupportedForm,
                                  InfinitePrincipalPart, PointDeriv, Density,
                                  FormalFunctional, bind_functional,
-                                 func_action, func_star_action, DualFunctional,
-                                 func_mul, RealityReport, reality_check,
-                                 PositivityReport, positivity_check,
+                                 func_action, func_star_action, RealityReport,
+                                 reality_check, PositivityReport, positivity_check,
                                  normalize_functional, EigenReport,
                                  eigencheck_classical, eigencheck_bullet,
                                  eigencheck_star, wigner_state, RegionReport,

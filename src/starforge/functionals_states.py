@@ -10,10 +10,8 @@ tests, all exact.
 """
 
 from fractions import Fraction
-from functools import partial
-from itertools import product
-from math import comb, factorial, prod
-from operator import add, sub
+from math import comb, factorial
+from operator import add
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
                              TruncatedTailError, ScopeError, ExactComplex, EC_ZERO,
@@ -55,11 +53,11 @@ def _as_weight(w):
 # Elementary terms
 # ============================================================
 
-def _gaussian_free_value(gs, index, point, message):
+def _gaussian_free_value(gs, index, point):
     """Sum at point of the parts of d^index gs whose Gaussian argument is 0 there.
 
     Any other part must vanish at the point; a nonzero one raises
-    NotSupportedForm(message % {"value": ..., "exp_arg": ...}).
+    NotSupportedForm.
     """
     for i, e in enumerate(index):
         for _ in range(e):
@@ -69,7 +67,9 @@ def _gaussian_free_value(gs, index, point, message):
         if exp_arg == 0:
             total = total + value
         elif value:
-            raise NotSupportedForm(message % {"value": value, "exp_arg": exp_arg})
+            raise NotSupportedForm(
+                "point evaluation would produce %s * exp(%s); only vanishing "
+                "Gaussian arguments are supported" % (value, exp_arg))
     return total
 
 
@@ -120,10 +120,7 @@ class PointDeriv(_Term):
 
     def act(self, gs):
         """Pair with one GaussSum coefficient."""
-        total = _gaussian_free_value(
-            gs, self.index, self.point,
-            "point evaluation would produce %(value)s * exp(%(exp_arg)s); only "
-            "vanishing Gaussian arguments are supported")
+        total = _gaussian_free_value(gs, self.index, self.point)
         if sum(self.index) % 2:
             total = -total
         return self.weight * total
@@ -405,70 +402,6 @@ def _star_action_adjoint(S, T, F, order=None):
 
 
 # ============================================================
-# Products of functions with functionals
-# ============================================================
-
-class DualFunctional(Frozen):
-    """Star product of a function with a functional, kept as a pending
-    operation: it acts by moving its function across the star pairing."""
-
-    __slots__ = ("S", "side", "xi", "base")
-
-    def star_action(self, F, order=None):
-        F = _as_function(self.S.ctx, F)
-        # <xi * T, F>_* = <T, F * xi>_*  and  <T * xi, F>_* = <T, xi * F>_*
-        a, b = (F, self.xi) if self.side == "left" else (self.xi, F)
-        return func_star_action(self.S, self.base, star_mul(self.S, a, b, order), order)
-
-    def __str__(self):
-        if self.side == "left":
-            return "(%s) * T" % render_function(self.xi)
-        return "T * (%s)" % render_function(self.xi)
-
-
-def _bullet_term_mul(ctx, gs, term):
-    """Pointwise product of one GaussSum with one elementary term."""
-    if isinstance(term, Density):
-        return [_built(Density, ctx, term.g * gs, term.width_lambda, term.weight)]
-    # Leibniz: <xi . d^mu delta, f> expands into point derivatives of order
-    # mu - nu weighted by d^nu xi at the point; the sign works out to (-1)^|nu|
-    out = []
-    mu = term.index
-    for nu in product(*(range(e + 1) for e in mu)):
-        val = _gaussian_free_value(
-            gs, nu, term.point,
-            "pointwise product against a point functional needs "
-            "the Gaussian factor to vanish at the point")
-        if val:
-            c = (-1) ** sum(nu) * prod(map(comb, mu, nu))
-            out.append(_built(PointDeriv, ctx, term.point, tuple(map(sub, mu, nu)),
-                              term.weight * val * Fraction(c)))
-    return out
-
-
-def func_mul(S, side, xi, T):
-    """Multiply a functional by a function on the given side.
-
-    side "bullet" materializes the pointwise product as a new functional;
-    sides "left" and "right" return the star product as a pending operation
-    acting through the dual pairing.
-    """
-    if side not in ("left", "right", "bullet"):
-        raise ValueError("side must be left, right, or bullet")
-    xi = _as_function(S.ctx, xi)
-    if side in ("left", "right"):
-        return DualFunctional(S, side, xi, T)
-    ctx = S.ctx
-
-    def bullet_add(acc, gs, grade):
-        for term in grade:
-            acc = acc + tuple(_bullet_term_mul(ctx, gs, term))
-        return acc
-
-    return graded_product(xi, T, bullet_add, partial(FormalFunctional, ctx), _NO_TERMS)
-
-
-# ============================================================
 # Reality and positivity
 # ============================================================
 
@@ -532,16 +465,20 @@ def positivity_check(S, T, witness_fns, lambda_samples=DEFAULT_SAMPLES):
     total is a negativity certificate.  The verdict only covers the finite
     witness set and sample list.
     """
-    witness_fns = list(witness_fns)
+    witness_fns = [_as_function(S.ctx, f) for f in witness_fns]
     lambda_samples = tuple(lambda_samples)
     if not witness_fns:
         raise ScopeError("positivity needs at least one witness function")
     if not lambda_samples:
         raise ScopeError("positivity needs at least one lambda sample")
+    # 0 >= 0 says nothing about a state, and a zero witness pairs to 0
+    if not T:
+        raise ScopeError("positivity needs a nonzero functional")
+    if not all(witness_fns):
+        raise ScopeError("positivity needs nonzero witness functions")
     details = []
     negativity = None
-    for f in witness_fns:
-        ff = _as_function(S.ctx, f)
+    for ff in witness_fns:
         witness = render_function(ff)
         try:
             val = func_star_action(S, T, star_mul(S, ff.conj(), ff))
@@ -657,6 +594,9 @@ def eigencheck_bullet(xi, a, T, test_degree, binding=FORMAL):
     evaluated at the bound lambda; formally, residuals must vanish as series.
     """
     ctx = T.ctx
+    if not T:
+        # the zero functional satisfies every eigen-equation
+        raise ScopeError("an eigenfunctional must be nonzero")
     xi = _as_function(ctx, xi)
     if isinstance(a, (int, Fraction, ExactComplex)):
         a = FormalScalar.from_const(a)
@@ -683,6 +623,8 @@ def eigencheck_star(S, xi, a, T, test_degree, binding=FORMAL):
     evaluated at the bound lambda; formally, residuals must vanish as series.
     """
     ctx = S.ctx
+    if not T:
+        raise ScopeError("an eigenfunctional must be nonzero")
     xi = _as_function(ctx, xi)
     if isinstance(a, (int, Fraction, ExactComplex)):
         a = FormalScalar.from_const(a)

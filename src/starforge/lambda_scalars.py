@@ -691,28 +691,6 @@ def agree(a, b):
     return True
 
 
-def converges_per_power(family, limit, powers):
-    """Per-power stabilisation of a scalar sequence against its limit.
-
-    Returns (verdict, {power: first index from which the coefficient equals
-    the limit's, or None if it never stabilises within the family}).  This is
-    the coefficientwise convergence criterion for scalar sequences, checked on
-    a finite prefix of the family.
-    """
-    table = {}
-    for z in powers:
-        target = limit.coefficient(z)
-        stable = None
-        for idx, s in enumerate(family):
-            if s.coefficient(z) == target:
-                if stable is None:
-                    stable = idx
-            else:
-                stable = None
-        table[z] = stable
-    return all(v is not None for v in table.values()), table
-
-
 # ============================================================
 # Rendering and JSON
 # ============================================================

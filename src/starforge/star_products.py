@@ -12,8 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 
-from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ONE, Frozen,
-                             tail_min, mul_tail, _accumulate)
+from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ZERO, EC_ONE,
+                             Frozen, tail_min, mul_tail, _accumulate)
 from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair, gp_poisson,
                               gp_mul_into, render_gausspoly, monomial_key,
                               _gp)
@@ -336,11 +336,6 @@ def moyal_family(ctx):
     return StarFamily("moyal", ctx, _moyal_terms)
 
 
-def moyal_term(k, f, g):
-    """B_k of the Moyal family; B_0 = fg, B_1 = (i/2){f,g}."""
-    return moyal_family(f.ctx).B(k, f, g)
-
-
 # ============================================================
 # Star product on series
 # ============================================================
@@ -360,12 +355,12 @@ def truncation_order(what, order, lowest):
 
 def star_mul(S, F, G, order=None):
     """Graded star product; exact when every coefficient pair terminates."""
-    return _graded_product(S, F, G, order, 1)
+    return _graded_product(S, F, G, order)
 
 
-def _graded_product(S, F, G, order, step):
-    # the graded triple sum over lam^(l+j+m) B_m(F_l, G_j) with the operator
-    # orders m = 0, 1, 2, ... (step 1) or m = 1, 3, 5, ... (step 2)
+def _graded_product(S, F, G, order):
+    # the graded triple sum over lam^(l+j+m) B_m(F_l, G_j), skipping the
+    # orders m whose operator table is empty
     ctx = S.ctx
     if (not F.coeffs and F.tail is None) or (not G.coeffs and G.tail is None):
         return FormalFunction.zero(ctx)
@@ -401,27 +396,41 @@ def _graded_product(S, F, G, order, step):
     for (l, j), k_bound in bounds.items():
         base = F.valuation + l + G.valuation + j
         m_max = hi - base if k_bound == UNBOUNDED else min(k_bound, hi - base)
-        for m in range(step - 1, m_max + 1, step):
-            S.B_into(acc[base + m - lo], m, F.coeffs[l], G.coeffs[j], tables)
+        for m in range(m_max + 1):
+            if S.terms(m):
+                S.B_into(acc[base + m - lo], m, F.coeffs[l], G.coeffs[j], tables)
     return FormalFunction(ctx, lo, [_sum_of(ctx, out) for out in acc], t)
 
 
-def star_commutator(S, F, G, order=None):
-    """F * G - G * F.
+def _commutator_family(S):
+    # the family whose B_m(f, g) is S's B_m(f, g) - B_m(g, f): each term
+    # (c, dl, dr) with its swap (-c, dr, dl), merged, zeros dropped.  It lives
+    # in S's cache, so each of its tables is built once.  Its bound is the
+    # larger of S's two, since S's termination rule need not be symmetric.
+    C = S._cache.get("commutator")
+    if C is None:
+        def terms(k, ctx):
+            merged = {}
+            for c, dl, dr in S.terms(k):
+                merged[(dl, dr)] = merged.get((dl, dr), EC_ZERO) + c
+                merged[(dr, dl)] = merged.get((dr, dl), EC_ZERO) - c
+            return tuple((c, dl, dr) for (dl, dr), c in merged.items() if c)
 
-    The Moyal and bullet operators have the parity B_m(g, f) = (-1)^m B_m(f, g),
-    so the even orders m cancel and F * G - G * F = 2 O, where O is the part
-    of F * G from the odd m alone: under those two tables one pass over the
-    odd orders builds O (under bullet, whose only operator is B_0, O is zero).
-    The split goes by the operator order m, not by the power of lam, so it
-    holds for operands with any powers of lam.  The truncation, tail and
-    lowest power are those of F * G, which are those of G * F.  Any other
-    table takes both products.
+        def bound(f, g):
+            return max(S.termination_bound(f, g), S.termination_bound(g, f))
+
+        C = S._cache["commutator"] = StarFamily("[%s]" % S.name, S.ctx, terms, bound)
+    return C
+
+
+def star_commutator(S, F, G, order=None):
+    """F * G - G * F, as one graded product over B_m(f, g) - B_m(g, f).
+
+    It needs a truncation order where F * G or G * F does, and takes their
+    tail and lowest power.  Under the Moyal and bullet tables, B_m(g, f) = (-1)^m B_m(f, g), so only the odd orders m
+    are visited, at 2 B_m (under bullet, none).
     """
-    if S._term_fn is _moyal_terms or S._term_fn is _bullet_terms:
-        odd = _graded_product(S, F, G, order, 2)
-        return odd + odd
-    return star_mul(S, F, G, order) - star_mul(S, G, F, order)
+    return _graded_product(_commutator_family(S), F, G, order)
 
 
 def star_trace(S, F):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from starforge import ExactComplex, FormalFunction, FormalScalar, GaussPoly
+from starforge import (ExactComplex, FormalFunction, FormalScalar, GaussPoly, StarFamily,
+                       moyal_family)
 
 ALPHAS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2))
 
@@ -83,3 +84,12 @@ def gauss_polys(ctx, max_terms=4, max_exp=4):
     return st.builds(lambda terms, alpha: GaussPoly(ctx, terms, alpha),
                      st.dictionaries(exps, exact_coeffs, max_size=max_terms),
                      st.sampled_from(PAIR_WIDTHS))
+
+
+def real_b1_family(ctx):
+    """Moyal's table on one pair with a real first-order operator,
+    B_1 = (1/2)(f_q g_p - f_p g_q): a family that is not Moyal's."""
+    moyal = moyal_family(ctx)
+    half = ExactComplex(Fraction(1, 2))
+    b1 = ((half, (1, 0), (0, 1)), (-half, (0, 1), (1, 0)))
+    return StarFamily("real_b1", ctx, lambda k, _: b1 if k == 1 else moyal.terms(k))

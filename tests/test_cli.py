@@ -437,6 +437,20 @@ def test_eigencheck_empty_test_set_is_a_scope_error(capsys):
                  "--test-degree", "-1")
 
 
+def test_a_zero_functional_or_witness_is_a_scope_error(capsys):
+    # the zero functional satisfies every eigen-equation and pairs to 0 >= 0,
+    # and a zero witness pairs to 0: none of these verdicts would say anything
+    for argv in (("eigencheck", "q", "0", "0*delta(0,0)"),
+                 ("eigencheck", "1", "1", "delta(0,0)-delta(0,0)")):
+        assert _scope_error(capsys, *argv) == "an eigenfunctional must be nonzero"
+    assert (_scope_error(capsys, "positivity", "delta(0,0)", "0")
+            == "positivity needs nonzero witness functions")
+    assert (_scope_error(capsys, "positivity", "0*delta(0,0)", "q")
+            == "positivity needs a nonzero functional")
+    _scope_error(capsys, "eigencheck", "q", "0", "0*delta(0,0)", "--kind", "bullet")
+    _scope_error(capsys, "positivity", "delta(0,0)", "q", "q - q")
+
+
 def test_star_order_below_the_lowest_power_is_a_scope_error(capsys):
     # a non-terminating product truncated below lam^0 would certify nothing
     msg = _scope_error(capsys, "star", "gauss(1)", "gauss(1)", "--order", "-3")

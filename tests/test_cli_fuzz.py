@@ -5,7 +5,8 @@ positionals and options, _OPTIONS every option, and _KIND_READS (with
 _KIND_ARGS) what each eigencheck kind reads; now and then one option from
 outside the row rides along.  Every draw must keep the CLI contract: one JSON
 line on stdout, exit 0, 1 or 2, exit 1 only with a fail or negative verdict,
-and the same bytes and status on a rerun.
+exit 0 from positivity or eigencheck only for a nonzero functional (and
+nonzero positivity witnesses), and the same bytes and status on a rerun.
 
 The work is bounded, not the kinds of input: orders up to 3, at most two
 pairs, degrees up to 2, axiom suites only at degree 1 and order up to 2,
@@ -19,8 +20,10 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from starforge import PhaseContext
 from starforge.cli_frontend import (_COMMANDS, _KIND_ARGS, _KIND_READS, _OPTIONS,
-                                    run_command)
+                                    _make_parser, lower_expression, parse_expression,
+                                    parse_functional, run_command)
 
 SCALAR_ATOMS = st.sampled_from(("0", "1", "2", "1/2", "2/3", "I", "lam"))
 ATOMS = st.one_of(
@@ -126,6 +129,18 @@ def argvs(draw):
     return argv
 
 
+def _certifies_something(argv):
+    # a passing positivity or eigencheck holds of a nonzero functional, and a
+    # positivity pass of nonzero witnesses only: the zero ones pass vacuously
+    args = _make_parser().parse_args(argv)
+    if getattr(args, "functional", None) is None:
+        return True
+    ctx = PhaseContext(args.pairs)
+    witnesses = getattr(args, "witnesses", ())
+    return bool(parse_functional(args.functional, ctx)) and all(
+        lower_expression(parse_expression(w), ctx) for w in witnesses)
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -139,6 +154,11 @@ def _run(argv):
 @example(["axioms", "--degree", "1", "--order", "1", "--product", "bullet", "--json"])
 # a commutator taken from the odd operator orders alone, cut with a tail
 @example(["commutator", "q*gauss(1)", "gauss(1)", "--order", "3"])
+# a zero functional or witness, which would pass vacuously
+@example(["eigencheck", "q", "0", "0*delta(0,0)"])
+@example(["eigencheck", "1", "1", "delta(0,0)-delta(0,0)"])
+@example(["positivity", "delta(0,0)", "0"])
+@example(["positivity", "0*delta(0,0)", "q"])
 def test_every_drawn_argv_keeps_the_cli_contract(argv):
     status, out = _run(argv)
     assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
@@ -148,4 +168,6 @@ def test_every_drawn_argv_keeps_the_cli_contract(argv):
         assert payload.get("verdict") in ("fail", "negative"), (argv, out)
     if status == 2:
         assert set(payload) == {"error"}, (argv, out)
+    if status == 0:
+        assert _certifies_something(argv), (argv, out)
     assert _run(argv) == (status, out), argv

@@ -27,6 +27,7 @@ from starforge import (
     PhaseContext,
     PiScalar,
     PointDeriv,
+    ScopeError,
     StarFamily,
     TruncationRequired,
     bind_functional,
@@ -38,7 +39,6 @@ from starforge import (
     fs_bullet,
     fs_linear_comb,
     func_action,
-    func_mul,
     func_star_action,
     moyal_family,
     negative_region,
@@ -57,7 +57,7 @@ from starforge.functionals_states import (_laguerre_coeffs, _star_action_adjoint
                                          _test_monomials)
 
 from corpus import (exact_coeffs, gauss_polys, nonzero_coeff, rand_point, rand_poly,
-                    rand_scalar)
+                    rand_scalar, real_b1_family)
 
 CTX = PhaseContext(1)
 Q = GaussPoly.coordinate(CTX, "q")
@@ -319,16 +319,8 @@ def test_moyal_reduction_identity(rng):
         assert slow == fast
 
 
-def _real_b1(k, ctx):
-    # B_1 = (1/2)(f_q g_p - f_p g_q), first order; Moyal's B_k otherwise
-    if k == 1:
-        half = ExactComplex(Fraction(1, 2))
-        return ((half, (1, 0), (0, 1)), (-half, (0, 1), (1, 0)))
-    return MOYAL.terms(k)
-
-
 # a family that is not Moyal, so it pairs through _star_action_adjoint
-REAL_B1 = StarFamily("real_b1", CTX, _real_b1)
+REAL_B1 = real_b1_family(CTX)
 
 
 def test_the_adjoint_pairing_takes_each_derivative_once(rng, monkeypatch):
@@ -401,8 +393,6 @@ def test_a_gaussian_adjoint_pairing_is_still_truncated():
 
 def test_an_adjoint_truncation_below_the_lowest_power_is_a_scope_error():
     # star_mul's rule: a cut below the lowest power would know no coefficient
-    from starforge import ScopeError
-
     F = fn(GAUSS)
     with pytest.raises(ScopeError, match="below the pairing's lowest power -1"):
         func_star_action(REAL_B1, DELTA, F, -5)
@@ -430,46 +420,6 @@ def test_normalize_delta_over_bullet_is_exact():
     assert A == FormalScalar.lam()
     assert A.tail is None
     assert func_star_action(BULLET, T, ONE) == FormalScalar.one()
-
-
-# ---- products with functions ----
-
-def test_bullet_mul_reduces_to_evaluation():
-    d = FormalFunctional.delta(CTX, (1, 2))
-    T = func_mul(BULLET, "bullet", fn(Q), d)
-    assert func_action(T, fn(P)) == FormalScalar.from_const(2)
-
-
-def test_left_star_mul_through_the_dual_pairing():
-    view = func_mul(MOYAL, "left", fn(Q), DELTA)
-    v = view.star_action(fn(P))
-    assert v == FormalScalar.from_const(ExactComplex(0, Fraction(-1, 2)))
-
-
-def test_right_star_mul_by_one_is_identity():
-    d = FormalFunctional.delta(CTX, (1, 2))
-    view = func_mul(MOYAL, "right", ONE, d)
-    for psi in (ONE, fn(Q), fn(P), fn(Q * P)):
-        assert view.star_action(psi) == func_star_action(MOYAL, d, psi)
-
-
-def test_bullet_mul_matches_the_dual_definition(rng):
-    # <xi . T, psi> = <T, xi . psi> on a monomial corpus
-    monos = [GaussPoly.monomial(CTX, e) for e in
-             ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
-    for _ in range(8):
-        T = rand_functional(rng)
-        xi = fn(rand_poly(rng, CTX))
-        prod = func_mul(BULLET, "bullet", xi, T)
-        for m in monos:
-            psi = fn(m)
-            assert func_action(prod, psi) == func_action(T, fs_bullet(xi, psi))
-
-
-def test_bullet_mul_needs_vanishing_gaussians_at_points():
-    dq = FormalFunctional.point_deriv(CTX, (1, 0), (1, 0))
-    with pytest.raises(NotSupportedForm):
-        func_mul(BULLET, "bullet", fn(GAUSS), dq)
 
 
 # ---- reality ----
@@ -547,6 +497,11 @@ def test_classical_and_bullet_positivity_agree(rng):
     for _ in range(8):
         T = rand_functional(rng)
         T = (T + T.conj()).rescale(Fraction(1, 2))  # real part
+        if not T:
+            # a draw with no real part: the zero functional certifies nothing
+            with pytest.raises(ScopeError, match="nonzero functional"):
+                positivity_check(BULLET, T, monos, lambda_samples=samples)
+            continue
         rep = positivity_check(BULLET, T, monos, lambda_samples=samples)
         classical_negative = False
         for f in monos:
@@ -619,21 +574,38 @@ def test_positivity_refuses_a_value_that_is_not_real():
 
 
 def test_positivity_without_a_witness_is_a_scope_error():
-    from starforge import ScopeError
-
     with pytest.raises(ScopeError):
         positivity_check(MOYAL, DELTA, [])
 
 
-def test_positivity_without_a_lambda_sample_is_a_scope_error():
-    from starforge import ScopeError
+def test_a_zero_functional_or_witness_is_a_scope_error(monkeypatch):
+    # 0 >= 0 says nothing about a state, a zero witness pairs to 0, and the
+    # zero functional satisfies every eigen-equation; all fail before a product
+    from starforge import functionals_states
 
+    def no_products(*args):
+        raise AssertionError("a zero functional or witness must fail before any product")
+
+    monkeypatch.setattr(functionals_states, "star_mul", no_products)
+    zero = DELTA - DELTA
+    assert not zero and not DELTA.rescale(0)
+    with pytest.raises(ScopeError, match="nonzero functional"):
+        positivity_check(MOYAL, DELTA.rescale(0), [fn(Q)])
+    with pytest.raises(ScopeError, match="nonzero witness"):
+        positivity_check(MOYAL, DELTA, [fn(Q), FormalFunction.zero(CTX)])
+    with pytest.raises(ScopeError, match="eigenfunctional must be nonzero"):
+        eigencheck_bullet(fn(Q), 0, zero, 1)
+    with pytest.raises(ScopeError, match="eigenfunctional must be nonzero"):
+        eigencheck_star(MOYAL, fn(Q), 0, zero, 1)
+
+
+def test_positivity_without_a_lambda_sample_is_a_scope_error():
     with pytest.raises(ScopeError):
         positivity_check(MOYAL, DELTA, [fn(Q)], lambda_samples=())
 
 
 def test_positivity_reads_one_shot_samples_once(monkeypatch):
-    from starforge import ScopeError, functionals_states
+    from starforge import functionals_states
 
     f = fn(Q) + fn(P.scale(EC_I))
     samples = (Fraction(1, 2), Fraction(3))

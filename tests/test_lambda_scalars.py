@@ -21,7 +21,6 @@ from starforge import (
     ZeroNotInvertible,
     agree,
     agreement_depth,
-    converges_per_power,
     render_scalar,
     scalar_eval,
     scalar_from_json,
@@ -260,7 +259,6 @@ def _frozen_instances():
     gauss = sf.GaussPoly.gaussian(ctx, 1)
     moyal = sf.moyal_family(ctx)
     delta = sf.FormalFunctional.delta(ctx)
-    one = sf.FormalFunction.one(ctx)
     return {
         "ExactComplex": (EC_ONE, "a"),
         "LaurentSeries": (FormalScalar.one(), "coeffs"),
@@ -274,7 +272,6 @@ def _frozen_instances():
         "AxiomReport": (sf.AxiomReport("moyal", {}, {}), "entries"),
         "PointDeriv": (sf.PointDeriv(ctx, (0, 0)), "weight"),
         "Density": (sf.Density(ctx, gauss), "g"),
-        "DualFunctional": (sf.func_mul(moyal, "left", one, delta), "side"),
         "RealityReport": (sf.reality_check(delta), "verdict"),
         "PositivityReport": (sf.PositivityReport("negative", (), (), None, {}), "verdict"),
         "EigenReport": (sf.eigencheck_classical(gauss, 1, (0, 0)), "verdict"),
@@ -534,20 +531,6 @@ def test_agree_compares_only_known_powers():
     assert agree(a, b)
     assert agreement_depth(a, b) == 1
     assert not agree(a, series({0: 1, 1: 2}))
-
-
-def test_kronecker_family_converges_per_power():
-    family = [FormalScalar.lam(k) for k in range(10)]
-    verdict, table = converges_per_power(family, FormalScalar.zero(), range(0, 5))
-    assert verdict
-    # power z stabilises right after the lam^z member passes by
-    assert all(table[z] == z + 1 for z in range(0, 5))
-
-
-def test_family_that_never_stabilises():
-    family = [FormalScalar.lam(0, k % 2) for k in range(6)]
-    verdict, _ = converges_per_power(family, FormalScalar.zero(), [0])
-    assert not verdict
 
 
 # ---- JSON ----

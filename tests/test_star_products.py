@@ -23,14 +23,15 @@ from starforge import (
     fs_bullet,
     gp_poisson,
     moyal_family,
-    moyal_term,
     render_function,
     star_commutator,
     star_mul,
     star_trace,
 )
 
-from corpus import nonzero_poly, rand_function, rand_gaussian, rand_poly
+from starforge.star_products import _poly_bound
+
+from corpus import nonzero_poly, rand_function, rand_gaussian, rand_poly, real_b1_family
 
 CTX = PhaseContext(1)
 Q = GaussPoly.coordinate(CTX, "q")
@@ -62,13 +63,6 @@ def test_b1_on_canonical_coordinates():
 def test_b2_on_squares():
     got = MOYAL.B(2, Q * Q, P * P)
     assert got == GaussSum.of(GaussPoly.constant(CTX, Fraction(-1, 2)))
-
-
-def test_moyal_term_helper():
-    assert moyal_term(0, Q, P) == GaussSum.of(Q * P)
-    assert moyal_term(2, Q * Q, P * P) == GaussSum.of(GaussPoly.constant(CTX, Fraction(-1, 2)))
-    with pytest.raises(ValueError):
-        moyal_term(-1, Q, P)
 
 
 def test_negative_order_is_rejected_at_the_family():
@@ -949,7 +943,7 @@ def _graded_operand(rng, ctx):
 @pytest.mark.parametrize("n,draws,depth", [(1, 30, 5), (2, 8, 2)])
 def test_the_commutator_is_the_difference_of_two_products(rng, n, draws, depth):
     ctx = PhaseContext(n)
-    families = (moyal_family(ctx), bullet_family(ctx))
+    families = (moyal_family(ctx), bullet_family(ctx), _cut_family(ctx))
     seen_odd_power = False
     for _ in range(draws):
         F, G = _graded_operand(rng, ctx), _graded_operand(rng, ctx)
@@ -1001,22 +995,66 @@ def test_parity_families_visit_only_the_odd_orders(monkeypatch):
     assert calls == []
 
 
-def test_a_table_without_the_parity_takes_both_products(monkeypatch):
-    # Moyal's table with only the first term kept at k = 1 has no parity, so
-    # its commutator needs the even orders too, and both products
-    from starforge.star_products import _graded_product
+def _cut_family(ctx, cut_orders=(1,)):
+    # Moyal's table with only its first term kept at each order in cut_orders:
+    # no parity there, so B_m(f, g) - B_m(g, f) has even terms too
+    moyal = moyal_family(ctx)
 
-    def cut(k, ctx):
-        terms = MOYAL.terms(k)
-        return terms[:1] if k == 1 else terms
+    def terms(k, _):
+        return moyal.terms(k)[:1] if k in cut_orders else moyal.terms(k)
 
-    S = StarFamily("cut", CTX, cut)
+    return StarFamily("cut", ctx, terms)
+
+
+def _commutator_orders(S, k_max):
+    # the orders m <= k_max where B_m(f, g) - B_m(g, f) has a term
+    return {k for k in range(k_max + 1)
+            if _merged(S.terms(k) + tuple((-c, dr, dl) for c, dl, dr in S.terms(k)))}
+
+
+@pytest.mark.parametrize("cut_orders", [(1,), (1, 2)])
+def test_a_table_without_the_parity_takes_one_pass(monkeypatch, cut_orders):
+    # one pass over B_m(f, g) - B_m(g, f), with B_into called only at the
+    # orders where that table is not empty, gives the two products' result
+    S = _cut_family(CTX, cut_orders)
     F = FormalFunction(CTX, 0, (Q * GAUSS, P * P))
     G = FormalFunction(CTX, -1, (GAUSS, Q * P))
     calls = _record_orders(monkeypatch)
     got = star_commutator(S, F, G, 3)
-    assert {k % 2 for k in calls} == {0, 1}
-    want = _two_products(S, F, G, 3)
-    _same_series(got, want)
-    odd = _graded_product(S, F, G, 3, 2)
-    assert odd + odd != want
+    assert calls and set(calls) <= _commutator_orders(S, 4)
+    assert (2 in calls) == (2 in cut_orders)
+    _same_series(got, _two_products(S, F, G, 3))
+
+
+def test_families_with_the_parity_visit_only_the_odd_orders(monkeypatch):
+    # the pass follows the table, not its object: a copy of Moyal's term
+    # function and the real B_1 family have the parity too
+    copy = StarFamily("moyal", CTX, lambda k, ctx: MOYAL._term_fn(k, ctx))
+    F = FormalFunction(CTX, 0, (Q * GAUSS, P * P))
+    G = FormalFunction(CTX, -1, (GAUSS, GaussPoly.constant(CTX, 3)))
+    for S in (copy, real_b1_family(CTX)):
+        calls = _record_orders(monkeypatch)
+        got = star_commutator(S, F, G, 4)
+        monkeypatch.undo()
+        assert calls and all(k % 2 for k in calls), S.name
+        _same_series(got, _two_products(S, F, G, 4))
+
+
+def test_an_asymmetric_termination_rule_bounds_the_commutator_by_both_sides():
+    # a rule that reads only the left factor: P * X terminates for a
+    # polynomial P, X * P does not, so [P, X] and [X, P] need an order as X * P does
+    S = StarFamily("moyal", CTX, MOYAL._term_fn, termination=lambda f, g: _poly_bound(f))
+    poly = FormalFunction(CTX, 0, (Q * Q * P, P + GaussPoly.constant(CTX, 2)))
+    gauss = FormalFunction(CTX, -1, (GAUSS, Q * GAUSS))
+    assert star_mul(S, poly, gauss).tail is None
+    with pytest.raises(TruncationRequired):
+        star_mul(S, gauss, poly)
+    for F, G in ((poly, gauss), (gauss, poly)):
+        with pytest.raises(TruncationRequired):
+            star_commutator(S, F, G)
+        for order in (-1, 0, 2, 4):
+            got = star_commutator(S, F, G, order)
+            _same_series(got, _two_products(S, F, G, order))
+            _same_series(got, _two_products(MOYAL, F, G).truncate(order))
+    other = poly.shift(1) + fn(Q * P)
+    _same_series(star_commutator(S, poly, other), _two_products(S, poly, other))
