@@ -36,7 +36,7 @@ from .functionals_states import (NotNormalizable, NotSupportedForm,
                                  eigencheck_classical, eigencheck_bullet,
                                  eigencheck_star, wigner_state, RegionReport,
                                  negative_region)
-from .cli_frontend import (ParseError, UsageError, parse_expression, render_expr,
+from .cli_frontend import (ParseError, UsageError, parse_expression,
                            lower_expression, parse_functional,
                            function_to_scalar, CommandResult, run_command,
                            main)

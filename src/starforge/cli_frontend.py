@@ -283,65 +283,6 @@ def parse_expression(text, functional=False):
     return Parser(text, functional).parse()
 
 
-def render_expr(e):
-    """Canonical text for an Expr; reparses to the identical tree.
-
-    Long chains parse left-deep, so the left spine of +, - and * is walked
-    in a loop; only right operands and bracketed groups recurse.
-    """
-    spine = []
-    while e[0] in _ARITH:
-        spine.append(e)
-        e = e[1]
-    out = _render_operand(e)
-    for kind, left, right in reversed(spine):
-        if kind == "mul":
-            if left[0] in _SUM:
-                out = "(%s)" % out
-            out = "%s*%s" % (out, _wrap(right, _PRODUCT))
-        else:
-            out = "%s %s %s" % (out, "+" if kind == "add" else "-", _wrap(right, _SUM))
-    return out
-
-
-def _render_operand(e):
-    kind = e[0]
-    if kind == "num":
-        return str(e[1])
-    if kind == "i":
-        return "I"
-    if kind == "lam":
-        return "lam"
-    if kind == "coord":
-        return e[1]
-    if kind == "gauss":
-        return "gauss(%s)" % e[1]
-    if kind == "neg":
-        return "-" + _wrap(e[1], _SUM)
-    if kind == "pow":
-        return "%s^%d" % (_wrap(e[1], _POWER), e[2])
-    if kind == "delta":
-        return "delta(%s)" % ", ".join(str(x) for x in e[1])
-    if kind == "density":
-        return "density(%s)" % render_expr(e[1])
-    if kind == "wigner":
-        return "wigner(%d)" % e[1]
-    raise ValueError("unknown node %r" % (kind,))
-
-
-# node kinds an operand must bracket: sum-level nodes keep +/- chains
-# left-associated, a right factor of '*' also shields nested products, and a
-# power base shields everything but atoms
-_SUM = ("add", "sub", "neg")
-_PRODUCT = _SUM + ("mul",)
-_POWER = _PRODUCT + ("pow",)
-
-
-def _wrap(e, kinds):
-    text = render_expr(e)
-    return "(%s)" % text if e[0] in kinds else text
-
-
 # ============================================================
 # Lowering
 # ============================================================

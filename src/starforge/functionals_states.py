@@ -15,10 +15,10 @@ from operator import add
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
                              TruncatedTailError, ScopeError, ExactComplex, EC_ZERO,
-                             EC_ONE, as_coeff, _frac, Frozen, _built, FormalScalar,
+                             EC_ONE, as_scalar, _frac, Frozen, _built, FormalScalar,
                              FORMAL, LaurentSeries, graded_product, scalar_invert,
                              scalar_eval, render_scalar, render_series, series_to_json)
-from .phase_functions import (GaussPoly, PiScalar, coeff_sign, gp_pair,
+from .phase_functions import (GaussPoly, coeff_sign, gp_pair,
                               DimensionMismatch, render_gausspoly, _PI_ZERO, _gp)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
@@ -37,16 +37,6 @@ class NotSupportedForm(EngineError):
 
 class InfinitePrincipalPart(EngineError):
     """Functionals must have finitely many negative lambda powers."""
-
-
-def _as_weight(w):
-    # the exact kinds a pairing value can be multiplied by; ints and Fractions
-    # become ExactComplex, floats and anything else are refused
-    if isinstance(w, (ExactComplex, PiScalar)):
-        return w
-    if isinstance(w, (int, Fraction)):
-        return as_coeff(w)
-    raise TypeError("weight must be an exact scalar, got %r" % (w,))
 
 
 # ============================================================
@@ -89,6 +79,10 @@ class _Term(Frozen):
     def rescale(self, c):
         return self._with(self.weight * c)
 
+    def __bool__(self):
+        # a zero term drops out of its grade
+        return bool(self.weight)
+
     def conj(self):
         return self._with(self.weight.conj())
 
@@ -116,7 +110,7 @@ class PointDeriv(_Term):
         index = tuple(index)
         if len(index) != ctx.dim or any(type(e) is not int or e < 0 for e in index):
             raise ValueError("derivative index must be %d nonnegative ints" % ctx.dim)
-        Frozen.__init__(self, ctx, point, index, _as_weight(weight))
+        Frozen.__init__(self, ctx, point, index, as_scalar(weight, "weight"))
 
     def act(self, gs):
         """Pair with one GaussSum coefficient."""
@@ -160,11 +154,14 @@ class Density(_Term):
             g = GaussSum.of(g)
         if not isinstance(g, GaussSum):
             raise TypeError("density profile must be a Gaussian-polynomial function")
-        weight = _as_weight(weight)
+        weight = as_scalar(weight, "weight")
         width_lambda = _frac(width_lambda)
         if width_lambda < 0:
             raise ValueError("width_lambda must be nonnegative")
         Frozen.__init__(self, ctx, g, width_lambda, weight)
+
+    def __bool__(self):
+        return bool(self.weight) and bool(self.g)
 
     def act(self, gs):
         if self.width_lambda != 0:
@@ -236,7 +233,7 @@ def _merge_terms(terms):
         key = t.sort_key()
         prev = by_key.get(key)
         by_key[key] = t if prev is None else prev._with(prev.weight + t.weight)
-    return _Terms(t for _, t in sorted(by_key.items()) if t.weight != 0)
+    return _Terms(t for _, t in sorted(by_key.items()) if t)
 
 
 # ============================================================
@@ -293,8 +290,7 @@ class FormalFunctional(LaurentSeries):
 
     def rescale(self, c):
         """Multiply every weight by a plain scalar."""
-        if isinstance(c, (int, Fraction)):
-            c = as_coeff(c)
+        c = as_scalar(c, "weight")
         return self._map(lambda grade: grade.rescale(c))
 
     def scale_by_scalar(self, A):
@@ -567,8 +563,7 @@ def eigencheck_classical(phi, a, point):
     number only when P vanishes at the point.
     """
     gs = phi if isinstance(phi, GaussSum) else GaussSum.of(phi)
-    if isinstance(a, (int, Fraction)):
-        a = as_coeff(a)
+    a = as_scalar(a, "genvalue")
     point = tuple(_frac(x) for x in point)
     rational = EC_ZERO
     for value, exp_arg in gs.eval_pairs(point):
@@ -598,7 +593,7 @@ def eigencheck_bullet(xi, a, T, test_degree, binding=FORMAL):
         # the zero functional satisfies every eigen-equation
         raise ScopeError("an eigenfunctional must be nonzero")
     xi = _as_function(ctx, xi)
-    if isinstance(a, (int, Fraction, ExactComplex)):
+    if not isinstance(a, FormalScalar):
         a = FormalScalar.from_const(a)
     shifted = fs_linear_comb(FormalScalar.one(), xi, -a, FormalFunction.one(ctx))
     Tb = bind_functional(T, binding)
@@ -626,7 +621,7 @@ def eigencheck_star(S, xi, a, T, test_degree, binding=FORMAL):
     if not T:
         raise ScopeError("an eigenfunctional must be nonzero")
     xi = _as_function(ctx, xi)
-    if isinstance(a, (int, Fraction, ExactComplex)):
+    if not isinstance(a, FormalScalar):
         a = FormalScalar.from_const(a)
     Tb = bind_functional(T, binding)
     residuals = []
@@ -677,7 +672,7 @@ def wigner_state(ctx, level):
         # coefficient of lam^(-j): c * (2 r^2)^j, graded at -j
         w = c * (2 ** j) * sign
         if w:
-            grades[level - j].append(Density(ctx, power.scale(as_coeff(w)),
+            grades[level - j].append(Density(ctx, power.scale(w),
                                              EC_ONE, width_lambda=1))
         power = power * r2
     return FormalFunctional(ctx, -level, grades)
@@ -739,7 +734,7 @@ def negative_region(f, binding=FORMAL):
     square = star_mul(S, ff.conj(), ff)
     qs = GaussPoly.coordinate(ctx, "q") + GaussPoly.constant(ctx, -q0)
     ps = GaussPoly.coordinate(ctx, "p") + GaussPoly.constant(ctx, -p0)
-    expect0 = qs * qs + (ps * ps).scale(as_coeff(a * a))
+    expect0 = qs * qs + (ps * ps).scale(a * a)
     expected = FormalFunction(ctx, 0, (GaussSum.of(expect0),
                                        GaussSum.of(GaussPoly.constant(ctx, -a))))
     verified = (square == expected)

@@ -12,7 +12,9 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-_INF = float("inf")
+# the depth of an exact tail and the termination bound of a product that
+# never terminates: the one float in the engine, compared and never computed with
+UNBOUNDED = float("inf")
 
 
 class EngineError(Exception):
@@ -312,11 +314,24 @@ EC_I = ExactComplex(0, 1)
 _EC_MINUS_ONE = ExactComplex(-1)
 
 
-def as_coeff(c):
-    """Coerce ints/Fractions to ExactComplex; pass richer coefficient algebras through."""
-    if type(c) is not ExactComplex and isinstance(c, (int, Fraction)):
+def as_coeff(c, noun="coefficient"):
+    """The complex-rational floor: an ExactComplex as it is, an int (not a
+    bool) or a Fraction lifted to one; TypeError naming anything else."""
+    if type(c) is ExactComplex:
+        return c
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return ExactComplex(c)
-    return c
+    raise TypeError("%s must be an int, Fraction or ExactComplex, got %r" % (noun, c))
+
+
+def as_scalar(c, noun="scalar"):
+    """The two-floor gate: what as_coeff accepts, and a PiScalar as it is."""
+    if type(c) is ExactComplex or type(c) is PiScalar:
+        return c
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+        return ExactComplex(c)
+    raise TypeError("%s must be an int, Fraction, ExactComplex or PiScalar, got %r"
+                    % (noun, c))
 
 
 # ============================================================
@@ -326,18 +341,18 @@ def as_coeff(c):
 # tail N int -> coefficients are only known through lam^N
 
 def tail_depth(tail):
-    return _INF if tail is None else tail
+    return UNBOUNDED if tail is None else tail
 
 
 def tail_min(t1, t2):
     d = min(tail_depth(t1), tail_depth(t2))
-    return None if d == _INF else int(d)
+    return None if d == UNBOUNDED else int(d)
 
 
 def mul_tail(a_val, a_tail, b_val, b_tail):
     # a known through Na, b exact from b_val up: product known through Na + b_val
     d = min(tail_depth(a_tail) + b_val, tail_depth(b_tail) + a_val)
-    return None if d == _INF else int(d)
+    return None if d == UNBOUNDED else int(d)
 
 
 # ============================================================
@@ -516,7 +531,7 @@ class FormalScalar(LaurentSeries):
     the pi-valued ones integration produces) and a finite principal part."""
 
     __slots__ = ()
-    _norm = staticmethod(as_coeff)
+    _norm = staticmethod(as_scalar)
 
     def __init__(self, valuation, coeffs, tail=None):
         self._set(valuation, coeffs, tail)
@@ -540,11 +555,11 @@ class FormalScalar(LaurentSeries):
 
     @staticmethod
     def from_const(c):
-        return FormalScalar(0, (as_coeff(c),))
+        return FormalScalar(0, (c,))
 
     @staticmethod
     def lam(power=1, coeff=1):
-        return FormalScalar(power, (as_coeff(coeff),))
+        return FormalScalar(power, (coeff,))
 
     @staticmethod
     def from_coeff_map(mapping, tail=None):
@@ -569,7 +584,7 @@ class FormalScalar(LaurentSeries):
         return power(self, k, FormalScalar.one())
 
     def scale(self, c):
-        c = as_coeff(c)
+        c = as_scalar(c)
         return self._map(lambda x: c * x)
 
     def __eq__(self, other):
@@ -587,13 +602,6 @@ def scalar_mul(a, b):
     return graded_product(a, b, mul_add, FormalScalar, EC_ZERO)
 
 
-def _reciprocal(c):
-    rec = getattr(c, "reciprocal", None)
-    if rec is not None:
-        return rec()
-    return 1 / c
-
-
 def scalar_invert(a, order):
     """Multiplicative inverse, correct so that a * invert(a, order) = 1 through lam^order.
 
@@ -607,11 +615,11 @@ def scalar_invert(a, order):
         raise ScopeError("truncation order must be a nonnegative integer")
     v = a.valuation
     if len(a.coeffs) == 1 and a.tail is None:
-        return FormalScalar(-v, (_reciprocal(a.coeffs[0]),))
+        return FormalScalar(-v, (a.coeffs[0].reciprocal(),))
     # coefficients of a relative to lam^v, known through index j_max
     j_max = len(a.coeffs) - 1 if a.tail is None else a.tail - v
     m_max = min(order, j_max) if a.tail is not None else order
-    inv0 = _reciprocal(a.coeffs[0])
+    inv0 = a.coeffs[0].reciprocal()
     bs = [inv0]
     for m in range(1, m_max + 1):
         acc = None
@@ -683,7 +691,7 @@ def agreement_depth(a, b):
 def agree(a, b):
     """Mathematical equality as far as both tails allow."""
     d = agreement_depth(a, b)
-    if d == _INF:
+    if d == UNBOUNDED:
         return a.valuation == b.valuation and a.coeffs == b.coeffs
     for z in range(min(a.valuation, b.valuation), int(d) + 1):
         if a.coefficient(z) != b.coefficient(z):
@@ -778,9 +786,11 @@ def scalar_to_json(a):
 
 
 def scalar_from_json(data):
-    from .phase_functions import PiScalar      # it imports this module
-
     return FormalScalar(data["valuation"],
                         [(ExactComplex if isinstance(c, list) else PiScalar).from_json(c)
                          for c in data["coeffs"]],
                         tail_from_json(data))
+
+
+# phase_functions imports this module, so its PiScalar is bound last, once
+from .phase_functions import PiScalar  # noqa: E402

@@ -192,7 +192,11 @@ def _real_poly_interval(coeffs, lo, hi):
     return flo, fhi
 
 
-def _poly_sign_at_pi(coeffs, max_bits=4096):
+# the widest pi enclosure a sign decision may ask for before it gives up
+MAX_PI_BITS = 4096
+
+
+def _poly_sign_at_pi(coeffs):
     if not coeffs:
         return 0
     # pi > 0: terms that all share one sign decide it without bounds
@@ -200,7 +204,7 @@ def _poly_sign_at_pi(coeffs, max_bits=4096):
     if len(signs) == 1:
         return 1 if signs.pop() else -1
     bits = 32
-    while bits <= max_bits:
+    while bits <= MAX_PI_BITS:
         lo, hi = pi_bounds(bits)
         flo, fhi = _real_poly_interval(coeffs, lo, hi)
         if flo > 0:
@@ -309,11 +313,7 @@ def _lowest(num, den):
     return num, den
 
 
-def _pi_coeff(c):
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction, ExactComplex)):
-        raise TypeError("PiScalar coefficients must be int, Fraction or ExactComplex, "
-                        "got %r" % (c,))
-    return as_coeff(c)
+_PI_NOUN = "PiScalar coefficients"
 
 
 class PiScalar(Frozen):
@@ -326,8 +326,8 @@ class PiScalar(Frozen):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_ONE_DEN):
-        Frozen.__init__(self, *_lowest(_pstrip(_pi_coeff(c) for c in num),
-                                       _pstrip(_pi_coeff(c) for c in den)))
+        Frozen.__init__(self, *_lowest(_pstrip(as_coeff(c, _PI_NOUN) for c in num),
+                                       _pstrip(as_coeff(c, _PI_NOUN) for c in den)))
 
     @staticmethod
     def const(c):
@@ -450,13 +450,13 @@ class PiScalar(Frozen):
             return hash(self.num[0] if self.num else EC_ZERO)
         return hash((self.num, self.den))
 
-    def sign(self, max_bits=4096):
+    def sign(self):
         """Sign of a real value; decided through rational pi intervals."""
         if not self.is_real():
             raise ValueError("sign of a non-real value")
         if not self.num:
             return 0
-        return _poly_sign_at_pi(self.num, max_bits) * _poly_sign_at_pi(self.den, max_bits)
+        return _poly_sign_at_pi(self.num) * _poly_sign_at_pi(self.den)
 
     @staticmethod
     def _poly_str(coeffs):
@@ -505,7 +505,7 @@ _PI_ONE = _ps((EC_ONE,), _ONE_DEN)
 _PI_ZERO = _ps((), _ONE_DEN)
 
 
-def coeff_sign(value, max_bits=4096):
+def coeff_sign(value):
     """Sign of a real ExactComplex or PiScalar."""
     if isinstance(value, (int, Fraction)):
         return (value > 0) - (value < 0)
@@ -514,7 +514,7 @@ def coeff_sign(value, max_bits=4096):
             raise ValueError("sign of a non-real value")
         return (value.re > 0) - (value.re < 0)
     if isinstance(value, PiScalar):
-        return value.sign(max_bits)
+        return value.sign()
     raise TypeError("no sign for %r" % (value,))
 
 
@@ -544,9 +544,7 @@ class GaussPoly(Frozen):
             # ints only (no bool, float or str), so distinct keys are distinct monomials
             if any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative ints, got %r" % (exps,))
-            c = as_coeff(c)
-            if not isinstance(c, ExactComplex):
-                raise TypeError("GaussPoly coefficients must be complex-rational")
+            c = as_coeff(c, "GaussPoly coefficients")
             if c:
                 clean[exps] = c
         if not clean or not alpha:
@@ -561,7 +559,7 @@ class GaussPoly(Frozen):
 
     @staticmethod
     def constant(ctx, c, alpha=0):
-        return GaussPoly(ctx, {(0,) * ctx.dim: as_coeff(c)}, alpha)
+        return GaussPoly(ctx, {(0,) * ctx.dim: c}, alpha)
 
     @staticmethod
     def coordinate(ctx, var):
@@ -572,7 +570,7 @@ class GaussPoly(Frozen):
 
     @staticmethod
     def monomial(ctx, exps, c=1, alpha=0):
-        return GaussPoly(ctx, {tuple(exps): as_coeff(c)}, alpha)
+        return GaussPoly(ctx, {tuple(exps): c}, alpha)
 
     @staticmethod
     def gaussian(ctx, alpha):
@@ -634,11 +632,9 @@ class GaussPoly(Frozen):
         return _gp(self.ctx, out, self.alpha + other.alpha)
 
     def scale(self, c):
-        c = as_coeff(c)
+        c = as_coeff(c, "GaussPoly coefficients")
         if not c:
             return GaussPoly.zero(self.ctx)
-        if not isinstance(c, ExactComplex):
-            raise TypeError("GaussPoly coefficients must be complex-rational")
         return _gp(self.ctx, {e: c * x for e, x in self.terms.items()}, self.alpha)
 
     def conj(self):

@@ -13,13 +13,11 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ZERO, EC_ONE,
-                             Frozen, tail_min, mul_tail, _accumulate)
+                             UNBOUNDED, Frozen, tail_min, mul_tail, _accumulate)
 from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair, gp_poisson,
                               gp_mul_into, render_gausspoly, monomial_key,
                               _gp)
 from .formal_series import GaussSum, FormalFunction, fs_integrate
-
-UNBOUNDED = float("inf")
 
 
 class TruncationRequired(EngineError):

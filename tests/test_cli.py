@@ -1,4 +1,4 @@
-"""Command-line frontend: grammar round-trips, frozen outputs, exit codes.
+"""Command-line frontend: parse trees, frozen outputs, exit codes.
 
 Every stdout assertion here is byte-exact against the canonical JSON line the
 CLI prints (json.dumps with sort_keys=True), so any drift in rendering or
@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from starforge.cli_frontend import (ParseError, parse_expression, render_expr,
-                                    run_command)
+from starforge.cli_frontend import ParseError, parse_expression, run_command
 
 
 def go(capsys, *argv):
@@ -26,7 +25,7 @@ def go(capsys, *argv):
 
 
 # ============================================================
-# Expression grammar: parse/render round trips
+# Expression grammar: parse trees
 # ============================================================
 
 COORDS = ("q", "p", "q1", "p1", "q2", "p2")
@@ -56,21 +55,45 @@ def rand_tree(rng, depth):
     return (k, rand_tree(rng, depth - 1), rand_tree(rng, depth - 1))
 
 
+_OPS = {"add": "+", "sub": "-", "mul": "*"}
+
+
+def render(e):
+    # the tests' own printer and oracle: every compound node in brackets, so
+    # reparsing the text pins the tree without leaning on precedence
+    kind = e[0]
+    if kind in _OPS:
+        return "(%s %s %s)" % (render(e[1]), _OPS[kind], render(e[2]))
+    if kind == "neg":
+        return "(-%s)" % render(e[1])
+    if kind == "pow":
+        return "(%s^%d)" % (render(e[1]), e[2])
+    if kind == "density":
+        return "density(%s)" % render(e[1])
+    if kind == "delta":
+        return "delta(%s)" % ", ".join(str(x) for x in e[1])
+    if kind in ("gauss", "wigner"):
+        return "%s(%s)" % (kind, e[1])
+    if kind in ("i", "lam"):
+        return "I" if kind == "i" else "lam"
+    return str(e[1])  # a number or a coordinate
+
+
 def test_random_trees_survive_render_then_parse(rng):
     for _ in range(50):
         tree = rand_tree(rng, depth=3)
-        text = render_expr(tree)
+        text = render(tree)
         assert parse_expression(text) == tree, text
 
 
-def test_render_is_a_canonical_form(rng):
-    # Rendering a parsed expression and reparsing must give the same tree,
-    # even for inputs whose parentheses carry value (q - (p - q) != q - p - q).
+def test_render_is_a_canonical_form():
+    # the bracketed text reparses to the same tree, even for inputs whose
+    # parentheses carry value (q - (p - q) != q - p - q)
     for text in ["q - (p - q)", "-(q + p)", "q*(p*q)", "-(-q)",
                  "q + (p - 1)", "2*q^2 - 1/3*p", "gauss(1/2)^2 * (q + p)",
                  "(q + p)^2", "q - (-p)", "lam^-2 * I", "- q * p + 0/7"]:
         tree = parse_expression(text)
-        assert parse_expression(render_expr(tree)) == tree
+        assert parse_expression(render(tree)) == tree
 
 
 @pytest.mark.parametrize("text,canonical", [
@@ -82,19 +105,52 @@ def test_render_is_a_canonical_form(rng):
     ("lam ^ -1", "lam^-1"),
 ])
 def test_canonical_spellings(text, canonical):
-    assert render_expr(parse_expression(text)) == canonical
+    # spacing and an unreduced fraction do not reach the tree
+    assert parse_expression(text) == parse_expression(canonical)
+
+
+Q, P, ONE = ("coord", "q"), ("coord", "p"), ("num", Fraction(1))
+
+
+@pytest.mark.parametrize("text,tree", [
+    # +, - and * chains associate to the left; brackets keep their value
+    ("q - p - 1", ("sub", ("sub", Q, P), ONE)),
+    ("q - p + 1", ("add", ("sub", Q, P), ONE)),
+    ("q - (p - q)", ("sub", Q, ("sub", P, Q))),
+    ("q - (-p)", ("sub", Q, ("neg", P))),
+    ("q*(p*q)", ("mul", Q, ("mul", P, Q))),
+    ("2*q^2 - 1/3*p", ("sub", ("mul", ("num", Fraction(2)), ("pow", Q, 2)),
+                       ("mul", ("num", Fraction(1, 3)), P))),
+    # a unary minus takes the first term, not the whole sum
+    ("- q * p + 0/7", ("add", ("neg", ("mul", Q, P)), ("num", Fraction(0)))),
+    ("-q^2", ("neg", ("pow", Q, 2))),
+    ("-(q+p)", ("neg", ("add", Q, P))),
+    ("-(-q)", ("neg", ("neg", Q))),
+    ("lam ^ -1", ("pow", ("lam",), -1)),
+    ("lam^-2 * I", ("mul", ("pow", ("lam",), -2), ("i",))),
+    ("4/2", ("num", Fraction(2))),
+    # groups nest without leaving a node of their own
+    ("((q))", Q),
+    ("(q + p)^2", ("pow", ("add", Q, P), 2)),
+    ("gauss(1/2)^2 * ((q + (p - 1)))", ("mul", ("pow", ("gauss", Fraction(1, 2)), 2),
+                                       ("add", Q, ("sub", P, ONE)))),
+])
+def test_parse_trees(text, tree):
+    assert parse_expression(text) == tree
 
 
 def test_functional_atoms_round_trip():
-    for text, canonical in [
-        ("delta(1/2, -1)", "delta(1/2, -1)"),
-        ("delta()", "delta()"),
-        ("density(q^2 * gauss(1))", "density(q^2*gauss(1))"),
-        ("wigner(3)", "wigner(3)"),
+    for text, tree in [
+        ("delta(1/2, -1)", ("delta", (Fraction(1, 2), Fraction(-1)))),
+        ("delta()", ("delta", ())),
+        ("density(q^2 * gauss(1))", ("density", ("mul", ("pow", Q, 2), ("gauss", Fraction(1))))),
+        ("wigner(3)", ("wigner", 3)),
+        ("2*delta(0,0) - density((q))", ("sub", ("mul", ("num", Fraction(2)),
+                                                 ("delta", (Fraction(0), Fraction(0)))),
+                                          ("density", Q))),
     ]:
-        tree = parse_expression(text, functional=True)
-        assert render_expr(tree) == canonical
-        assert parse_expression(canonical, functional=True) == tree
+        assert parse_expression(text, functional=True) == tree
+        assert parse_expression(render(tree), functional=True) == tree
 
 
 def test_functional_atoms_are_rejected_outside_functional_mode():
@@ -440,13 +496,18 @@ def test_eigencheck_empty_test_set_is_a_scope_error(capsys):
 def test_a_zero_functional_or_witness_is_a_scope_error(capsys):
     # the zero functional satisfies every eigen-equation and pairs to 0 >= 0,
     # and a zero witness pairs to 0: none of these verdicts would say anything
+    # a density with a zero profile is the zero term, as a zero weight is
     for argv in (("eigencheck", "q", "0", "0*delta(0,0)"),
-                 ("eigencheck", "1", "1", "delta(0,0)-delta(0,0)")):
+                 ("eigencheck", "1", "1", "delta(0,0)-delta(0,0)"),
+                 ("eigencheck", "q", "7", "density(0)"),
+                 ("eigencheck", "q", "7", "density(q-q)")):
         assert _scope_error(capsys, *argv) == "an eigenfunctional must be nonzero"
     assert (_scope_error(capsys, "positivity", "delta(0,0)", "0")
             == "positivity needs nonzero witness functions")
-    assert (_scope_error(capsys, "positivity", "0*delta(0,0)", "q")
-            == "positivity needs a nonzero functional")
+    for argv in (("positivity", "0*delta(0,0)", "q"),
+                 ("positivity", "density(0)", "q"),
+                 ("positivity", "density(0*gauss(1))", "1")):
+        assert _scope_error(capsys, *argv) == "positivity needs a nonzero functional"
     _scope_error(capsys, "eigencheck", "q", "0", "0*delta(0,0)", "--kind", "bullet")
     _scope_error(capsys, "positivity", "delta(0,0)", "q", "q - q")
 
@@ -522,31 +583,25 @@ def test_long_flat_chains_lower_without_deep_recursion(capsys):
     assert (got[0].status, got[1]) == (want[0].status, want[1])
 
 
-def _same_tree(a, b):
-    # tuple == recurses once per level, which a 3000-term chain overflows
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is tuple and type(y) is tuple:
-            if len(x) != len(y):
-                return False
-            stack.extend(zip(x, y))
-        elif type(x) is not type(y) or x != y:
-            return False
-    return True
+_TERM = ("mul", ("mul", ("sub", Q, ONE), P), ("gauss", Fraction(1, 2)))
 
 
-@pytest.mark.parametrize("text", [
-    "+".join(["q"] * 3000),
-    "*".join(["q"] * 3000),
-    "-".join(["q", "2*p"] * 1500),
-    "+".join(["(q - 1)*p*gauss(1/2)"] * 1000),
-])
-def test_render_walks_long_chains_and_reparses(text):
+@pytest.mark.parametrize("text,kind,operands", [
+    ("+".join(["q"] * 3000), "add", [Q] * 3000),
+    ("*".join(["q"] * 3000), "mul", [Q] * 3000),
+    ("-".join(["q", "2*p"] * 1500), "sub", [Q, ("mul", ("num", Fraction(2)), P)] * 1500),
+    ("+".join(["(q - 1)*p*gauss(1/2)"] * 1000), "add", [_TERM] * 1000),
+], ids=["sum", "product", "difference", "sum_of_products"])
+def test_long_chains_parse_left_deep(text, kind, operands):
+    # tuple == recurses once per level, which a 3000-term chain overflows,
+    # so the left spine is walked in a loop and only its operands compared
     tree = parse_expression(text)
-    rendered = render_expr(tree)
-    assert _same_tree(parse_expression(rendered), tree)
-    assert not _same_tree(parse_expression(rendered + " + q"), tree)
+    found = []
+    while tree[0] == kind:
+        found.append(tree[2])
+        tree = tree[1]
+    found.append(tree)
+    assert found[::-1] == operands
 
 
 # ============================================================
@@ -608,12 +663,13 @@ def test_classical_eigencheck_counts_zero_as_lam_free(capsys):
 
 def test_a_zero_density_profile_counts_as_lam_free(capsys):
     # zero has no lam-power at all, as in the classical eigencheck; the
-    # functional it makes pairs to zero, which the engine itself judges
+    # density it makes is the zero term, as a zero weight is, so normalize
+    # has nothing to invert and positivity nothing to certify
     res, out = go(capsys, "normalize", "density(0)")
     assert (res.status, out) == (2, _engine_error("functional pairs to 0 against the constant 1",
                                                   "NotNormalizable"))
-    res, out = go(capsys, "positivity", "density(0)", "q")
-    assert (res.status, out) == (0, '{"verdict": "positive_on_samples"}\n')
+    assert (_scope_error(capsys, "positivity", "density(0)", "q")
+            == "positivity needs a nonzero functional")
 
 
 def test_region_rejects_a_non_polynomial_operand(capsys):

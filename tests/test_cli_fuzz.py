@@ -159,6 +159,11 @@ def _run(argv):
 @example(["eigencheck", "1", "1", "delta(0,0)-delta(0,0)"])
 @example(["positivity", "delta(0,0)", "0"])
 @example(["positivity", "0*delta(0,0)", "q"])
+# a density with a zero profile, which is the zero functional
+@example(["positivity", "density(0)", "q"])
+@example(["positivity", "density(0*gauss(1))", "1"])
+@example(["eigencheck", "q", "7", "density(0)"])
+@example(["eigencheck", "q", "7", "density(q-q)"])
 def test_every_drawn_argv_keeps_the_cli_contract(argv):
     status, out = _run(argv)
     assert out.endswith("\n") and out.count("\n") == 1, (argv, out)

@@ -1,5 +1,6 @@
 """Functionals and states: actions, reality, positivity, normalization, genvalue checks."""
 
+import re
 from fractions import Fraction
 from operator import add
 
@@ -49,6 +50,7 @@ from starforge import (
     render_gausspoly,
     render_scalar,
     scalar_eval,
+    scalar_invert,
     star_commutator,
     star_mul,
     wigner_state,
@@ -125,6 +127,48 @@ def test_functional_terms_take_exact_data_only():
     assert Density(CTX, GAUSS, width_lambda="1/3").width_lambda == Fraction(1, 3)
     for w in (2, ExactComplex(1, 1), PiScalar.pi() * 3, PiScalar.pi().reciprocal()):
         assert Density(CTX, GAUSS, weight=w).act(GaussSum.of(Q * Q)) == w * PiScalar.pi() * Fraction(1, 2)
+
+
+# every public entry point that takes an exact scalar, and whether it also
+# takes a PiScalar (the two-floor gate) or only a complex rational
+GATED = {
+    "FormalScalar": (True, lambda v: FormalScalar(0, [v])),
+    "FormalScalar.from_const": (True, FormalScalar.from_const),
+    "FormalScalar.lam": (True, lambda v: FormalScalar.lam(1, v)),
+    "FormalScalar.from_coeff_map": (True, lambda v: FormalScalar.from_coeff_map({0: v})),
+    "FormalScalar.scale": (True, FormalScalar.one().scale),
+    "scalar_invert": (True, lambda v: scalar_invert(FormalScalar(0, [v, 1]), 2)),
+    "FormalFunctional.rescale": (True, DELTA.rescale),
+    "FormalFunctional.scale_by_scalar": (True, DELTA.scale_by_scalar),
+    "PointDeriv weight": (True, lambda v: PointDeriv(CTX, (0, 0), weight=v)),
+    "Density weight": (True, lambda v: Density(CTX, GAUSS, weight=v)),
+    "eigencheck_classical": (True, lambda v: eigencheck_classical(GAUSS, v, (0, 0))),
+    "eigencheck_star": (True, lambda v: eigencheck_star(MOYAL, fn(Q), v, DELTA, 1)),
+    # the bullet genvalue shifts a function, whose coefficients are complex rationals
+    "eigencheck_bullet": (False, lambda v: eigencheck_bullet(fn(Q), v, DELTA, 1)),
+    "GaussPoly": (False, lambda v: GaussPoly(CTX, {(0, 0): v})),
+    "GaussPoly.scale": (False, GAUSS.scale),
+    "GaussSum.scale": (False, GaussSum.of(Q).scale),
+    "FormalFunction.scale": (False, ONE.scale),
+    "PiScalar num": (False, lambda v: PiScalar((v,))),
+    "PiScalar den": (False, lambda v: PiScalar((1,), (v,))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_exact_scalars_are_gated_at_every_entry_point(entry):
+    two_floors, call = GATED[entry]
+    # no float, complex, string, None or bool gets past the call itself
+    for bad in (0.5, 1j, "1/2", None, True):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            call(bad)
+    for good in (1, Fraction(1, 2), ExactComplex(1, 1)):
+        call(good)
+    if two_floors:
+        call(PiScalar.pi())
+    else:
+        with pytest.raises(TypeError, match="PiScalar"):
+            call(PiScalar.pi())
 
 
 def test_same_shape_terms_merge():

@@ -1,12 +1,16 @@
 """Laurent scalars: frozen arithmetic examples, tail bookkeeping, field laws."""
 
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import starforge
+from starforge import lambda_scalars, star_products
 from starforge import (
     EC_I,
     EC_ONE,
@@ -605,3 +609,19 @@ def test_conj_is_a_ring_homomorphism(a, b):
     assert (a + b).conj() == a.conj() + b.conj()
     assert (a * b).conj() == a.conj() * b.conj()
     assert a.conj().conj() == a
+
+
+def test_the_engine_has_no_float_or_complex_literal_or_conversion():
+    # the one float is the infinity sentinel, defined once and shared
+    found = []
+    for path in sorted(Path(starforge.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text, str(path))):
+            literal = isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+            call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("float", "complex"))
+            if literal or call:
+                found.append((path.name, lines[node.lineno - 1].strip()))
+    assert found == [("lambda_scalars.py", 'UNBOUNDED = float("inf")')]
+    assert star_products.UNBOUNDED is lambda_scalars.UNBOUNDED

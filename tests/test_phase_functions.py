@@ -493,13 +493,15 @@ def test_json_roundtrip(rng):
         assert gp_from_json(CTX, gp_to_json(f)) == f
 
 
-def test_unseparable_pi_value_is_a_typed_engine_error():
-    from starforge import EngineError, PiSeparationError
+def test_unseparable_pi_value_is_a_typed_engine_error(monkeypatch):
+    from starforge import EngineError, PiSeparationError, phase_functions
 
     # a convergent of pi within 1e-16 cannot be told apart at 32 bits
     near = PiScalar.pi() - Fraction(245850922, 78256779)
-    with pytest.raises(PiSeparationError) as err:
-        coeff_sign(near, max_bits=32)
+    with monkeypatch.context() as m:
+        m.setattr(phase_functions, "MAX_PI_BITS", 32)
+        with pytest.raises(PiSeparationError) as err:
+            coeff_sign(near)
     assert isinstance(err.value, EngineError)
     assert isinstance(err.value, ArithmeticError)
     assert coeff_sign(near) == 1
