@@ -15,7 +15,7 @@ from operator import add
 
 from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
                              TruncatedTailError, ScopeError, ExactComplex, EC_ZERO,
-                             EC_ONE, as_scalar, _frac, Frozen, _built, FormalScalar,
+                             EC_ONE, as_coeff, as_scalar, _frac, Frozen, _built, FormalScalar,
                              FORMAL, LaurentSeries, graded_product, scalar_invert,
                              scalar_eval, render_scalar, render_series, series_to_json)
 from .phase_functions import (GaussPoly, coeff_sign, gp_pair,
@@ -595,6 +595,9 @@ def eigencheck_bullet(xi, a, T, test_degree, binding=FORMAL):
     xi = _as_function(ctx, xi)
     if not isinstance(a, FormalScalar):
         a = FormalScalar.from_const(a)
+    # the genvalue shifts a function, whose coefficients are complex rationals
+    for c in a.coeffs:
+        as_coeff(c, "genvalue")
     shifted = fs_linear_comb(FormalScalar.one(), xi, -a, FormalFunction.one(ctx))
     Tb = bind_functional(T, binding)
     residuals = []

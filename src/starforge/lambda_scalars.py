@@ -588,9 +588,11 @@ class FormalScalar(LaurentSeries):
         return self._map(lambda x: c * x)
 
     def __eq__(self, other):
-        # a plain number compares as the constant series
-        if isinstance(other, (int, ExactComplex, Fraction)):
-            other = FormalScalar.from_const(other)
+        # a plain number compares as the constant series, a bool as the int
+        # it is, as in ExactComplex.__eq__
+        o = _parts(other)
+        if o is not None:
+            other = FormalScalar(0, (_ec(*o),))
         return LaurentSeries.__eq__(self, other)
 
     def __str__(self):
@@ -673,7 +675,9 @@ class LambdaBinding(Frozen):
         return hash(self.value)
 
     def __repr__(self):
-        return "LambdaBinding(formal)" if self.value is None else "LambdaBinding(lam=%s)" % self.value
+        if self.value is None:
+            return "LambdaBinding(formal)"
+        return "LambdaBinding(lam=%s)" % self.value
 
 
 FORMAL = LambdaBinding(None)

@@ -18,7 +18,7 @@ from operator import add
 
 from .lambda_scalars import (EngineError, ExactComplex, EC_ZERO, EC_ONE, Frozen,
                              as_coeff, coeff_piece, join_signed, power, _frac,
-                             _reduced, _accumulate)
+                             _parts, _reduced, _accumulate)
 
 _ONE_DEN = (EC_ONE,)
 
@@ -439,10 +439,13 @@ class PiScalar(Frozen):
         return power(self, k, _PI_ONE)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        if isinstance(other, PiScalar):
+            return self.num == other.num and self.den == other.den
+        # a plain number (a bool as the int it is) compares as ExactComplex.__eq__ reads it
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.den == _ONE_DEN and self.num == _pstrip((_reduced(*o),))
 
     def __hash__(self):
         # a constant hashes as the ExactComplex it equals

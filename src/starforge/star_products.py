@@ -6,17 +6,20 @@ B_m(F_l, G_j).  Two members are built in: the bullet family (B_0 pointwise,
 nothing else) and the Moyal family, whose k-th operator differentiates each
 factor exactly k times, so products terminate whenever either factor is a
 polynomial — that termination is what makes the oscillator checks exact.
+
+At n >= 2 an order whose table is a sum of products of one one-pair table
+over the canonical pairs (q_i, p_i), as Moyal's is, takes Gaussian terms
+pair by pair and convolves the one-pair series; the choice reads the table.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ZERO, EC_ONE,
                              UNBOUNDED, Frozen, tail_min, mul_tail, _accumulate)
 from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair, gp_poisson,
-                              gp_mul_into, render_gausspoly, monomial_key,
-                              _gp)
+                              gp_mul_into, render_gausspoly, monomial_key, _gp)
 from .formal_series import GaussSum, FormalFunction, fs_integrate
 
 
@@ -91,14 +94,19 @@ class CoordinateTables(object):
     integer coefficients; rows hold them as ((power, int), ...).  So every
     term of B_k on such a pair is a product over coordinates of one
     product of two such rows.  Their keys are ints.
+
+    Where B_k factors over the canonical pairs (StarFamily._pair_terms),
+    `_pairs` keeps the one-pair series B^1_r of q^a p^b exp(-(u/v) r^2) and
+    q^c p^d exp(-(w/z) r^2) by (family, u, v, w, z), then (a, b, c, d), then r.
     """
 
-    __slots__ = ("_q", "_products", "_derivatives")
+    __slots__ = ("_q", "_products", "_derivatives", "_pairs")
 
     def __init__(self):
         self._q = {}            # (u, v, e) -> [v^j Q_j for j = 0, 1, ...]
         self._products = {}     # (u, v, w, z) -> {(e1, j1, e2, j2): row}
         self._derivatives = {}  # id(poly) -> {beta: d^beta poly}
+        self._pairs = {}        # (S, u, v, w, z) -> {(a, b, c, d): [B^1_0, B^1_1, ...]}
 
     def derivatives(self, poly):
         """{beta: d^beta poly} for a polynomial part, filled by B.
@@ -141,6 +149,13 @@ def _expand(rows, c):
     return out
 
 
+def _int_terms(part):
+    # the common denominator l of a part's coefficients, and its terms as
+    # (exps, re, im) ints over l
+    l = lcm(*(c.d for c in part.terms.values()))
+    return l, [(e, c.a * (l // c.d), c.b * (l // c.d)) for e, c in part.terms.items()]
+
+
 def _gauss_pair_into(out, terms, fp, gp, tables):
     """out[exps] += the terms of one B_k on a pair of parts with a Gaussian
     factor, each a product over coordinates of rows from `tables`.
@@ -156,10 +171,8 @@ def _gauss_pair_into(out, terms, fp, gp, tables):
     l_op = lcm(*dens)
     ops = [(c.a * (l_op // m), c.b * (l_op // m), dl, dr)
            for (c, dl, dr), m in zip(terms, dens)]
-    l_s = lcm(*(c.d for c in fp.terms.values()))
-    fterms = [(e, c.a * (l_s // c.d), c.b * (l_s // c.d)) for e, c in fp.terms.items()]
-    l_t = lcm(*(c.d for c in gp.terms.values()))
-    gterms = [(e, c.a * (l_t // c.d), c.b * (l_t // c.d)) for e, c in gp.terms.items()]
+    l_s, fterms = _int_terms(fp)
+    l_t, gterms = _int_terms(gp)
     re, im = {}, {}
     for ca, cb, dl, dr in ops:
         for es, sa, sb in fterms:
@@ -188,6 +201,84 @@ def _gauss_pair_into(out, terms, fp, gp, tables):
         _accumulate(out, e, a, im.pop(e, 0), d)
     for e, b in im.items():
         _accumulate(out, e, 0, b, d)
+
+
+def _pair_series(terms, den, u, v, w, z, ex, tables):
+    # B^1_r(q^a p^b exp(-(u/v) r^2), q^c p^d exp(-(w/z) r^2)) for ex = (a, b, c, d)
+    # and the one-pair table terms = T_r, from the rows of `tables`: a tuple
+    # of ((q power, p power), re, im), ints over den
+    table = tables.products(u, v, w, z)
+    re, im = {}, {}
+    for coeff, (jq, jp), (kq, kp) in terms:
+        rows = []
+        for e1, j1, e2, j2 in ((ex[0], jq, ex[2], kq), (ex[1], jp, ex[3], kp)):
+            row = table.get((e1, j1, e2, j2))
+            if row is None:
+                row = table[(e1, j1, e2, j2)] = _row_mul(tables.q(u, v, e1, j1),
+                                                         tables.q(w, z, e2, j2))
+            rows.append(row)
+        m = den // (coeff.d * v ** (jq + jp) * z ** (kq + kp))
+        for e, x in _expand(rows, m):
+            re[e] = re.get(e, 0) + coeff.a * x
+            im[e] = im.get(e, 0) + coeff.b * x
+    return tuple((e, x, im[e]) for e, x in re.items() if x or im[e])
+
+
+def _pairwise_into(out, one, k, fp, gp, memo, tables):
+    """out[exps] += the terms of B_k on a pair of parts with a Gaussian
+    factor, where B_k factors over the canonical pairs: one = (T_0, ..., T_k).
+
+    A term c x^e exp(-alpha r^2) is a product over the pairs i of pieces
+    q_i^a p_i^b exp(-alpha (q_i^2 + p_i^2)), so on a term pair B_k is the sum
+    over the compositions r_1 + ... + r_n = k of the products over i of
+    B^1_(r_i) on pair i's pieces, which memo (from CoordinateTables) keeps.
+    Every composition goes over one common denominator and is summed as
+    ints, so each slot of out takes one _accumulate.
+    """
+    n = fp.ctx.n
+    u, v = fp.alpha.numerator, fp.alpha.denominator
+    w, z = gp.alpha.numerator, gp.alpha.denominator
+    # each order-r series sits over dens[r]; the compositions of k with no
+    # empty T_r, each with its factor to their common denominator l_op
+    dens = [lcm(*(c.d * v ** sum(dl) * z ** sum(dr) for c, dl, dr in t)) for t in one]
+    comps = [(comp, prod(dens[r] for r in comp)) for comp in _multi_indices(k, n)
+             if all(one[r] for r in comp)]
+    l_op = lcm(*(m for _, m in comps))
+    comps = [(comp, l_op // m) for comp, m in comps]
+    l_s, fterms = _int_terms(fp)
+    l_t, gterms = _int_terms(gp)
+    re, im = {}, {}
+    for es, sa, sb in fterms:
+        for et, ta, tb in gterms:
+            a0, b0 = sa * ta - sb * tb, sa * tb + sb * ta
+            series = []
+            for i in range(n):
+                ex = (es[i], es[n + i], et[i], et[n + i])
+                s = memo.setdefault(ex, [])
+                for r in range(len(s), k + 1):
+                    s.append(_pair_series(one[r], dens[r], u, v, w, z, ex, tables))
+                series.append(s)
+            for comp, f in comps:
+                # the terms of one composition, exponents interleaved (q1, p1, q2, p2, ...)
+                acc = [((), a0 * f, b0 * f)]
+                for s, r in zip(series, comp):
+                    acc = [(e + e1, a * x - b * y, a * y + b * x)
+                           for e, a, b in acc for e1, x, y in s[r]]
+                for e, a, b in acc:
+                    e = e[0::2] + e[1::2]
+                    re[e] = re.get(e, 0) + a
+                    im[e] = im.get(e, 0) + b
+    d = l_op * l_s * l_t
+    for e, a in re.items():
+        _accumulate(out, e, a, im[e], d)
+
+
+def _merged(terms):
+    # an operator table as {(dl, dr): coefficient}, terms merged, zeros dropped
+    merged = {}
+    for c, dl, dr in terms:
+        merged[(dl, dr)] = merged.get((dl, dr), EC_ZERO) + c
+    return {key: c for key, c in merged.items() if c}
 
 
 def _sum_of(ctx, out):
@@ -223,6 +314,32 @@ class StarFamily(Frozen):
                                    for c, dl, dr in self._term_fn(k, self.ctx))
         return self._cache[k]
 
+    def _pair_terms(self, k):
+        """(T_0, ..., T_k) when B_k factors over the canonical pairs, else None.
+
+        T_r is B_r's table on pair 1 alone (coordinates 0 and n), as
+        (c, (jq, jp), (kq, kp)).  B_k factors when its table, merged, equals
+        the sum over the compositions r_1 + ... + r_n = k of every product of
+        one T_(r_i) term per pair i, placed on pair i.  Worked out once per k.
+        """
+        key = ("pairs", k)
+        if key not in self._cache:
+            n = self.ctx.n
+            one = [tuple((c, dl, dr) for (dl, dr), c in _merged(
+                       (c, (dl[0], dl[n]), (dr[0], dr[n])) for c, dl, dr in self.terms(r)
+                       if sum(dl) + sum(dr) == dl[0] + dl[n] + dr[0] + dr[n]).items())
+                   for r in range(k + 1)]
+            built = []
+            for comp in _multi_indices(k, n):
+                prods = [(EC_ONE, (), ())]
+                for r in comp:
+                    prods = [(c * c1, dl + dl1, dr + dr1)
+                             for c, dl, dr in prods for c1, dl1, dr1 in one[r]]
+                built += [(c, dl[0::2] + dl[1::2], dr[0::2] + dr[1::2]) for c, dl, dr in prods]
+            factors = _merged(built) == _merged(self.terms(k))
+            self._cache[key] = tuple(one) if factors else None
+        return self._cache[key]
+
     def B(self, k, f, g, tables=None):
         """The k-th bidifferential operator applied to a pair of functions, as a GaussSum.
 
@@ -239,7 +356,8 @@ class StarFamily(Frozen):
         the int 0, a Gaussian part by its width (a Fraction); zero slots may
         remain.  Each pair of parts takes its path from the two widths: a
         pair of polynomials multiplies their memoised derivatives, a pair
-        with a Gaussian factor is multiplied coordinate by coordinate.  Both
+        with a Gaussian factor is multiplied coordinate by coordinate, or at
+        n >= 2 pair by pair when B_k factors over the canonical pairs.  The
         memos live in `tables`, a CoordinateTables (a fresh one when None);
         pass one tables object and one out dict to share that work between
         calls.
@@ -258,6 +376,7 @@ class StarFamily(Frozen):
         if tables is None:
             tables = CoordinateTables()
         memos = tables._derivatives
+        one = False  # _pair_terms(k), read at the first Gaussian pair
         for fp in fparts:
             for gp in gparts:
                 # a polynomial's width is the int 0, so this test stays in C
@@ -266,7 +385,15 @@ class StarFamily(Frozen):
                     acc = out.get(alpha)
                     if acc is None:
                         acc = out[alpha] = {}
-                    _gauss_pair_into(acc, terms, fp, gp, tables)
+                    if one is False:
+                        one = self._pair_terms(k) if self.ctx.n > 1 else None
+                    if one:
+                        a, b = fp.alpha, gp.alpha
+                        memo = tables._pairs.setdefault(
+                            (self, a.numerator, a.denominator, b.numerator, b.denominator), {})
+                        _pairwise_into(acc, one, k, fp, gp, memo, tables)
+                    else:
+                        _gauss_pair_into(acc, terms, fp, gp, tables)
                     continue
                 # a part's memo, never empty, is read without a method call
                 # once the first B call on that part has made it
@@ -408,11 +535,8 @@ def _commutator_family(S):
     C = S._cache.get("commutator")
     if C is None:
         def terms(k, ctx):
-            merged = {}
-            for c, dl, dr in S.terms(k):
-                merged[(dl, dr)] = merged.get((dl, dr), EC_ZERO) + c
-                merged[(dr, dl)] = merged.get((dr, dl), EC_ZERO) - c
-            return tuple((c, dl, dr) for (dl, dr), c in merged.items() if c)
+            merged = _merged(t for c, dl, dr in S.terms(k) for t in ((c, dl, dr), (-c, dr, dl)))
+            return tuple((c, dl, dr) for (dl, dr), c in merged.items())
 
         def bound(f, g):
             return max(S.termination_bound(f, g), S.termination_bound(g, f))
@@ -425,8 +549,9 @@ def star_commutator(S, F, G, order=None):
     """F * G - G * F, as one graded product over B_m(f, g) - B_m(g, f).
 
     It needs a truncation order where F * G or G * F does, and takes their
-    tail and lowest power.  Under the Moyal and bullet tables, B_m(g, f) = (-1)^m B_m(f, g), so only the odd orders m
-    are visited, at 2 B_m (under bullet, none).
+    tail and lowest power.  Under the Moyal and bullet tables,
+    B_m(g, f) = (-1)^m B_m(f, g), so only the odd orders m are visited, at
+    2 B_m (under bullet, none).
     """
     return _graded_product(_commutator_family(S), F, G, order)
 

@@ -218,6 +218,22 @@ def test_equal_values_hash_equal_across_the_coefficient_floors():
     assert len({PiScalar.pi() * 3, PiScalar.const(3), ExactComplex(3, 1)}) == 3
 
 
+@pytest.mark.parametrize("one", [EC_ONE, PiScalar.const(1), FormalScalar.one()],
+                         ids=["ExactComplex", "PiScalar", "FormalScalar"])
+def test_equality_answers_every_operand_as_exact_complex_does(one):
+    # a bool is the int it is, anything that is not exact is unequal, and no
+    # operand makes == or != raise
+    for other, equal in ((True, True), (False, False), (1, True), (1.0, False),
+                         ("1", False), (None, False)):
+        assert (one == other) is equal and (other == one) is equal, other
+        assert (one != other) is not equal, other
+        assert (EC_ONE == other) is equal, other
+    # a PiScalar still refuses arithmetic with a bool
+    if isinstance(one, PiScalar):
+        with pytest.raises(TypeError, match="True"):
+            one + True
+
+
 def test_formal_scalars_are_unhashable():
     # truncated agreement: both pairs are equal, and no hash could follow
     # an equality that is not transitive

@@ -29,6 +29,7 @@ from starforge import (
     star_trace,
 )
 
+from starforge import star_products as sp
 from starforge.star_products import _poly_bound
 
 from corpus import nonzero_poly, rand_function, rand_gaussian, rand_poly, real_b1_family
@@ -1058,3 +1059,187 @@ def test_an_asymmetric_termination_rule_bounds_the_commutator_by_both_sides():
             _same_series(got, _two_products(MOYAL, F, G).truncate(order))
     other = poly.shift(1) + fn(Q * P)
     _same_series(star_commutator(S, poly, other), _two_products(S, poly, other))
+
+
+# ---- at n >= 2, an order whose table factors goes pair by pair ----
+
+def _general_path(monkeypatch):
+    # no order factors, so every Gaussian pair walks the n-pair table
+    monkeypatch.setattr(StarFamily, "_pair_terms", lambda self, k: None)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(sp, name)
+    monkeypatch.setattr(sp, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _nonzero(out):
+    # a B_into accumulator without its zero slots
+    slots = {w: {e: c for e, c in acc.items() if c} for w, acc in out.items()}
+    return {w: acc for w, acc in slots.items() if acc}
+
+
+def _pair_operands(rng, ctx):
+    # a pure Gaussian, polynomials times Gaussians, and two graded mixes
+    # with polynomial parts, zero coefficients or truncated tails
+    pure = fn(rand_gaussian(rng, ctx, degree=0, nterms=1))
+    poly_gauss = FormalFunction(ctx, rng.randint(-1, 0),
+                                [rand_gaussian(rng, ctx, degree=2, nterms=3) for _ in range(2)])
+    return [pure, poly_gauss, _graded_operand(rng, ctx), _graded_operand(rng, ctx)]
+
+
+@pytest.mark.parametrize("n,depth", [(2, 4), (3, 2)])
+def test_the_pair_path_equals_the_n_pair_path(monkeypatch, rng, n, depth):
+    ctx = PhaseContext(n)
+    S = moyal_family(ctx)
+    cases = []
+    for _ in range(4):
+        operands = _pair_operands(rng, ctx)
+        F, G = rng.choice(operands), rng.choice(operands)
+        cases.append((F, G, F.valuation + G.valuation + rng.randint(0, depth)))
+    # a polynomial factor makes the product terminate without an order
+    cases.append((fn(nonzero_poly(rng, ctx, degree=2)), _pair_operands(rng, ctx)[1], None))
+    parts = [(GaussSum(ctx, [rand_poly(rng, ctx), rand_gaussian(rng, ctx)]),
+              GaussSum(ctx, [rand_gaussian(rng, ctx), rand_gaussian(rng, ctx)]),
+              rng.randint(0, depth + 1)) for _ in range(4)]
+    pairwise = _count_calls(monkeypatch, "_pairwise_into")
+    got = [(star_mul(S, F, G, order), star_commutator(S, F, G, order))
+           for F, G, order in cases]
+    outs = []
+    for f, g, k in parts:
+        out = {}
+        S.B_into(out, k, f, g)
+        outs.append(out)
+    assert pairwise
+    _general_path(monkeypatch)
+    for (F, G, order), (product, commutator) in zip(cases, got):
+        _same_series(product, star_mul(S, F, G, order))
+        _same_series(commutator, star_commutator(S, F, G, order))
+    for (f, g, k), out in zip(parts, outs):
+        want = {}
+        S.B_into(want, k, f, g)
+        assert _nonzero(out) == _nonzero(want)
+
+
+def _gaussian_operands(ctx):
+    q1 = GaussPoly.coordinate(ctx, "q1")
+    p2 = GaussPoly.coordinate(ctx, "p2")
+    F = FormalFunction(ctx, 0, (GaussPoly.gaussian(ctx, 1) * q1, q1 * p2))
+    G = FormalFunction(ctx, -1, (GaussPoly.gaussian(ctx, Fraction(1, 2)) * p2 * p2,
+                                 GaussPoly.gaussian(ctx, 2)))
+    return F, G
+
+
+def test_a_copy_of_the_moyal_table_goes_pair_by_pair(monkeypatch):
+    # the path follows the table, not its object or its name
+    ctx = PhaseContext(2)
+    moyal = moyal_family(ctx)
+    copy = StarFamily("copy", ctx, lambda k, c: moyal._term_fn(k, c))
+    assert all(copy._pair_terms(k) for k in range(7))
+    F, G = _gaussian_operands(ctx)
+    n_pair = _count_calls(monkeypatch, "_gauss_pair_into")
+    got = star_mul(copy, F, G, 4)
+    assert n_pair == []
+    monkeypatch.undo()
+    _general_path(monkeypatch)
+    _same_series(got, star_mul(moyal, F, G, 4))
+
+
+def test_tables_that_do_not_factor_keep_the_n_pair_path(monkeypatch):
+    ctx = PhaseContext(2)
+    moyal, cut = moyal_family(ctx), _cut_family(ctx)
+    # the cut keeps one pair-2 term of B_1, so only the pointwise B_0 factors;
+    # the commutator table at an odd order lacks the even one-pair orders
+    assert cut._pair_terms(0) and not any(cut._pair_terms(k) for k in range(1, 6))
+    comm = sp._commutator_family(moyal)
+    assert not any(comm._pair_terms(k) for k in (1, 3, 5))
+    F, G = _gaussian_operands(ctx)
+    pairwise = _count_calls(monkeypatch, "_pairwise_into")
+    for S in (moyal, cut):
+        got = star_commutator(S, F, G, 3)
+        assert pairwise == []
+        _same_series(got, _two_products(S, F, G, 3))
+        # the products themselves take the pair path where B_k factors
+        orders = {args[2] for args in pairwise}
+        assert orders == ({0} if S is cut else set(range(5)))
+        del pairwise[:]
+
+
+def test_bullet_at_two_pairs_factors_and_keeps_its_output(monkeypatch):
+    ctx = PhaseContext(2)
+    S = bullet_family(ctx)
+    assert all(S._pair_terms(k) for k in range(4))
+    F, G = _gaussian_operands(ctx)
+    pairwise = _count_calls(monkeypatch, "_pairwise_into")
+    got = star_mul(S, F, G)
+    assert pairwise
+    _same_series(got, fs_bullet(F, G))
+    _general_path(monkeypatch)
+    _same_series(got, star_mul(S, F, G))
+
+
+def _gaussian_pairs_per_call(monkeypatch):
+    # the n-pair path's work: one _gauss_pair_into per part pair with a
+    # Gaussian factor in every B_into call whose table is not empty
+    pairs = []
+    real = StarFamily.B_into
+
+    def counted(self, out, k, f, g, tables=None):
+        if self.terms(k):
+            pairs.extend(k for fp in sp._parts(f) for gp in sp._parts(g)
+                         if fp.alpha or gp.alpha)
+        return real(self, out, k, f, g, tables)
+
+    monkeypatch.setattr(StarFamily, "B_into", counted)
+    return pairs
+
+
+def test_the_n_pair_path_runs_only_where_the_table_does_not_factor(monkeypatch):
+    ctx1, ctx2 = PhaseContext(1), PhaseContext(2)
+    F1 = FormalFunction(ctx1, 0, (GAUSS * Q, P * P))
+    G1 = FormalFunction(ctx1, -1, (GaussPoly.gaussian(ctx1, Fraction(1, 2)), GAUSS))
+    F2, G2 = _gaussian_operands(ctx2)
+    moyal2, cut2 = moyal_family(ctx2), _cut_family(ctx2)
+    # (product, operands, whether the Gaussian pairs of order k walk the n-pair table)
+    every, none, above_0 = (lambda k: True), (lambda k: False), (lambda k: k > 0)
+    cases = [(lambda F, G: star_mul(MOYAL, F, G, 4), F1, G1, every),
+             (lambda F, G: star_commutator(MOYAL, F, G, 4), F1, G1, every),
+             (lambda F, G: star_mul(moyal2, F, G, 4), F2, G2, none),
+             (lambda F, G: star_commutator(moyal2, F, G, 4), F2, G2, every),
+             (lambda F, G: star_commutator(cut2, F, G, 4), F2, G2, every),
+             (lambda F, G: star_mul(cut2, F, G, 4), F2, G2, above_0)]
+    for product, F, G, walks in cases:
+        n_pair = _count_calls(monkeypatch, "_gauss_pair_into")
+        pairs = _gaussian_pairs_per_call(monkeypatch)
+        product(F, G)
+        monkeypatch.undo()
+        assert pairs
+        assert len(n_pair) == len([k for k in pairs if walks(k)])
+
+
+def test_each_one_pair_series_is_built_once_per_product(monkeypatch):
+    # gauss(1) * gauss(1/2) to order K: every pair has the exponents
+    # (0, 0, 0, 0), so the K + 1 series B^1_r, r <= K, serve every pair,
+    # order and composition; the next product builds its own
+    K = 6
+    for n in (2, 3):
+        ctx = PhaseContext(n)
+        S = moyal_family(ctx)
+        F = fn(GaussPoly.gaussian(ctx, 1))
+        G = fn(GaussPoly.gaussian(ctx, Fraction(1, 2)))
+        builds = _count_calls(monkeypatch, "_pair_series")
+        star_mul(S, F, G, K)
+        assert len(builds) == K + 1
+        star_mul(S, F, G, K)
+        assert len(builds) == 2 * (K + 1)
+        monkeypatch.undo()
+    # with exponents that differ by pair and by term, each (widths,
+    # exponents, r) is still built once within a product
+    F, G = _gaussian_operands(PhaseContext(2))
+    S = moyal_family(PhaseContext(2))
+    builds = _count_calls(monkeypatch, "_pair_series")
+    star_mul(S, F, G, 4)
+    keys = [(u, v, w, z, ex, terms) for terms, _, u, v, w, z, ex, _ in builds]
+    assert len(keys) > 5 and len(set(keys)) == len(keys)
