@@ -215,7 +215,8 @@ class ExactComplex(object):
     def __eq__(self, other):
         if type(other) is ExactComplex:
             return self.a == other.a and self.b == other.b and self.d == other.d
-        o = _parts(other)
+        # arithmetic refuses a bool, equality reads it as its int
+        o = _parts(int(other) if type(other) is bool else other)
         if o is None:
             return NotImplemented
         return (self.a, self.b, self.d) == o
@@ -297,11 +298,11 @@ def _accumulate(out, key, a, b, d):
 
 
 def _parts(x):
-    # (a, b, d) of an exact operand, or None for anything else; ExactComplex
-    # comes first because isinstance(x, Fraction) is an ABC check for it
+    # (a, b, d) of an exact operand, or None for anything else, a bool too;
+    # ExactComplex comes first: isinstance(x, Fraction) is an ABC check for it
     if type(x) is ExactComplex:
         return x.a, x.b, x.d
-    if isinstance(x, int):
+    if isinstance(x, int) and type(x) is not bool:
         return int(x), 0, 1
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
@@ -590,7 +591,7 @@ class FormalScalar(LaurentSeries):
     def __eq__(self, other):
         # a plain number compares as the constant series, a bool as the int
         # it is, as in ExactComplex.__eq__
-        o = _parts(other)
+        o = _parts(int(other) if type(other) is bool else other)
         if o is not None:
             other = FormalScalar(0, (_ec(*o),))
         return LaurentSeries.__eq__(self, other)

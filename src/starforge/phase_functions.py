@@ -442,7 +442,7 @@ class PiScalar(Frozen):
         if isinstance(other, PiScalar):
             return self.num == other.num and self.den == other.den
         # a plain number (a bool as the int it is) compares as ExactComplex.__eq__ reads it
-        o = _parts(other)
+        o = _parts(int(other) if type(other) is bool else other)
         if o is None:
             return NotImplemented
         return self.den == _ONE_DEN and self.num == _pstrip((_reduced(*o),))

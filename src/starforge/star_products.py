@@ -7,9 +7,9 @@ nothing else) and the Moyal family, whose k-th operator differentiates each
 factor exactly k times, so products terminate whenever either factor is a
 polynomial — that termination is what makes the oscillator checks exact.
 
-At n >= 2 an order whose table is a sum of products of one one-pair table
-over the canonical pairs (q_i, p_i), as Moyal's is, takes Gaussian terms
-pair by pair and convolves the one-pair series; the choice reads the table.
+One row walk (_row_walk) multiplies Gaussian terms.  At n >= 2 and k >= 1, a
+B_k whose table is a sum of products of one one-pair table over the canonical
+pairs (q_i, p_i), as Moyal's is, walks each pair alone and convolves.
 """
 
 from fractions import Fraction
@@ -93,11 +93,9 @@ class CoordinateTables(object):
     Q_{j+1} = Q_j' - 2a x Q_j.  For a = u/v the polynomial v^j Q_j has
     integer coefficients; rows hold them as ((power, int), ...).  So every
     term of B_k on such a pair is a product over coordinates of one
-    product of two such rows.  Their keys are ints.
-
-    Where B_k factors over the canonical pairs (StarFamily._pair_terms),
-    `_pairs` keeps the one-pair series B^1_r of q^a p^b exp(-(u/v) r^2) and
-    q^c p^d exp(-(w/z) r^2) by (family, u, v, w, z), then (a, b, c, d), then r.
+    product of two such rows.  Their keys are ints.  On the pair path
+    (StarFamily._pair_terms), `_pairs` keeps the int ops of each one-pair
+    table T_r and the one-pair series B^1_r walked from the same rows.
     """
 
     __slots__ = ("_q", "_products", "_derivatives", "_pairs")
@@ -106,7 +104,7 @@ class CoordinateTables(object):
         self._q = {}            # (u, v, e) -> [v^j Q_j for j = 0, 1, ...]
         self._products = {}     # (u, v, w, z) -> {(e1, j1, e2, j2): row}
         self._derivatives = {}  # id(poly) -> {beta: d^beta poly}
-        self._pairs = {}        # (S, u, v, w, z) -> {(a, b, c, d): [B^1_0, B^1_1, ...]}
+        self._pairs = {}        # (S, u, v, w, z) -> ([T_r ints], {(a, b, c, d): [B^1_r]})
 
     def derivatives(self, poly):
         """{beta: d^beta poly} for a polynomial part, filled by B.
@@ -126,10 +124,6 @@ class CoordinateTables(object):
         while len(rows) <= j:
             rows.append(_q_next(rows[-1], u, v))
         return rows[j]
-
-    def products(self, u, v, w, z):
-        """{(e1, j1, e2, j2): v^j1 z^j2 Q_j1(x^e1; u/v) Q_j2(x^e2; w/z)}, filled by B."""
-        return self._products.setdefault((u, v, w, z), {})
 
 
 def _parts(f):
@@ -156,23 +150,20 @@ def _int_terms(part):
     return l, [(e, c.a * (l // c.d), c.b * (l // c.d)) for e, c in part.terms.items()]
 
 
-def _gauss_pair_into(out, terms, fp, gp, tables):
-    """out[exps] += the terms of one B_k on a pair of parts with a Gaussian
-    factor, each a product over coordinates of rows from `tables`.
-
-    Every contribution is put over one common denominator d and summed as
-    ints; each slot of out then takes one _accumulate.
-    """
-    u, v = fp.alpha.numerator, fp.alpha.denominator
-    w, z = gp.alpha.numerator, gp.alpha.denominator
-    table = tables.products(u, v, w, z)
-    # c * d^dl(x^es) d^dr(x^et) sits over c.d * v^|dl| * z^|dr| * cs.d * ct.d
+def _int_ops(terms, v, z):
+    # an operator table as ints over one denominator l: on rows of widths
+    # u/v and w/z, c * d^dl(x^es) d^dr(x^et) sits over c.d * v^|dl| * z^|dr|
     dens = [c.d * v ** sum(dl) * z ** sum(dr) for c, dl, dr in terms]
-    l_op = lcm(*dens)
-    ops = [(c.a * (l_op // m), c.b * (l_op // m), dl, dr)
-           for (c, dl, dr), m in zip(terms, dens)]
-    l_s, fterms = _int_terms(fp)
-    l_t, gterms = _int_terms(gp)
+    l = lcm(*dens)
+    return l, tuple((c.a * (l // m), c.b * (l // m), dl, dr)
+                    for (c, dl, dr), m in zip(terms, dens))
+
+
+def _row_walk(ops, fterms, gterms, u, v, w, z, tables):
+    """({exps: re}, {exps: im}) of the int table ops on every pair of int
+    terms (exps, re, im) of two parts of widths u/v and w/z: the one place
+    where rows from `tables` become terms, each a product over coordinates."""
+    table = tables._products.setdefault((u, v, w, z), {})
     re, im = {}, {}
     for ca, cb, dl, dr in ops:
         for es, sa, sb in fterms:
@@ -196,6 +187,22 @@ def _gauss_pair_into(out, terms, fp, gp, tables):
                     if b:
                         for e, x in _expand(rows, b):
                             im[e] = im.get(e, 0) + x
+    return re, im
+
+
+def _gauss_pair_into(out, terms, fp, gp, tables):
+    """out[exps] += the terms of one B_k on a pair of parts with a Gaussian
+    factor, walking the whole n-pair table over the parts' terms.
+
+    Every contribution is put over one common denominator d and summed as
+    ints; each slot of out then takes one _accumulate.
+    """
+    u, v = fp.alpha.numerator, fp.alpha.denominator
+    w, z = gp.alpha.numerator, gp.alpha.denominator
+    l_op, ops = _int_ops(terms, v, z)
+    l_s, fterms = _int_terms(fp)
+    l_t, gterms = _int_terms(gp)
+    re, im = _row_walk(ops, fterms, gterms, u, v, w, z, tables)
     d = l_op * l_s * l_t
     for e, a in re.items():
         _accumulate(out, e, a, im.pop(e, 0), d)
@@ -203,45 +210,33 @@ def _gauss_pair_into(out, terms, fp, gp, tables):
         _accumulate(out, e, 0, b, d)
 
 
-def _pair_series(terms, den, u, v, w, z, ex, tables):
-    # B^1_r(q^a p^b exp(-(u/v) r^2), q^c p^d exp(-(w/z) r^2)) for ex = (a, b, c, d)
-    # and the one-pair table terms = T_r, from the rows of `tables`: a tuple
-    # of ((q power, p power), re, im), ints over den
-    table = tables.products(u, v, w, z)
-    re, im = {}, {}
-    for coeff, (jq, jp), (kq, kp) in terms:
-        rows = []
-        for e1, j1, e2, j2 in ((ex[0], jq, ex[2], kq), (ex[1], jp, ex[3], kp)):
-            row = table.get((e1, j1, e2, j2))
-            if row is None:
-                row = table[(e1, j1, e2, j2)] = _row_mul(tables.q(u, v, e1, j1),
-                                                         tables.q(w, z, e2, j2))
-            rows.append(row)
-        m = den // (coeff.d * v ** (jq + jp) * z ** (kq + kp))
-        for e, x in _expand(rows, m):
-            re[e] = re.get(e, 0) + coeff.a * x
-            im[e] = im.get(e, 0) + coeff.b * x
-    return tuple((e, x, im[e]) for e, x in re.items() if x or im[e])
+def _pair_series(ops, u, v, w, z, ex, tables):
+    # B^1_r(q^a p^b exp(-(u/v) r^2), q^c p^d exp(-(w/z) r^2)) for ex = (a, b, c, d),
+    # T_r's int ops walked over the two pieces: ((q power, p power), re, im)
+    re, im = _row_walk(ops, (((ex[0], ex[1]), 1, 0),), (((ex[2], ex[3]), 1, 0),),
+                       u, v, w, z, tables)
+    return tuple((e, re.get(e, 0), im.get(e, 0)) for e in {**re, **im} if re.get(e) or im.get(e))
 
 
-def _pairwise_into(out, one, k, fp, gp, memo, tables):
+def _pairwise_into(out, one, k, fp, gp, S, tables):
     """out[exps] += the terms of B_k on a pair of parts with a Gaussian
-    factor, where B_k factors over the canonical pairs: one = (T_0, ..., T_k).
+    factor, where S's B_k factors over the canonical pairs: one = (T_0, ..., T_k).
 
     A term c x^e exp(-alpha r^2) is a product over the pairs i of pieces
     q_i^a p_i^b exp(-alpha (q_i^2 + p_i^2)), so on a term pair B_k is the sum
     over the compositions r_1 + ... + r_n = k of the products over i of
-    B^1_(r_i) on pair i's pieces, which memo (from CoordinateTables) keeps.
+    B^1_(r_i) on pair i's pieces, kept per family and widths in `tables`.
     Every composition goes over one common denominator and is summed as
     ints, so each slot of out takes one _accumulate.
     """
     n = fp.ctx.n
     u, v = fp.alpha.numerator, fp.alpha.denominator
     w, z = gp.alpha.numerator, gp.alpha.denominator
-    # each order-r series sits over dens[r]; the compositions of k with no
-    # empty T_r, each with its factor to their common denominator l_op
-    dens = [lcm(*(c.d * v ** sum(dl) * z ** sum(dr) for c, dl, dr in t)) for t in one]
-    comps = [(comp, prod(dens[r] for r in comp)) for comp in _multi_indices(k, n)
+    # T_r's int ops over ints[r][0], the order-r series' denominator; the
+    # compositions of k with no empty T_r, with factors to their lcm l_op
+    ints, memo = tables._pairs.setdefault((S, u, v, w, z), ([], {}))
+    ints += [_int_ops(one[r], v, z) for r in range(len(ints), k + 1)]
+    comps = [(comp, prod(ints[r][0] for r in comp)) for comp in _multi_indices(k, n)
              if all(one[r] for r in comp)]
     l_op = lcm(*(m for _, m in comps))
     comps = [(comp, l_op // m) for comp, m in comps]
@@ -256,7 +251,7 @@ def _pairwise_into(out, one, k, fp, gp, memo, tables):
                 ex = (es[i], es[n + i], et[i], et[n + i])
                 s = memo.setdefault(ex, [])
                 for r in range(len(s), k + 1):
-                    s.append(_pair_series(one[r], dens[r], u, v, w, z, ex, tables))
+                    s.append(_pair_series(ints[r][1], u, v, w, z, ex, tables))
                 series.append(s)
             for comp, f in comps:
                 # the terms of one composition, exponents interleaved (q1, p1, q2, p2, ...)
@@ -315,29 +310,34 @@ class StarFamily(Frozen):
         return self._cache[k]
 
     def _pair_terms(self, k):
-        """(T_0, ..., T_k) when B_k factors over the canonical pairs, else None.
+        """(T_0, ..., T_k) when the pair path should take B_k, else None.
 
         T_r is B_r's table on pair 1 alone (coordinates 0 and n), as
         (c, (jq, jp), (kq, kp)).  B_k factors when its table, merged, equals
         the sum over the compositions r_1 + ... + r_n = k of every product of
-        one T_(r_i) term per pair i, placed on pair i.  Worked out once per k.
+        one T_(r_i) term per pair i, placed on pair i.  A k with one
+        composition (n = 1 or k = 0) has nothing to convolve, so it walks
+        the whole table.  Worked out once per k.
         """
         key = ("pairs", k)
         if key not in self._cache:
             n = self.ctx.n
-            one = [tuple((c, dl, dr) for (dl, dr), c in _merged(
-                       (c, (dl[0], dl[n]), (dr[0], dr[n])) for c, dl, dr in self.terms(r)
-                       if sum(dl) + sum(dr) == dl[0] + dl[n] + dr[0] + dr[n]).items())
-                   for r in range(k + 1)]
-            built = []
-            for comp in _multi_indices(k, n):
-                prods = [(EC_ONE, (), ())]
-                for r in comp:
-                    prods = [(c * c1, dl + dl1, dr + dr1)
-                             for c, dl, dr in prods for c1, dl1, dr1 in one[r]]
-                built += [(c, dl[0::2] + dl[1::2], dr[0::2] + dr[1::2]) for c, dl, dr in prods]
-            factors = _merged(built) == _merged(self.terms(k))
-            self._cache[key] = tuple(one) if factors else None
+            comps = list(_multi_indices(k, n))
+            self._cache[key] = None
+            if len(comps) > 1:
+                one = tuple(tuple((c, dl, dr) for (dl, dr), c in _merged(
+                                (c, (dl[0], dl[n]), (dr[0], dr[n])) for c, dl, dr in self.terms(r)
+                                if sum(dl) + sum(dr) == dl[0] + dl[n] + dr[0] + dr[n]).items())
+                            for r in range(k + 1))
+                built = []
+                for comp in comps:
+                    prods = [(EC_ONE, (), ())]
+                    for r in comp:
+                        prods = [(c * c1, dl + dl1, dr + dr1)
+                                 for c, dl, dr in prods for c1, dl1, dr1 in one[r]]
+                    built += [(c, dl[0::2] + dl[1::2], dr[0::2] + dr[1::2]) for c, dl, dr in prods]
+                if _merged(built) == _merged(self.terms(k)):
+                    self._cache[key] = one
         return self._cache[key]
 
     def B(self, k, f, g, tables=None):
@@ -356,8 +356,8 @@ class StarFamily(Frozen):
         the int 0, a Gaussian part by its width (a Fraction); zero slots may
         remain.  Each pair of parts takes its path from the two widths: a
         pair of polynomials multiplies their memoised derivatives, a pair
-        with a Gaussian factor is multiplied coordinate by coordinate, or at
-        n >= 2 pair by pair when B_k factors over the canonical pairs.  The
+        with a Gaussian factor walks coordinate rows, pair by pair where
+        _pair_terms(k) says so (n >= 2, k >= 1, B_k factors).  The
         memos live in `tables`, a CoordinateTables (a fresh one when None);
         pass one tables object and one out dict to share that work between
         calls.
@@ -376,7 +376,6 @@ class StarFamily(Frozen):
         if tables is None:
             tables = CoordinateTables()
         memos = tables._derivatives
-        one = False  # _pair_terms(k), read at the first Gaussian pair
         for fp in fparts:
             for gp in gparts:
                 # a polynomial's width is the int 0, so this test stays in C
@@ -385,13 +384,9 @@ class StarFamily(Frozen):
                     acc = out.get(alpha)
                     if acc is None:
                         acc = out[alpha] = {}
-                    if one is False:
-                        one = self._pair_terms(k) if self.ctx.n > 1 else None
+                    one = self._pair_terms(k)
                     if one:
-                        a, b = fp.alpha, gp.alpha
-                        memo = tables._pairs.setdefault(
-                            (self, a.numerator, a.denominator, b.numerator, b.denominator), {})
-                        _pairwise_into(acc, one, k, fp, gp, memo, tables)
+                        _pairwise_into(acc, one, k, fp, gp, self, tables)
                     else:
                         _gauss_pair_into(acc, terms, fp, gp, tables)
                     continue

@@ -1,6 +1,7 @@
 """Laurent scalars: frozen arithmetic examples, tail bookkeeping, field laws."""
 
 import ast
+import operator
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -232,6 +233,18 @@ def test_equality_answers_every_operand_as_exact_complex_does(one):
     if isinstance(one, PiScalar):
         with pytest.raises(TypeError, match="True"):
             one + True
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=["add", "sub", "mul", "div"])
+def test_arithmetic_refuses_a_bool_on_either_side(op, flag):
+    # as the constructors do: a bool is no coefficient, though == reads it as its int
+    for one in (EC_ONE, PiScalar.const(1), FormalScalar.one()):
+        with pytest.raises(TypeError):
+            op(one, flag)
+        with pytest.raises(TypeError):
+            op(flag, one)
 
 
 def test_formal_scalars_are_unhashable():

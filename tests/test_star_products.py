@@ -1133,15 +1133,16 @@ def _gaussian_operands(ctx):
 
 
 def test_a_copy_of_the_moyal_table_goes_pair_by_pair(monkeypatch):
-    # the path follows the table, not its object or its name
+    # the path follows the table, not its object or its name; B_0 has one
+    # composition over the pairs, so it walks the whole table
     ctx = PhaseContext(2)
     moyal = moyal_family(ctx)
     copy = StarFamily("copy", ctx, lambda k, c: moyal._term_fn(k, c))
-    assert all(copy._pair_terms(k) for k in range(7))
+    assert not copy._pair_terms(0) and all(copy._pair_terms(k) for k in range(1, 7))
     F, G = _gaussian_operands(ctx)
     n_pair = _count_calls(monkeypatch, "_gauss_pair_into")
     got = star_mul(copy, F, G, 4)
-    assert n_pair == []
+    assert n_pair and all(args[1] is copy.terms(0) for args in n_pair)
     monkeypatch.undo()
     _general_path(monkeypatch)
     _same_series(got, star_mul(moyal, F, G, 4))
@@ -1150,9 +1151,10 @@ def test_a_copy_of_the_moyal_table_goes_pair_by_pair(monkeypatch):
 def test_tables_that_do_not_factor_keep_the_n_pair_path(monkeypatch):
     ctx = PhaseContext(2)
     moyal, cut = moyal_family(ctx), _cut_family(ctx)
-    # the cut keeps one pair-2 term of B_1, so only the pointwise B_0 factors;
-    # the commutator table at an odd order lacks the even one-pair orders
-    assert cut._pair_terms(0) and not any(cut._pair_terms(k) for k in range(1, 6))
+    # the cut keeps one pair-2 term of B_1, so no order above the pointwise
+    # B_0 (one composition) factors; the commutator table at an odd order
+    # lacks the even one-pair orders
+    assert not any(cut._pair_terms(k) for k in range(6))
     comm = sp._commutator_family(moyal)
     assert not any(comm._pair_terms(k) for k in (1, 3, 5))
     F, G = _gaussian_operands(ctx)
@@ -1161,20 +1163,22 @@ def test_tables_that_do_not_factor_keep_the_n_pair_path(monkeypatch):
         got = star_commutator(S, F, G, 3)
         assert pairwise == []
         _same_series(got, _two_products(S, F, G, 3))
-        # the products themselves take the pair path where B_k factors
+        # the products themselves take the pair path where B_k factors and k >= 1
         orders = {args[2] for args in pairwise}
-        assert orders == ({0} if S is cut else set(range(5)))
+        assert orders == (set() if S is cut else set(range(1, 5)))
         del pairwise[:]
 
 
 def test_bullet_at_two_pairs_factors_and_keeps_its_output(monkeypatch):
     ctx = PhaseContext(2)
     S = bullet_family(ctx)
-    assert all(S._pair_terms(k) for k in range(4))
+    # the empty tables above order 0 factor; the pointwise B_0 has one
+    # composition over the pairs, so the product walks the whole table
+    assert not S._pair_terms(0) and all(S._pair_terms(k) for k in range(1, 4))
     F, G = _gaussian_operands(ctx)
     pairwise = _count_calls(monkeypatch, "_pairwise_into")
     got = star_mul(S, F, G)
-    assert pairwise
+    assert pairwise == []
     _same_series(got, fs_bullet(F, G))
     _general_path(monkeypatch)
     _same_series(got, star_mul(S, F, G))
@@ -1203,13 +1207,13 @@ def test_the_n_pair_path_runs_only_where_the_table_does_not_factor(monkeypatch):
     F2, G2 = _gaussian_operands(ctx2)
     moyal2, cut2 = moyal_family(ctx2), _cut_family(ctx2)
     # (product, operands, whether the Gaussian pairs of order k walk the n-pair table)
-    every, none, above_0 = (lambda k: True), (lambda k: False), (lambda k: k > 0)
+    every, at_0 = (lambda k: True), (lambda k: k == 0)
     cases = [(lambda F, G: star_mul(MOYAL, F, G, 4), F1, G1, every),
              (lambda F, G: star_commutator(MOYAL, F, G, 4), F1, G1, every),
-             (lambda F, G: star_mul(moyal2, F, G, 4), F2, G2, none),
+             (lambda F, G: star_mul(moyal2, F, G, 4), F2, G2, at_0),
              (lambda F, G: star_commutator(moyal2, F, G, 4), F2, G2, every),
              (lambda F, G: star_commutator(cut2, F, G, 4), F2, G2, every),
-             (lambda F, G: star_mul(cut2, F, G, 4), F2, G2, above_0)]
+             (lambda F, G: star_mul(cut2, F, G, 4), F2, G2, every)]
     for product, F, G, walks in cases:
         n_pair = _count_calls(monkeypatch, "_gauss_pair_into")
         pairs = _gaussian_pairs_per_call(monkeypatch)
@@ -1222,7 +1226,8 @@ def test_the_n_pair_path_runs_only_where_the_table_does_not_factor(monkeypatch):
 def test_each_one_pair_series_is_built_once_per_product(monkeypatch):
     # gauss(1) * gauss(1/2) to order K: every pair has the exponents
     # (0, 0, 0, 0), so the K + 1 series B^1_r, r <= K, serve every pair,
-    # order and composition; the next product builds its own
+    # order and composition; the next product builds its own.  To order 0
+    # there is one composition, so no series is built
     K = 6
     for n in (2, 3):
         ctx = PhaseContext(n)
@@ -1230,6 +1235,9 @@ def test_each_one_pair_series_is_built_once_per_product(monkeypatch):
         F = fn(GaussPoly.gaussian(ctx, 1))
         G = fn(GaussPoly.gaussian(ctx, Fraction(1, 2)))
         builds = _count_calls(monkeypatch, "_pair_series")
+        pairwise = _count_calls(monkeypatch, "_pairwise_into")
+        star_mul(S, F, G, 0)
+        assert builds == [] and pairwise == []
         star_mul(S, F, G, K)
         assert len(builds) == K + 1
         star_mul(S, F, G, K)
@@ -1241,5 +1249,5 @@ def test_each_one_pair_series_is_built_once_per_product(monkeypatch):
     S = moyal_family(PhaseContext(2))
     builds = _count_calls(monkeypatch, "_pair_series")
     star_mul(S, F, G, 4)
-    keys = [(u, v, w, z, ex, terms) for terms, _, u, v, w, z, ex, _ in builds]
+    keys = [(u, v, w, z, ex, ops) for ops, u, v, w, z, ex, _ in builds]
     assert len(keys) > 5 and len(set(keys)) == len(keys)
