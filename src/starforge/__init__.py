@@ -11,18 +11,17 @@ from .lambda_scalars import (EngineError, ZeroNotInvertible, FormalModeError,
                              TruncatedTailError, ScopeError, ExactComplex,
                              EC_ZERO, EC_ONE, EC_I, FormalScalar, LambdaBinding,
                              FORMAL,
-                             scalar_mul, scalar_invert,
-                             scalar_eval, agreement_depth, agree, render_scalar,
-                             scalar_to_json, scalar_from_json)
+                             scalar_invert, scalar_eval, agreement_depth, agree,
+                             render_scalar, scalar_to_json)
 from .phase_functions import (AlphaMismatch, NotIntegrable, UnknownCoordinate,
                               DimensionMismatch, PiSeparationError,
                               PhaseContext, pi_bounds, PiScalar,
                               coeff_sign, GaussPoly, gp_diff, gp_eval,
                               gp_integrate, gp_pair, gp_poisson, render_gausspoly,
-                              gp_to_json, gp_from_json)
+                              gp_to_json)
 from .formal_series import (GaussSum, FormalFunction, fs_linear_comb,
                             fs_bullet, fs_diff, fs_integrate, render_function,
-                            fs_to_json, fs_from_json)
+                            fs_to_json)
 from .star_products import (UNBOUNDED, TruncationRequired, StarFamily,
                             bullet_family, moyal_family, star_mul,
                             star_commutator, star_trace, ClosednessReport,
@@ -37,8 +36,7 @@ from .functionals_states import (NotNormalizable, NotSupportedForm,
                                  eigencheck_star, wigner_state, RegionReport,
                                  negative_region)
 from .cli_frontend import (ParseError, UsageError, parse_expression,
-                           lower_expression, parse_functional,
-                           function_to_scalar, CommandResult, run_command,
-                           main)
+                           lower_expression, parse_functional, CommandResult,
+                           run_command, main)
 
 __version__ = "0.1.0"

@@ -9,9 +9,9 @@ multiplication to series.
 
 from .lambda_scalars import (as_coeff, FormalScalar, Frozen, LaurentSeries,
                              graded_product, join_signed, mul_add, render_series,
-                             series_to_json, tail_from_json)
+                             series_to_json)
 from .phase_functions import (GaussPoly, NotIntegrable, _PI_ZERO,
-                              render_gausspoly, gp_to_json, gp_from_json)
+                              render_gausspoly, gp_to_json)
 
 
 # ============================================================
@@ -61,9 +61,6 @@ class GaussSum(Frozen):
 
     def __bool__(self):
         return bool(self.parts)
-
-    def is_zero(self):
-        return not self.parts
 
     def is_poly(self):
         return all(p.alpha == 0 for p in self.parts)
@@ -186,15 +183,9 @@ class FormalFunction(LaurentSeries):
 
     # ---- queries and arithmetic ----
 
-    def is_poly(self):
-        return all(c.is_poly() for c in self.coeffs)
-
     def scale(self, c):
         c = as_coeff(c)
         return self._map(lambda s: s.scale(c))
-
-    def diff(self, var):
-        return fs_diff(self, var)
 
     def __eq__(self, other):
         # a single GaussPoly/GaussSum compares as the lam^0 series
@@ -272,9 +263,3 @@ def _sum_json(c):
 
 def fs_to_json(F):
     return series_to_json(F, _sum_json)
-
-
-def fs_from_json(ctx, data):
-    coeffs = [GaussSum(ctx, [gp_from_json(ctx, p) for p in entry])
-              for entry in data["coeffs"]]
-    return FormalFunction(ctx, data["valuation"], coeffs, tail_from_json(data))

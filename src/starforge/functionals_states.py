@@ -408,14 +408,6 @@ class RealityReport(Frozen):
         ok = structural and all(r[1] for r in witness_results)
         Frozen.__init__(self, structural, tuple(witness_results), "real" if ok else "fail")
 
-    def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "structural": self.structural,
-            "witnesses": [{"witness": w, "real": bool(okv), "value": v}
-                          for w, okv, v in self.witness_results],
-        }
-
     def __repr__(self):
         return "RealityReport(%s)" % self.verdict
 
@@ -569,14 +561,14 @@ def eigencheck_classical(phi, a, point):
     for value, exp_arg in gs.eval_pairs(point):
         if exp_arg == 0:
             rational = rational + value
-        elif not value.is_zero():
+        elif value:
             # nonzero * exp(nonzero rational) is irrational, so equality with
             # the rational target fails outright
             residual = "(%s)*exp(%s)" % (value, exp_arg)
             return EigenReport("classical", "fail", 0, (("1", residual),), (),
                                {"witness": "1", "residual": residual})
     residual = rational - a
-    if residual.is_zero():
+    if not residual:
         return EigenReport("classical", "pass", 0, (("1", "0"),), (), None)
     return EigenReport("classical", "fail", 0, (("1", str(residual)),), (),
                        {"witness": "1", "residual": str(residual)})

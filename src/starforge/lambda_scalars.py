@@ -132,9 +132,6 @@ class ExactComplex(object):
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def is_zero(self):
-        return not self
-
     def is_real(self):
         return self.b == 0
 
@@ -244,11 +241,6 @@ class ExactComplex(object):
     def to_json(self):
         re, im = self.re, self.im
         return [re.numerator, re.denominator, im.numerator, im.denominator]
-
-    @staticmethod
-    def from_json(data):
-        rn, rd, im_n, im_d = data
-        return ExactComplex(Fraction(rn, rd), Fraction(im_n, im_d))
 
 
 _set_a = ExactComplex.a.__set__
@@ -412,11 +404,8 @@ class LaurentSeries(Frozen):
 
     # ---- queries ----
 
-    def is_zero(self):
-        # zero as far as this representation knows
-        return not self.coeffs
-
     def __bool__(self):
+        # zero as far as this representation knows
         return bool(self.coeffs)
 
     def end(self):
@@ -575,7 +564,8 @@ class FormalScalar(LaurentSeries):
     def __mul__(self, other):
         if not isinstance(other, FormalScalar):
             return NotImplemented
-        return scalar_mul(self, other)
+        # Cauchy product; truncation bounds shift by the partner's valuation
+        return graded_product(self, other, mul_add, FormalScalar, EC_ZERO)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -598,11 +588,6 @@ class FormalScalar(LaurentSeries):
 
     def __str__(self):
         return render_scalar(self)
-
-
-def scalar_mul(a, b):
-    """Cauchy product; truncation bounds shift by the partner's valuation."""
-    return graded_product(a, b, mul_add, FormalScalar, EC_ZERO)
 
 
 def scalar_invert(a, order):
@@ -774,11 +759,6 @@ def series_to_json(a, coeff_json):
     }
 
 
-def tail_from_json(data):
-    tail = data["tail"]
-    return None if tail == "exact" else tail["truncated_at"]
-
-
 def render_scalar(a):
     """Canonical string, lam-powers ascending."""
     return render_series(a, coeff_piece)
@@ -788,13 +768,6 @@ def scalar_to_json(a):
     """Each coefficient in its own wire form: an ExactComplex as a list of four
     ints, a PiScalar as a {"num", "den"} object."""
     return series_to_json(a, lambda c: c.to_json())
-
-
-def scalar_from_json(data):
-    return FormalScalar(data["valuation"],
-                        [(ExactComplex if isinstance(c, list) else PiScalar).from_json(c)
-                         for c in data["coeffs"]],
-                        tail_from_json(data))
 
 
 # phase_functions imports this module, so its PiScalar is bound last, once

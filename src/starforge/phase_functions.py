@@ -367,9 +367,6 @@ class PiScalar(Frozen):
     def __bool__(self):
         return bool(self.num)
 
-    def is_zero(self):
-        return not self
-
     def conj(self):
         # pi is real, so conjugation keeps lowest terms and a monic den
         return _ps(tuple(c.conj() for c in self.num), tuple(c.conj() for c in self.den))
@@ -485,11 +482,6 @@ class PiScalar(Frozen):
         return {"num": [c.to_json() for c in self.num],
                 "den": [c.to_json() for c in self.den]}
 
-    @staticmethod
-    def from_json(data):
-        return PiScalar([ExactComplex.from_json(c) for c in data["num"]],
-                        [ExactComplex.from_json(c) for c in data["den"]])
-
 
 _set_num = PiScalar.num.__set__
 _set_den = PiScalar.den.__set__
@@ -580,9 +572,6 @@ class GaussPoly(Frozen):
         return GaussPoly(ctx, {(0,) * ctx.dim: EC_ONE}, alpha)
 
     # ---- queries ----
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -862,9 +851,3 @@ def gp_to_json(f):
         "alpha": [f.alpha.numerator, f.alpha.denominator],
         "terms": [{"exps": list(exps), "coeff": c.to_json()} for exps, c in f.sorted_terms()],
     }
-
-
-def gp_from_json(ctx, data):
-    alpha = Fraction(data["alpha"][0], data["alpha"][1])
-    terms = {tuple(t["exps"]): ExactComplex.from_json(t["coeff"]) for t in data["terms"]}
-    return GaussPoly(ctx, terms, alpha)

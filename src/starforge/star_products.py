@@ -568,14 +568,6 @@ class ClosednessReport(Frozen):
                         all(not v for k, v in values.items() if k >= 1)
                         and b0_integral == pointwise_integral)
 
-    def to_json(self):
-        return {
-            "closed": self.closed,
-            "b0_integral": str(self.b0_integral),
-            "pointwise_integral": str(self.pointwise_integral),
-            "integrals": {str(k): str(v) for k, v in sorted(self.values.items())},
-        }
-
     def __repr__(self):
         return "ClosednessReport(closed=%s)" % self.closed
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from starforge import (ExactComplex, FormalFunction, FormalScalar, GaussPoly, StarFamily,
-                       moyal_family)
+from starforge import (ExactComplex, FormalFunction, FormalScalar, GaussPoly, PiScalar,
+                       StarFamily, moyal_family)
 
 ALPHAS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2))
 
@@ -84,6 +84,33 @@ def gauss_polys(ctx, max_terms=4, max_exp=4):
     return st.builds(lambda terms, alpha: GaussPoly(ctx, terms, alpha),
                      st.dictionaries(exps, exact_coeffs, max_size=max_terms),
                      st.sampled_from(PAIR_WIDTHS))
+
+
+# engine values as tests/wire.py reads their JSON, built from the values'
+# own fields, not from their encoders
+
+def pair(c):
+    return (c.re, c.im)
+
+
+def coeff_view(c):
+    if isinstance(c, PiScalar):
+        return {"num": [pair(x) for x in c.num], "den": [pair(x) for x in c.den]}
+    return pair(c)
+
+
+def scalar_view(s):
+    return (s.valuation, [coeff_view(c) for c in s.coeffs], s.tail)
+
+
+def gp_view(f):
+    return (f.alpha, {exps: pair(c) for exps, c in f.terms.items()})
+
+
+def function_view(F):
+    return ({(z, p.alpha, exps): pair(c)
+             for z, gs in enumerate(F.coeffs, F.valuation)
+             for p in gs.parts for exps, c in p.terms.items()}, F.tail)
 
 
 def real_b1_family(ctx):

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import wire
 from starforge.cli_frontend import ParseError, parse_expression, run_command
 
 
@@ -300,14 +301,13 @@ def test_region_full_payload(capsys):
 def test_trace_json_degrades_for_pi_valued_scalars(capsys):
     # Traces carry pi coefficients; the series slot writes each one in its own
     # wire form (a PiScalar as num/den over pi), not null, and reads back
-    from starforge import PiScalar, scalar_from_json
-
     res, out = go(capsys, "trace", "gauss(1)", "--json")
     pi = {"num": [[0, 1, 0, 1], [1, 1, 0, 1]], "den": [[1, 1, 0, 1]]}
     series = {"valuation": -1, "coeffs": [pi], "tail": "exact"}
     assert json.loads(out) == {"result": "pi*lam^-1", "series": series}
     assert res.status == 0
-    assert scalar_from_json(series).coeffs == (PiScalar.pi(),)
+    one = (Fraction(1), Fraction(0))
+    assert wire.scalar_series(series) == (-1, [{"num": [wire.ZERO, one], "den": [one]}], None)
     # a zero integral has the same shape, with no coefficients
     res, out = go(capsys, "integrate", "q*gauss(1)", "--json")
     assert json.loads(out) == {"result": "0", "series": {
@@ -630,6 +630,28 @@ def _engine_error(message, kind="EngineError"):
 def test_lowering_errors_are_one_json_line(capsys, argv, message):
     res, out = go(capsys, *argv)
     assert (res.status, out) == (2, _engine_error(message))
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["positivity", "density(delta(0,0))", "q"],
+     _engine_error("functional atoms are not allowed in a plain expression")),
+    (["eigencheck", "q", "gauss(1)", "delta(0,0)"],
+     _engine_error("the genvalue must be a lam-scalar expression")),
+    (["eigencheck", "q", "1", "--kind", "classical", "--point", "1/0"],
+     _engine_error("bad --point value: Fraction(1, 0)")),
+    (["eigencheck", "q", "lam", "--kind", "classical", "--point", "1,0"],
+     _engine_error("classical genvalues are plain rationals")),
+    (["normalize", "wigner(x)", "--lambda", "1"],
+     json.dumps({"error": {"expected": "a level",
+                           "message": "at offset 7: expected a level, found 'x'",
+                           "offset": 7, "type": "ParseError"}}) + "\n"),
+])
+def test_operand_and_option_errors_are_one_json_line(capsys, argv, line):
+    # a functional inside a density, a function as a genvalue, a zero
+    # denominator in --point, a lam-valued classical genvalue, a wigner level
+    # that is not a number
+    res, out = go(capsys, *argv)
+    assert (res.status, out) == (2, line)
 
 
 def test_negative_powers_of_lam_monomials_still_lower(capsys):

@@ -16,14 +16,14 @@ from starforge import (
     UnknownCoordinate,
     fs_bullet,
     fs_diff,
-    fs_from_json,
     fs_integrate,
     fs_linear_comb,
     fs_to_json,
     render_function,
 )
 
-from corpus import nonzero_coeff, rand_function, rand_poly
+import wire
+from corpus import function_view, nonzero_coeff, rand_function, rand_poly
 
 CTX = PhaseContext(1)
 Q = GaussPoly.coordinate(CTX, "q")
@@ -50,7 +50,7 @@ def test_gauss_sum_keeps_distinct_widths_sorted():
 
 def test_gauss_sum_cancellation():
     s = GaussSum.of(Q) - GaussSum.of(Q)
-    assert s.is_zero()
+    assert not s
     assert str(s) == "0"
 
 
@@ -219,7 +219,7 @@ def test_integrate_gaussian_series():
 
 def test_integrate_odd_profile_gives_zero():
     F = FormalFunction.of(Q * GAUSS)
-    assert fs_integrate(F).is_zero()
+    assert not fs_integrate(F)
 
 
 def test_integrate_rejects_bare_polynomials():
@@ -233,7 +233,7 @@ def test_integrate_total_derivatives(rng):
     for _ in range(10):
         F = rand_function(rng, CTX, alpha=1)
         for var in ("q", "p"):
-            assert fs_integrate(fs_diff(F, var)).is_zero()
+            assert not fs_integrate(fs_diff(F, var))
 
 
 # ---- rendering and JSON ----
@@ -247,7 +247,9 @@ def test_render_orders_by_lambda_power():
 
 def test_function_json_roundtrip(rng):
     for _ in range(15):
-        F = rand_function(rng, CTX, alpha=rng.choice([0, 1, Fraction(1, 2)]))
-        back = fs_from_json(CTX, fs_to_json(F))
-        assert back == F
-        assert back.tail == F.tail
+        # two widths, so a coefficient may hold two parts
+        F = (rand_function(rng, CTX, alpha=rng.choice([0, 1, Fraction(1, 2)]))
+             + rand_function(rng, CTX, alpha=Fraction(3, 2)))
+        if rng.random() < 0.5:
+            F = F.truncate(1)
+        assert wire.function_series(fs_to_json(F)) == function_view(F)

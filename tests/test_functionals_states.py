@@ -58,6 +58,7 @@ from starforge import (
 from starforge.functionals_states import (_laguerre_coeffs, _star_action_adjoint,
                                          _test_monomials)
 
+import wire
 from corpus import (exact_coeffs, gauss_polys, nonzero_coeff, rand_point, rand_poly,
                     rand_scalar, real_b1_family)
 
@@ -241,9 +242,19 @@ def test_scale_by_scalar_moves_grades():
 
 def test_delta_evaluates_at_its_point():
     F = FormalFunction(CTX, 0, (Q * Q, P))  # q^2 + lam p
-    assert func_action(DELTA, F).is_zero()
+    assert not func_action(DELTA, F)
     d = FormalFunctional.delta(CTX, (1, 2))
     assert func_action(d, F) == FormalScalar.from_coeff_map({0: 1, 1: 2})
+
+
+def test_a_bare_part_pairs_as_its_lam_zero_series():
+    # a GaussPoly or a GaussSum pairs as the series FormalFunction.of makes of it
+    T = FormalFunctional.density(CTX, GAUSS)
+    half_pi = FormalScalar(0, [PiScalar.pi() * Fraction(1, 2)])
+    for f in (Q * Q, GaussSum.of(Q * Q)):
+        got = func_action(T, f)
+        assert got == func_action(T, FormalFunction.of(f)) == half_pi
+        assert render_scalar(got) == "1/2*pi"
 
 
 def test_point_derivative_sign_convention():
@@ -323,7 +334,7 @@ def test_delta_on_a_gaussian_needs_a_rational_value():
         func_action(away, fn(GAUSS))
     # fine when the polynomial part kills the transcendental value
     shifted = (Q + GaussPoly.constant(CTX, -1)) * GAUSS
-    assert func_action(away, fn(shifted)).is_zero()
+    assert not func_action(away, fn(shifted))
     # and at the origin the exponential is exactly 1
     assert func_action(DELTA, fn(GAUSS)) == FormalScalar.one()
 
@@ -950,6 +961,8 @@ def test_negative_region_guards():
         negative_region(fn(Q * Q))  # not degree one
     with pytest.raises(NotSupportedForm):
         negative_region(fn(Q.scale(2) + P.scale(EC_I)))  # q coefficient not 1
+    with pytest.raises(NotSupportedForm, match="one pair only"):
+        negative_region(fn(GaussPoly.coordinate(PhaseContext(2), "q1")))
 
 
 # ---- JSON ----
@@ -966,3 +979,9 @@ def test_functional_json_schema():
     assert wj["valuation"] == -1
     kinds = [t["kind"] for grade in wj["coeffs"] for t in grade]
     assert kinds == ["density", "density"]
+    assert wire.functional_series(payload)[1] == [[{
+        "kind": "point_deriv", "point": (0, 0), "index": (0, 0), "weight": (1, 0)}]]
+    valuation, grades, tail = wire.functional_series(wj)
+    assert (valuation, tail) == (-1, None)
+    assert [[(t["profile"], t["width_lambda"]) for t in grade] for grade in grades] == [
+        [("2*q^2 + 2*p^2", 1)], [("-1", 1)]]

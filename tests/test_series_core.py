@@ -25,12 +25,8 @@ from starforge import (
     agree,
     agreement_depth,
     fs_bullet,
-    fs_from_json,
     fs_linear_comb,
-    fs_to_json,
     func_action,
-    scalar_from_json,
-    scalar_to_json,
 )
 
 CTX = PhaseContext(1)
@@ -263,20 +259,6 @@ def test_non_integer_tail_is_rejected_by_every_series_kind(build, error):
         with pytest.raises(error):
             build(bad)
     assert build(1).tail == 1 and build(None).tail is None
-
-
-@pytest.mark.parametrize("decode, value", [
-    (scalar_from_json, FormalScalar(0, [1, 2], 1)),
-    (lambda data: fs_from_json(CTX, data), FormalFunction(CTX, 0, [BASIS[1], BASIS[2]], 1)),
-], ids=["scalar_from_json", "fs_from_json"])
-def test_decoders_reject_non_integer_gradings(decode, value):
-    data = scalar_to_json(value) if isinstance(value, FormalScalar) else fs_to_json(value)
-    assert decode(data) == value
-    for field, bad in (("valuation", True), ("valuation", 1.0), ("valuation", "0"),
-                       ("tail", {"truncated_at": 2.5}), ("tail", {"truncated_at": True}),
-                       ("tail", {"truncated_at": "1"})):
-        with pytest.raises(ValueError):
-            decode(dict(data, **{field: bad}))
 
 
 def test_agree_on_exact_and_truncated_functionals():
