@@ -18,8 +18,9 @@ from .lambda_scalars import (EngineError, FormalModeError, ZeroNotInvertible,
                              EC_ONE, as_coeff, as_scalar, _frac, Frozen, _built, FormalScalar,
                              FORMAL, LaurentSeries, graded_product, scalar_invert,
                              scalar_eval, render_scalar, render_series, series_to_json)
-from .phase_functions import (GaussPoly, coeff_sign, gp_pair,
-                              DimensionMismatch, render_gausspoly, _PI_ZERO, _gp)
+from .phase_functions import (GaussPoly, coeff_sign, DimensionMismatch,
+                              render_gausspoly, _check_same_ctx, _gp,
+                              _moment_sum, _parity_groups, _pi_term)
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
 from .star_products import (star_mul, star_commutator, moyal_family, truncation_order,
@@ -164,14 +165,24 @@ class Density(_Term):
         return bool(self.weight) and bool(self.g)
 
     def act(self, gs):
+        return self.weight * _pi_term(self.ctx.n, *self._sum(gs, EC_ONE, (0, 0, 1), {}))
+
+    def _sum(self, gs, weight, acc, groups):
+        # acc plus weight * <density(g), gs> / pi^n as unreduced (a, b, d)
+        # ints; groups keeps the _parity_groups of gs's parts by id
         if self.width_lambda != 0:
             raise FormalModeError(
                 "density carries a lam-dependent width; bind a strict lambda first")
-        total = _PI_ZERO
         for f in self.g.parts:
             for h in gs.parts:
-                total = total + gp_pair(f, h)
-        return self.weight * total
+                _check_same_ctx(f, h)
+                hg = groups.get(id(h))
+                if hg is None:
+                    hg = groups[id(h)] = _parity_groups(h.terms)
+                # a polynomial part's width is the int 0: no Fraction sum
+                alpha = f.alpha + h.alpha if h.alpha else f.alpha
+                acc = _moment_sum(f.ctx.n, f.terms, hg, alpha, weight, acc)
+        return acc
 
     def conj(self):
         return _built(Density, self.ctx, self.g.conj(), self.width_lambda,
@@ -253,6 +264,11 @@ class FormalFunctional(LaurentSeries):
 
     def _like(self, valuation, coeffs, tail):
         return FormalFunctional(self.ctx, valuation, coeffs, tail)
+
+    def __add__(self, other):
+        if type(other) is FormalFunctional:
+            _check_same_ctx(self, other)
+        return LaurentSeries.__add__(self, other)
 
     @staticmethod
     def _zero():
@@ -339,29 +355,42 @@ def bind_functional(T, binding):
 # ============================================================
 
 def func_action(T, F):
-    """Plain pairing <T, F> as a formal scalar."""
-    return graded_product(T, _as_function(T.ctx, F), _act_add, FormalScalar, EC_ZERO)
+    """Plain pairing <T, F> as a formal scalar.  Per lam power, the densities
+    with a complex-rational weight add up as (a, b, d) ints into one PiScalar
+    (a zero one too); every other term adds its term.act(f)."""
+    n, groups = T.ctx.n, {}
+
+    def pair(acc, grade, f):
+        acc, ints = acc
+        for term in grade:
+            if type(term) is Density and type(term.weight) is ExactComplex:
+                ints = term._sum(f, term.weight, ints or (0, 0, 1), groups)
+            else:
+                acc = acc + term.act(f)
+        return acc, ints
+
+    def make(valuation, coeffs, tail):
+        return FormalScalar(valuation, [acc if ints is None else
+                                        acc + _pi_term(n, *ints) if acc else _pi_term(n, *ints)
+                                        for acc, ints in coeffs], tail)
+
+    return graded_product(T, _as_function(F), pair, make, (EC_ZERO, None))
 
 
-def _act_add(acc, grade, f):
-    for term in grade:
-        acc = acc + term.act(f)
-    return acc
-
-
-def _as_function(ctx, f):
+def _as_function(f):
+    # a function series on its own phase space
     if isinstance(f, FormalFunction):
         return f
-    if isinstance(f, GaussPoly):
-        return FormalFunction.of(f, 0)
-    if isinstance(f, GaussSum):
-        return FormalFunction(ctx, 0, (f,))
+    if isinstance(f, (GaussPoly, GaussSum)):
+        return FormalFunction.of(f)
     raise TypeError("expected a phase-space function")
 
 
 def func_star_action(S, T, F, order=None):
     """Star pairing <T, F>_*: lam^(-n) <T, F> for Moyal, by parts otherwise."""
-    F = _as_function(S.ctx, F)
+    F = _as_function(F)
+    _check_same_ctx(S, T)
+    _check_same_ctx(S, F)
     if S._term_fn is _moyal_terms:
         return func_action(T, F).shift(-S.ctx.n)
     return _star_action_adjoint(S, T, F, order)
@@ -370,7 +399,7 @@ def func_star_action(S, T, F, order=None):
 def _star_action_adjoint(S, T, F, order=None):
     # move the derivatives of each B_k off the functional side by parts:
     # <T, F>_* = lam^(-n) sum_k lam^k sum_(c,dl,dr) c (-1)^|dr| <T, d^(dl+dr) F>
-    F = _as_function(S.ctx, F)
+    F = _as_function(F)
     n = S.ctx.n
     # the family's own termination rule, driven by the function side only
     # (the functional side is opaque, so both slots get the same factor); as
@@ -417,7 +446,7 @@ def reality_check(T, witnesses=()):
     structural = (T.conj() == T)
     results = []
     for w in witnesses:
-        wf = _as_function(T.ctx, w)
+        wf = _as_function(w)
         if wf.conj() != wf:
             raise ValueError("reality witnesses must be real functions")
         v = func_action(T, wf)
@@ -453,7 +482,7 @@ def positivity_check(S, T, witness_fns, lambda_samples=DEFAULT_SAMPLES):
     total is a negativity certificate.  The verdict only covers the finite
     witness set and sample list.
     """
-    witness_fns = [_as_function(S.ctx, f) for f in witness_fns]
+    witness_fns = [_as_function(f) for f in witness_fns]
     lambda_samples = tuple(lambda_samples)
     if not witness_fns:
         raise ScopeError("positivity needs at least one witness function")
@@ -584,7 +613,7 @@ def eigencheck_bullet(xi, a, T, test_degree, binding=FORMAL):
     if not T:
         # the zero functional satisfies every eigen-equation
         raise ScopeError("an eigenfunctional must be nonzero")
-    xi = _as_function(ctx, xi)
+    xi = _as_function(xi)
     if not isinstance(a, FormalScalar):
         a = FormalScalar.from_const(a)
     # the genvalue shifts a function, whose coefficients are complex rationals
@@ -615,7 +644,7 @@ def eigencheck_star(S, xi, a, T, test_degree, binding=FORMAL):
     ctx = S.ctx
     if not T:
         raise ScopeError("an eigenfunctional must be nonzero")
-    xi = _as_function(ctx, xi)
+    xi = _as_function(xi)
     if not isinstance(a, FormalScalar):
         a = FormalScalar.from_const(a)
     Tb = bind_functional(T, binding)

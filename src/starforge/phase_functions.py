@@ -738,7 +738,8 @@ def gp_integrate(f):
     """Exact integral over the whole phase space; always a PiScalar c*pi^n."""
     if not f.terms:
         return _PI_ZERO
-    return _moment_sum(f.ctx.n, f.terms, {(0,) * f.ctx.dim: EC_ONE}, f.alpha)
+    n, origin = f.ctx.n, (0,) * f.ctx.dim
+    return _pi_term(n, *_moment_sum(n, f.terms, {origin: [(origin, EC_ONE)]}, f.alpha))
 
 
 def gp_pair(f, g):
@@ -750,25 +751,40 @@ def gp_pair(f, g):
     _check_same_ctx(f, g)
     if not f.terms or not g.terms:
         return _PI_ZERO
-    return _moment_sum(f.ctx.n, f.terms, g.terms, f.alpha + g.alpha)
+    n = f.ctx.n
+    return _pi_term(n, *_moment_sum(n, f.terms, _parity_groups(g.terms), f.alpha + g.alpha))
 
 
-def _moment_sum(n, left, right, alpha):
-    """Integral of sum c1 c2 x^(e1 + e2) exp(-alpha r^2) over two nonempty term dicts.
+def _pi_term(n, a, b, d):
+    """The PiScalar (a + b*I)/d * pi^n, for ints with d > 0."""
+    if not a and not b:
+        return _PI_ZERO
+    return _ps((EC_ZERO,) * n + (_reduced(a, b, d),), _ONE_DEN)
 
+
+def _parity_groups(terms):
+    """The (exponents, coefficient) pairs of a term dict, keyed by exponent parities."""
+    groups = {}
+    for e, c in terms.items():
+        groups.setdefault(tuple([x & 1 for x in e]), []).append((e, c))
+    return groups
+
+
+def _moment_sum(n, left, groups, alpha, weight=EC_ONE, acc=(0, 0, 1)):
+    """acc plus weight times the integral of sum c1 c2 x^(e1 + e2) exp(-alpha r^2)
+    over phase space, over pi^n, as unreduced ints (a, b, d) with d > 0.
+
+    left is a nonempty term dict and groups the _parity_groups of another.
     Per coordinate: int x^(2m) e^(-a x^2) dx = (2m-1)!!/(2a)^m * sqrt(pi/a),
     odd moments vanish; the 2n sqrt factors assemble to (pi/a)^n.  A pair of
     terms has no odd moment exactly when its exponents agree in parity, so
     only those pairs are visited.  With alpha = u/v a pair of total degree 2m
     adds c1 c2 prod (s-1)!! v^m / (2u)^m, on the coefficients' ints, to one
-    unreduced (a, b, d) sum whose denominator grows by lcm; the sum is
-    reduced once.
+    unreduced sum whose denominator grows by lcm; times weight * (v/u)^n,
+    that sum joins acc over the product of the two denominators.
     """
     if not alpha:
         raise NotIntegrable("a nonzero polynomial is not summable over phase space")
-    groups = {}
-    for e, c in right.items():
-        groups.setdefault(tuple([x & 1 for x in e]), []).append((e, c))
     u, v = alpha.numerator, alpha.denominator
     u2 = 2 * u
     ta = tb = 0
@@ -803,10 +819,11 @@ def _moment_sum(n, left, right, alpha):
             ta += (a1 * a2 - b1 * b2) * p
             tb += (a1 * b2 + b1 * a2) * p
     if not ta and not tb:
-        return _PI_ZERO
-    # 1/alpha^n = v^n/u^n
-    vn = v ** n
-    return _ps((EC_ZERO,) * n + (_reduced(ta * vn, tb * vn, td * u ** n),), _ONE_DEN)
+        return acc
+    vn, wa, wb = v ** n, weight.a, weight.b
+    ta, tb, td = (ta * wa - tb * wb) * vn, (ta * wb + tb * wa) * vn, td * weight.d * u ** n
+    sa, sb, sd = acc
+    return sa * td + ta * sd, sb * td + tb * sd, sd * td
 
 
 def gp_poisson(f, g):

@@ -19,7 +19,8 @@ from math import factorial, lcm, prod
 from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ZERO, EC_ONE,
                              UNBOUNDED, Frozen, tail_min, mul_tail, _accumulate)
 from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair, gp_poisson,
-                              gp_mul_into, render_gausspoly, monomial_key, _gp)
+                              gp_mul_into, render_gausspoly, monomial_key,
+                              _check_same_ctx, _gp)
 from .formal_series import GaussSum, FormalFunction, fs_integrate
 
 
@@ -345,6 +346,10 @@ class StarFamily(Frozen):
 
         f and g are GaussPoly or GaussSum; see B_into.
         """
+        # B_into type-checks the operands; the phase space is checked here
+        for x in (f, g):
+            if isinstance(x, (GaussPoly, GaussSum)):
+                _check_same_ctx(self, x)
         out = {}
         self.B_into(out, k, f, g, tables)
         return _sum_of(self.ctx, out)
@@ -480,7 +485,9 @@ def star_mul(S, F, G, order=None):
 
 def _graded_product(S, F, G, order):
     # the graded triple sum over lam^(l+j+m) B_m(F_l, G_j), skipping the
-    # orders m whose operator table is empty
+    # orders m whose operator table is empty; one phase space for all three
+    _check_same_ctx(S, F)
+    _check_same_ctx(S, G)
     ctx = S.ctx
     if (not F.coeffs and F.tail is None) or (not G.coeffs and G.tail is None):
         return FormalFunction.zero(ctx)
@@ -553,6 +560,7 @@ def star_commutator(S, F, G, order=None):
 
 def star_trace(S, F):
     """Trace: lam^(-n) times the integral of F."""
+    _check_same_ctx(S, F)
     return fs_integrate(F).shift(-S.ctx.n)
 
 

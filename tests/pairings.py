@@ -65,7 +65,7 @@ def _gauss_sum(rng, ctx, widths, nparts=2):
                           for _ in range(rng.randint(1, nparts))])
 
 
-def _function(rng, ctx, polys=True):
+def draw_function(rng, ctx, polys=True):
     """1-3 grades of 1-2 parts; polynomial parts only when `polys`; sometimes truncated."""
     widths = ((0,) if polys else ()) + WIDTHS
     grades = [_gauss_sum(rng, ctx, widths) if rng.random() < 0.85 else GaussSum.zero(ctx)
@@ -92,14 +92,14 @@ def _term(rng, ctx, pi_weights, gaussian_only):
     return Density(ctx, _gauss_sum(rng, ctx, widths, 3), _weight(rng, pi_weights))
 
 
-def _functional(rng, ctx, pi_weights=True, gaussian_only=False):
+def draw_functional(rng, ctx, pi_weights=True, gaussian_only=False):
     """1-3 grades of 1-3 terms: deltas, point derivatives and multi-part densities."""
     grades = [[_term(rng, ctx, pi_weights, gaussian_only) for _ in range(rng.randint(1, 3))]
               for _ in range(rng.randint(1, 3))]
     return FormalFunctional(ctx, rng.randint(-2, 1), grades)
 
 
-def _cancelling(rng, ctx):
+def draw_cancelling(rng, ctx):
     """Densities whose pairings with 1 cancel: c*(density(gauss(a)) - (2b/a)^n density(gauss(2b)))."""
     a, b = rng.choice(WIDTHS), rng.choice(WIDTHS)
     c = _coeff(rng)
@@ -125,10 +125,10 @@ def _action_cases(rng, out):
     for n in (1, 2):
         ctx = CTXS[n]
         for i in range(80):
-            T, F = _functional(rng, ctx), _function(rng, ctx)
+            T, F = draw_functional(rng, ctx), draw_function(rng, ctx)
             out.append(("action/n%d/%d" % (n, i), lambda T=T, F=F: func_action(T, F)))
         for i in range(12):
-            T = _cancelling(rng, ctx)
+            T = draw_cancelling(rng, ctx)
             F = FormalFunction(ctx, 0, [GaussPoly.constant(ctx, 1)] * rng.randint(1, 2))
             out.append(("cancel/n%d/%d" % (n, i), lambda T=T, F=F: func_action(T, F)))
     # errors: a lam-width density, two polynomials, two phase spaces
@@ -151,12 +151,12 @@ def _star_cases(rng, out):
         ctx = CTXS[n]
         moyal, bullet = moyal_family(ctx), bullet_family(ctx)
         for i in range(30):
-            T, F = _functional(rng, ctx), _function(rng, ctx)
+            T, F = draw_functional(rng, ctx), draw_function(rng, ctx)
             out.append(("moyal/n%d/%d" % (n, i),
                         lambda S=moyal, T=T, F=F: func_star_action(S, T, F)))
         for i in range(30 if n == 1 else 12):
-            T = _functional(rng, ctx, gaussian_only=True)
-            F = _function(rng, ctx)
+            T = draw_functional(rng, ctx, gaussian_only=True)
+            F = draw_function(rng, ctx)
             order = rng.choice((None, 0, 1, 2))
             out.append(("bullet/n%d/%d" % (n, i),
                         lambda S=bullet, T=T, F=F, k=order: func_star_action(S, T, F, k)))
@@ -204,7 +204,7 @@ def _normalize_cases(rng, out):
             elif kind == 2:
                 T = _mixed(rng, ctx)
             else:
-                T = _functional(rng, ctx, pi_weights=False, gaussian_only=True)
+                T = draw_functional(rng, ctx, pi_weights=False, gaussian_only=True)
             order = rng.randint(2, 4)
             out.append(("normalize/n%d/%d" % (n, i),
                         lambda S=S, T=T, k=order: normalize_functional(S, T, k)))
@@ -215,7 +215,7 @@ def _normalize_cases(rng, out):
     # normalized functionals carry PiScalar weights: pair them both ways
     for i, (n, T) in enumerate(normalized):
         ctx = CTXS[n]
-        F = _function(rng, ctx, polys=False)
+        F = draw_function(rng, ctx, polys=False)
         out.append(("normalized/moyal/%d" % i,
                     lambda S=moyal_family(ctx), T=T, F=F: func_star_action(S, T, F)))
         out.append(("normalized/bullet/%d" % i,
@@ -245,7 +245,7 @@ def _eigen_cases(rng, out):
             T = _mixed(rng, ctx)
             xi = rng.choice(xis)
         else:
-            T = _functional(rng, ctx, gaussian_only=True)
+            T = draw_functional(rng, ctx, gaussian_only=True)
             xi = rng.choice(xis[:4])
         level = rng.randint(0, 4)
         a = rng.choice((FormalScalar.lam(1, Fraction(2 * level + 1, 2)), FormalScalar.zero(),

@@ -1,5 +1,6 @@
 """Functionals and states: actions, reality, positivity, normalization, genvalue checks."""
 
+import random
 import re
 from fractions import Fraction
 from operator import add
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 from starforge import (
     Density,
+    DimensionMismatch,
     EC_I,
     EC_ONE,
+    EC_ZERO,
+    EngineError,
     ExactComplex,
     FORMAL,
     FormalFunction,
@@ -51,14 +55,17 @@ from starforge import (
     render_scalar,
     scalar_eval,
     scalar_invert,
+    scalar_to_json,
     star_commutator,
     star_mul,
     wigner_state,
 )
+from starforge.lambda_scalars import graded_product
 from starforge.functionals_states import (_laguerre_coeffs, _star_action_adjoint,
                                          _test_monomials)
 
 import wire
+from pairings import draw_cancelling, draw_function, draw_functional
 from corpus import (exact_coeffs, gauss_polys, nonzero_coeff, rand_point, rand_poly,
                     rand_scalar, real_b1_family)
 
@@ -339,6 +346,77 @@ def test_delta_on_a_gaussian_needs_a_rational_value():
     assert func_action(DELTA, fn(GAUSS)) == FormalScalar.one()
 
 
+def _per_term_action(T, F):
+    # the reference sum: one term.act(f) at a time, added as scalars
+    def add(acc, grade, f):
+        for term in grade:
+            acc = acc + term.act(f)
+        return acc
+    return graded_product(T, FormalFunction.of(F) if isinstance(F, GaussPoly) else F,
+                          add, FormalScalar, EC_ZERO)
+
+
+def _action_outcome(action, T, F):
+    try:
+        v = action(T, F)
+    except EngineError as exc:
+        return type(exc).__name__, str(exc)
+    return str(v), scalar_to_json(v)
+
+
+def test_func_action_matches_the_per_term_sum():
+    # seeded draws at n = 1, 2: deltas and point derivatives, multi-part
+    # densities with complex and PiScalar weights over several lam powers,
+    # truncated functions, and errors (polynomial pairs, off-origin points)
+    rng = random.Random(20261020)
+    kinds = set()
+    for n in (1, 2):
+        ctx = PhaseContext(n)
+        for _ in range(120):
+            T, F = draw_functional(rng, ctx), draw_function(rng, ctx)
+            got = _action_outcome(func_action, T, F)
+            assert got == _action_outcome(_per_term_action, T, F)
+            kinds.add(got[0] if got[0] in ("NotIntegrable", "NotSupportedForm") else "value")
+        for _ in range(10):
+            T = draw_cancelling(rng, ctx)
+            F = FormalFunction(ctx, 0, [GaussPoly.constant(ctx, 1)] * rng.randint(1, 2))
+            assert _action_outcome(func_action, T, F) == _action_outcome(_per_term_action, T, F)
+    assert kinds == {"value", "NotIntegrable", "NotSupportedForm"}
+
+
+def test_a_density_sum_that_cancels_keeps_its_pi_zero():
+    # pi - 2 * pi/2 = 0 at lam^0, between two delta values: the interior zero
+    # stays a PiScalar, so its JSON is the pi-valued one
+    dens = (FormalFunctional.density(CTX, GAUSS)
+            - FormalFunctional.density(CTX, GaussPoly.gaussian(CTX, 2)).rescale(2))
+    T = DELTA.scale_by_scalar(FormalScalar.lam(-1)) + dens + DELTA.scale_by_scalar(FormalScalar.lam())
+    v = func_action(T, ONE)
+    assert type(v.coefficient(0)) is PiScalar and not v.coefficient(0)
+    assert scalar_to_json(v)["coeffs"][1] == {"num": [], "den": [[1, 1, 0, 1]]}
+    assert _action_outcome(func_action, T, ONE) == _action_outcome(_per_term_action, T, ONE)
+
+
+def test_func_action_errors_keep_their_types_and_order():
+    ctx2 = PhaseContext(2)
+    wide = FormalFunctional.density(CTX, GAUSS, width_lambda=1)
+    poly = FormalFunctional.density(CTX, GaussPoly.constant(CTX, 1))
+    far = FormalFunctional.density(ctx2, GaussPoly.gaussian(ctx2, 1))
+    cases = [(wide, ONE, FormalModeError), (poly, ONE, NotIntegrable),
+             (far, fn(GAUSS), DimensionMismatch),
+             # the first term in grade order raises: "0|1" sorts before "1|..."
+             (wide + poly, ONE, NotIntegrable),
+             (poly.scale_by_scalar(FormalScalar.lam()) + wide, ONE, FormalModeError),
+             # across phase spaces, DimensionMismatch comes before NotIntegrable
+             (FormalFunctional.density(ctx2, GaussPoly.constant(ctx2, 1)), ONE,
+              DimensionMismatch)]
+    for T, F, err in cases:
+        with pytest.raises(err) as info:
+            func_action(T, F)
+        assert _action_outcome(_per_term_action, T, F) == (err.__name__, str(info.value))
+    with pytest.raises(NotIntegrable, match="a nonzero polynomial is not summable"):
+        func_action(poly, ONE)
+
+
 def test_width_markers_block_formal_actions():
     W = wigner_state(CTX, 0)
     assert W.has_width()
@@ -364,6 +442,32 @@ def test_bullet_star_action_is_the_plain_action_shifted():
     T = DELTA + FormalFunctional.density(CTX, GAUSS, power=1)
     v = func_star_action(BULLET, T, ONE)
     assert v == func_action(T, ONE).shift(-1)
+
+
+def test_star_action_refuses_a_family_on_another_phase_space():
+    # under an n = 2 Moyal family an n = 1 density once paired to 1/2*pi*lam^-2
+    ctx2 = PhaseContext(2)
+    T = FormalFunctional.density(CTX, GAUSS)
+    for S in (moyal_family(ctx2), bullet_family(ctx2)):
+        with pytest.raises(DimensionMismatch):
+            func_star_action(S, T, GAUSS, 2)
+        with pytest.raises(DimensionMismatch):
+            func_star_action(S, FormalFunctional.delta(ctx2), GAUSS, 2)
+    with pytest.raises(DimensionMismatch):
+        func_star_action(MOYAL, T, GaussPoly.gaussian(ctx2, 1))
+    # a bare GaussSum pairs on its own phase space, not the family's
+    with pytest.raises(DimensionMismatch):
+        func_star_action(MOYAL, T, GaussSum.of(GaussPoly.gaussian(ctx2, 1)))
+    assert func_star_action(MOYAL, T, GaussSum.of(GAUSS)) == FormalScalar(-1, (PiScalar.pi() / 2,))
+
+
+def test_functionals_on_two_phase_spaces_do_not_add():
+    ctx2 = PhaseContext(2)
+    with pytest.raises(DimensionMismatch):
+        FormalFunctional.delta(CTX) + FormalFunctional.delta(ctx2)
+    with pytest.raises(DimensionMismatch):
+        DELTA - FormalFunctional.density(ctx2, GaussPoly.gaussian(ctx2, 1))
+    assert str(DELTA + FormalFunctional.delta(PhaseContext(1))) == "(2) * delta(0, 0)"
 
 
 def test_moyal_reduction_identity(rng):

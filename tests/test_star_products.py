@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from starforge import (
+    DimensionMismatch,
     EC_I,
     EC_ONE,
     ExactComplex,
@@ -764,6 +765,29 @@ def test_B_takes_only_gauss_polys_and_sums():
         bullet_family(PhaseContext(1)).B(1, "junk", None)
     with pytest.raises(TypeError):
         BULLET.B_into({}, 1, Q, "junk")
+
+
+def test_a_family_refuses_operands_on_another_phase_space():
+    # an n = 1 table on n = 2 operands once raised a bare IndexError, and on
+    # n = 2 Gaussians printed a wrong product in n = 1 names
+    ctx2 = PhaseContext(2)
+    q1, p1 = FormalFunction.coordinate(ctx2, "q1"), FormalFunction.coordinate(ctx2, "p1")
+    g2 = FormalFunction.of(GaussPoly.gaussian(ctx2, 1))
+    for F, G in ((q1, p1), (g2, g2), (fn(Q), p1), (q1, fn(P))):
+        with pytest.raises(DimensionMismatch):
+            star_mul(MOYAL, F, G, 2)
+        with pytest.raises(DimensionMismatch):
+            star_commutator(BULLET, F, G, 2)
+    with pytest.raises(DimensionMismatch):
+        MOYAL.B(1, GaussPoly.gaussian(ctx2, 1), GaussPoly.gaussian(ctx2, 1))
+    with pytest.raises(DimensionMismatch):
+        MOYAL.B(0, Q, GaussSum.of(GaussPoly.coordinate(ctx2, "p2")))
+    # the trace of an n = 1 Gaussian under an n = 2 family was pi*lam^-2
+    with pytest.raises(DimensionMismatch):
+        star_trace(moyal_family(ctx2), fn(GAUSS))
+    # each entry still takes its own phase space
+    assert render_function(star_mul(moyal_family(ctx2), q1, p1)) == "q1*p1 + 1/2*I*lam"
+    assert str(star_trace(MOYAL, fn(GAUSS))) == "pi*lam^-1"
 
 
 def test_B_into_leaves_the_dict_alone_on_an_empty_operator_table():
