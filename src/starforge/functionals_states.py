@@ -165,7 +165,7 @@ class Density(_Term):
         return bool(self.weight) and bool(self.g)
 
     def act(self, gs):
-        return self.weight * _pi_term(self.ctx.n, *self._sum(gs, EC_ONE, (0, 0, 1), {}))
+        return self.weight * _pi_term(gs.ctx.n, *self._sum(gs, EC_ONE, (0, 0, 1), {}))
 
     def _sum(self, gs, weight, acc, groups):
         # acc plus weight * <density(g), gs> / pi^n as unreduced (a, b, d)
@@ -358,7 +358,8 @@ def func_action(T, F):
     """Plain pairing <T, F> as a formal scalar.  Per lam power, the densities
     with a complex-rational weight add up as (a, b, d) ints into one PiScalar
     (a zero one too); every other term adds its term.act(f)."""
-    n, groups = T.ctx.n, {}
+    F = _as_function(F)
+    n, groups = F.ctx.n, {}
 
     def pair(acc, grade, f):
         acc, ints = acc
@@ -374,7 +375,7 @@ def func_action(T, F):
                                         acc + _pi_term(n, *ints) if acc else _pi_term(n, *ints)
                                         for acc, ints in coeffs], tail)
 
-    return graded_product(T, _as_function(F), pair, make, (EC_ZERO, None))
+    return graded_product(T, F, pair, make, (EC_ZERO, None))
 
 
 def _as_function(f):

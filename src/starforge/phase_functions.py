@@ -736,10 +736,7 @@ def gp_eval(f, point):
 
 def gp_integrate(f):
     """Exact integral over the whole phase space; always a PiScalar c*pi^n."""
-    if not f.terms:
-        return _PI_ZERO
-    n, origin = f.ctx.n, (0,) * f.ctx.dim
-    return _pi_term(n, *_moment_sum(n, f.terms, {origin: [(origin, EC_ONE)]}, f.alpha))
+    return gp_pair(f, _gp(f.ctx, {(0,) * f.ctx.dim: EC_ONE}, 0))
 
 
 def gp_pair(f, g):

@@ -45,6 +45,7 @@ from starforge import (
     fs_linear_comb,
     func_action,
     func_star_action,
+    gp_pair,
     moyal_family,
     negative_region,
     normalize_functional,
@@ -382,6 +383,11 @@ def test_func_action_matches_the_per_term_sum():
             F = FormalFunction(ctx, 0, [GaussPoly.constant(ctx, 1)] * rng.randint(1, 2))
             assert _action_outcome(func_action, T, F) == _action_outcome(_per_term_action, T, F)
     assert kinds == {"value", "NotIntegrable", "NotSupportedForm"}
+    # the power of pi is the phase space's the parts are on
+    ctx2 = PhaseContext(2)
+    g2 = GaussPoly.gaussian(ctx2, 1)
+    T = FormalFunctional.density(CTX, g2)
+    assert func_action(T, fn(g2)) == FormalScalar(0, (gp_pair(g2, g2),)) == _per_term_action(T, fn(g2))
 
 
 def test_a_density_sum_that_cancels_keeps_its_pi_zero():
