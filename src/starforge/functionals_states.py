@@ -371,7 +371,9 @@ def func_action(T, F):
         return acc, ints
 
     def make(valuation, coeffs, tail):
-        return FormalScalar(valuation, [acc if ints is None else acc + _pi_term(n, *ints)
+        # acc joins only when nonzero: 0 + PiScalar would cost a full PiScalar sum
+        return FormalScalar(valuation, [acc if ints is None else
+                                        acc + _pi_term(n, *ints) if acc else _pi_term(n, *ints)
                                         for acc, ints in coeffs], tail)
 
     return graded_product(T, F, pair, make, (EC_ZERO, None))
