@@ -168,8 +168,7 @@ class Density(_Term):
         return self.weight * _pi_term(gs.ctx.n, *self._sum(gs, EC_ONE, (0, 0, 1), {}))
 
     def _sum(self, gs, weight, acc, groups):
-        # acc plus weight * <density(g), gs> / pi^n as unreduced (a, b, d)
-        # ints; groups keeps the _parity_groups of gs's parts by id
+        # acc + weight * <density(g), gs> / pi^n as (a, b, d) ints; groups: by part id
         if self.width_lambda != 0:
             raise FormalModeError(
                 "density carries a lam-dependent width; bind a strict lambda first")
@@ -355,9 +354,8 @@ def bind_functional(T, binding):
 # ============================================================
 
 def func_action(T, F):
-    """Plain pairing <T, F> as a formal scalar.  Per lam power, the densities
-    with a complex-rational weight add up as (a, b, d) ints into one PiScalar
-    (a zero one too); every other term adds its term.act(f)."""
+    """Plain pairing <T, F> as a formal scalar.  Per lam power, complex-weighted densities
+    add up as (a, b, d) ints into one PiScalar, zero or not; other terms add term.act(f)."""
     F = _as_function(F)
     n, groups = F.ctx.n, {}
 

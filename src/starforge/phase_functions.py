@@ -736,7 +736,10 @@ def gp_eval(f, point):
 
 def gp_integrate(f):
     """Exact integral over the whole phase space; always a PiScalar c*pi^n."""
-    return gp_pair(f, _gp(f.ctx, {(0,) * f.ctx.dim: EC_ONE}, 0))
+    if not f.terms:
+        return _PI_ZERO
+    n, z = f.ctx.n, (0,) * f.ctx.dim
+    return _pi_term(n, *_moment_sum(n, f.terms, _parity_groups({z: EC_ONE}), f.alpha))
 
 
 def gp_pair(f, g):
