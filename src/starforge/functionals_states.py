@@ -493,6 +493,9 @@ def positivity_check(S, T, witness_fns, lambda_samples=DEFAULT_SAMPLES):
         raise ScopeError("positivity needs a nonzero functional")
     if not all(witness_fns):
         raise ScopeError("positivity needs nonzero witness functions")
+    # one phase space, checked before any witness is squared
+    for x in [T] + witness_fns:
+        _check_same_ctx(S, x)
     details = []
     negativity = None
     for ff in witness_fns:

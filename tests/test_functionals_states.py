@@ -467,6 +467,24 @@ def test_star_action_refuses_a_family_on_another_phase_space():
     assert func_star_action(MOYAL, T, GaussSum.of(GAUSS)) == FormalScalar(-1, (PiScalar.pi() / 2,))
 
 
+def test_positivity_checks_phase_spaces_before_squaring_a_witness():
+    # an n = 1 functional under an n = 2 family was reported as a value that
+    # does not terminate when the witness was a Gaussian
+    ctx2 = PhaseContext(2)
+    S2 = moyal_family(ctx2)
+    T1 = FormalFunctional.density(CTX, GAUSS)
+    for witness in (GaussPoly.gaussian(ctx2, 1), GaussPoly.constant(ctx2, 1)):
+        with pytest.raises(DimensionMismatch):
+            positivity_check(S2, T1, [fn(witness)])
+    # a later witness on another phase space, before the first one is squared
+    T2 = FormalFunctional.density(ctx2, GaussPoly.gaussian(ctx2, 1))
+    one2 = fn(GaussPoly.constant(ctx2, 1))
+    for witness in (GAUSS, GaussPoly.constant(CTX, 1)):
+        with pytest.raises(DimensionMismatch):
+            positivity_check(S2, T2, [one2, fn(witness)])
+    assert positivity_check(S2, T2, [one2]).verdict == "positive_on_samples"
+
+
 def test_functionals_on_two_phase_spaces_do_not_add():
     ctx2 = PhaseContext(2)
     with pytest.raises(DimensionMismatch):

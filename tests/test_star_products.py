@@ -25,6 +25,7 @@ from starforge import (
     gp_poisson,
     moyal_family,
     render_function,
+    render_gausspoly,
     star_commutator,
     star_mul,
     star_trace,
@@ -33,6 +34,8 @@ from starforge import (
 from starforge import star_products as sp
 from starforge.star_products import _poly_bound
 
+from axioms import (BROKEN as _BROKEN, CORRUPTED, cut_family as _cut_family,
+                    gap_terms as _gap_terms, tensored)
 from corpus import nonzero_poly, rand_function, rand_gaussian, rand_poly, real_b1_family
 
 CTX = PhaseContext(1)
@@ -658,14 +661,6 @@ def test_corrupted_second_order_operator_pins_the_associativity_counterexample()
         "inputs": ["q", "q", "p^2"], "order": 2, "difference": "-1/2"}
 
 
-def _gap_terms(k, ctx):
-    # Moyal with no first-order operator and a doubled second-order one
-    if k == 1:
-        return ()
-    terms = MOYAL.terms(k)
-    return tuple((c * 2, dl, dr) for c, dl, dr in terms) if k == 2 else terms
-
-
 def test_a_gap_in_the_operator_table_is_still_checked():
     # the suite skips the empty B_1, yet still finds that the doubled B_2
     # breaks associativity, with the counterexample of the full loops
@@ -800,30 +795,6 @@ def test_B_into_leaves_the_dict_alone_on_an_empty_operator_table():
 
 # ---- every reported counterexample is a real one ----
 
-def _moyal_with(k_bad, table):
-    # Moyal with the operator table of order k_bad replaced by table(moyal's)
-    def terms(k, ctx):
-        t = MOYAL.terms(k)
-        return table(t) if k == k_bad else t
-    return terms
-
-
-_HALF = ExactComplex(Fraction(1, 2))
-_BROKEN = {
-    "doubled_B1": (_moyal_with(1, lambda t: tuple((c * 2, l, r) for c, l, r in t)),
-                   [3, 6]),
-    "doubled_B2": (_moyal_with(2, lambda t: tuple((c * 2, l, r) for c, l, r in t)),
-                   [3]),
-    # B_0(f, g) = fg + f_q g: B_0(1, f) = f still, but B_0(f, 1) != f
-    "skewed_B0": (_moyal_with(0, lambda t: t + ((EC_ONE, (1, 0), (0, 0)),)),
-                  [3, 4, 5, 7, 9]),
-    # B_1 = (1/2)(f_q g_p - f_p g_q), real where Moyal's is imaginary
-    "real_B1": (_moyal_with(1, lambda t: ((_HALF, (1, 0), (0, 1)),
-                                          (-_HALF, (0, 1), (1, 0)))),
-                [3, 6, 7]),
-}
-
-
 def _input(s):
     from starforge.cli_frontend import lower_expression, parse_expression
 
@@ -878,6 +849,135 @@ def test_every_counterexample_is_a_real_one(name):
         diff = _difference(S, axiom, [_input(s) for s in ce["inputs"]], k)
         assert diff, (name, axiom)
         assert str(diff) == ce["difference"], (name, axiom)
+
+
+# ---- associativity at n >= 2 through one pair ----
+
+def _brute_associativity(S, degree, order):
+    # axiom 3 from its definition: the first triple of monomials, order by
+    # order, whose associator is not zero, as the suite reports it, with
+    # every B taken through the n-pair table (inner products memoised)
+    from starforge.star_products import _monomial_generators
+
+    gens = _monomial_generators(S.ctx, degree)
+    inner = {}
+
+    def B(m, i, j):
+        if (m, i, j) not in inner:
+            inner[(m, i, j)] = S.B(m, gens[i], gens[j])
+        return inner[(m, i, j)]
+
+    zero = GaussSum.zero(S.ctx)
+    for k in range(order + 1):
+        for fi, f in enumerate(gens):
+            for gi, g in enumerate(gens):
+                for hi, h in enumerate(gens):
+                    lhs = rhs = zero
+                    for l in range(k + 1):
+                        lhs = lhs + S.B(l, B(k - l, fi, gi), h)
+                        rhs = rhs + S.B(l, f, B(k - l, gi, hi))
+                    if lhs != rhs:
+                        return {"inputs": [render_gausspoly(x) for x in (f, g, h)],
+                                "order": k, "difference": str(lhs - rhs)}
+    return None
+
+
+_TENSORED = dict({name: terms for name, (terms, _) in _BROKEN.items()}, corrupted=CORRUPTED)
+
+
+def _family_at(name, n):
+    ctx = PhaseContext(n)
+    if name == "moyal":
+        return moyal_family(ctx)
+    if name == "bullet":
+        return bullet_family(ctx)
+    return tensored(name, _TENSORED[name], n)
+
+
+@pytest.mark.parametrize("n, degree, order", [(2, 2, 2), (3, 1, 3)])
+@pytest.mark.parametrize("name", ["moyal", "bullet"] + sorted(_TENSORED))
+def test_the_reduced_associativity_check_equals_the_brute_force_one(name, n, degree, order):
+    S = _family_at(name, n)
+    entry = axiom_suite(S, degree, order).entries[3]
+    want = _brute_associativity(S, degree, order)
+    assert entry["verdict"] == ("pass" if want is None else "fail")
+    assert entry["counterexample"] == want
+
+
+def _count_B_into(monkeypatch):
+    # (family, k, f, g) of every B_into call
+    calls = []
+    real = StarFamily.B_into
+
+    def counted(self, out, k, f, g, tables=None):
+        calls.append((self, k, f, g))
+        return real(self, out, k, f, g, tables)
+
+    monkeypatch.setattr(StarFamily, "B_into", counted)
+    return calls
+
+
+def test_moyal_at_two_pairs_checks_associativity_on_one_pair(monkeypatch):
+    S = moyal_family(PhaseContext(2))
+    calls = _count_B_into(monkeypatch)
+    assert axiom_suite(S, 2, 3).passed
+    # only the associativity loop hands B a GaussSum (a memoised product)
+    assert [c for c in calls if c[0] is S and GaussSum in (type(c[2]), type(c[3]))] == []
+    one_pair = {c[0] for c in calls if c[0] is not S}
+    assert len(one_pair) == 1 and one_pair.pop().ctx.n == 1
+    assert any(isinstance(c[2], GaussSum) for c in calls if c[0] is not S)
+
+
+def test_a_corrupted_tensor_power_falls_back_to_the_n_pair_loop(monkeypatch):
+    S = tensored("corrupted", CORRUPTED, 2)
+    assert all(S._factors(k) for k in range(4))
+    calls = _count_B_into(monkeypatch)
+    entry = axiom_suite(S, 2, 3).entries[3]
+    # the one-pair run fails, so the counterexample is the n-pair loop's
+    assert any(c[0] is not S for c in calls)
+    assert any(c[0] is S and isinstance(c[2], GaussSum) for c in calls)
+    assert entry["verdict"] == "fail"
+    assert entry["counterexample"] == _brute_associativity(S, 2, 3)
+
+
+def test_a_family_whose_pointwise_order_does_not_factor_keeps_the_n_pair_loop(monkeypatch):
+    ctx = PhaseContext(2)
+    moyal = moyal_family(ctx)
+    # B_0 gains f_q1 g_q2 / 3, which touches both pairs; above order 0 the
+    # tables are Moyal's, which factor over the pointwise T_0
+    cross = (ExactComplex(Fraction(1, 3)), (1, 0, 0, 0), (0, 1, 0, 0))
+    S = StarFamily("cross", ctx, lambda k, _: moyal.terms(k) + ((cross,) if k == 0 else ()))
+    assert S._factors(0) is None
+    assert all(S._factors(k) and S._pair_terms(k) for k in range(1, 4))
+    calls = _count_B_into(monkeypatch)
+    entry = axiom_suite(S, 2, 2).entries[3]
+    assert all(c[0] is S for c in calls)
+    assert any(isinstance(c[2], GaussSum) for c in calls)
+    want = _brute_associativity(S, 2, 2)
+    assert entry["verdict"] == ("pass" if want is None else "fail")
+    assert entry["counterexample"] == want
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_hermiticity_takes_real_monomial_pairs_from_the_memo(monkeypatch, n):
+    # every B_into call on two of the suite's generators is the memo's one
+    # call: axiom 7 calls B only on the mixed generators f + i g
+    gens = []
+    real = sp._monomial_generators
+
+    def kept(ctx, degree):
+        out = real(ctx, degree)
+        gens.extend(out)
+        return out
+
+    monkeypatch.setattr(sp, "_monomial_generators", kept)
+    calls = _count_B_into(monkeypatch)
+    rep = axiom_suite(moyal_family(PhaseContext(n)), 2, 2)
+    assert rep.passed
+    ids = {id(x) for x in gens}
+    on_gens = [(id(c[0]), c[1], id(c[2]), id(c[3])) for c in calls
+               if id(c[2]) in ids and id(c[3]) in ids]
+    assert on_gens and len(on_gens) == len(set(on_gens))
 
 
 # ============================================================
@@ -1018,17 +1118,6 @@ def test_parity_families_visit_only_the_odd_orders(monkeypatch):
     del calls[:]
     star_commutator(BULLET, F, G, 4)
     assert calls == []
-
-
-def _cut_family(ctx, cut_orders=(1,)):
-    # Moyal's table with only its first term kept at each order in cut_orders:
-    # no parity there, so B_m(f, g) - B_m(g, f) has even terms too
-    moyal = moyal_family(ctx)
-
-    def terms(k, _):
-        return moyal.terms(k)[:1] if k in cut_orders else moyal.terms(k)
-
-    return StarFamily("cut", ctx, terms)
 
 
 def _commutator_orders(S, k_max):
