@@ -13,12 +13,13 @@ pairs (q_i, p_i), as Moyal's is, walks each pair alone and convolves.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, lcm, prod
+from itertools import combinations, product
+from math import comb, factorial, lcm, prod
+from operator import add, sub
 
 from .lambda_scalars import (EngineError, ScopeError, ExactComplex, EC_ZERO, EC_ONE,
                              UNBOUNDED, Frozen, tail_min, mul_tail, _accumulate)
-from .phase_functions import (GaussPoly, NotIntegrable, PhaseContext, gp_diff, gp_pair,
+from .phase_functions import (GaussPoly, NotIntegrable, gp_diff, gp_pair,
                               gp_poisson, gp_mul_into, render_gausspoly, monomial_key,
                               _check_same_ctx, _gp)
 from .formal_series import GaussSum, FormalFunction, fs_integrate
@@ -671,16 +672,37 @@ def _associativity(S, gens, order_bound, pair, tables):
                             yield [f, g, h], k, left - right
 
 
-def _associative_on_one_pair(S, degree_bound, order_bound):
-    # True when n >= 2, every B_k with k <= order_bound factors, and the
-    # one-pair family of S's tables T_r passes axiom 3 on the same scope
-    if S.ctx.n < 2 or not all(S._factors(k) for k in range(order_bound + 1)):
-        return False
-    T = S._cache.setdefault("one pair", StarFamily(S.name, PhaseContext(1),
-                                                   lambda r, _: S._factors(r)[r]))
-    gens, tables = _monomial_generators(T.ctx, degree_bound), CoordinateTables()
-    return next(_associativity(T, gens, order_bound, _pair_memo(T, gens, tables), tables),
-                None) is None
+def _splits(gamma, memo):
+    # (s, gamma - s, C(gamma, s), |s|) for every s <= gamma: the terms of the
+    # Leibniz rule for d^gamma, where a zero coordinate of gamma has one choice
+    if gamma not in memo:
+        memo[gamma] = [(s, tuple(map(sub, gamma, s)), prod(map(comb, gamma, s)), sum(s))
+                       for s in product(*(range(e + 1) for e in gamma))]
+    return memo[gamma]
+
+
+def _associator_table(S, k, degree_bound):
+    # axiom 3's order-k associator as {(a, b, c): coefficient of d^a f d^b g
+    # d^c h}, zeros dropped, cut at |a|, |b|, |c| <= degree_bound while it is
+    # composed (see axiom_suite)
+    d, diff, memo = degree_bound, {}, {}
+    ops = [[(c, dl, dr, sum(dl), sum(dr)) for c, dl, dr in S.terms(m)] for m in range(k + 1)]
+    for l in range(k + 1):
+        inner = [t for t in ops[k - l] if t[3] <= d and t[4] <= d]
+        for c1, a1, b1, n1, m1 in ops[l]:
+            for c2, a2, b2, n2, m2 in inner:
+                c = c1 * c2
+                if m1 <= d:  # d^a1 on d^a2 f d^b2 g, d^b1 on h
+                    for s, t, x, w in _splits(a1, memo):
+                        if n2 + w <= d and m2 + n1 - w <= d:
+                            key = (tuple(map(add, a2, s)), tuple(map(add, b2, t)), b1)
+                            diff[key] = diff.get(key, EC_ZERO) + c * x
+                if n1 <= d:  # d^a1 on f, d^b1 on d^a2 g d^b2 h
+                    for s, t, x, w in _splits(b1, memo):
+                        if n2 + w <= d and m2 + m1 - w <= d:
+                            key = (a1, tuple(map(add, a2, s)), tuple(map(add, b2, t)))
+                            diff[key] = diff.get(key, EC_ZERO) - c * x
+    return {key: c for key, c in diff.items() if c}
 
 
 def axiom_suite(S, degree_bound, order_bound):
@@ -694,16 +716,20 @@ def axiom_suite(S, degree_bound, order_bound):
     B_l is bilinear), so it adds nothing to the sums a check compares: every
     verdict, counterexample and scope is what the full loops give.
 
-    At n >= 2, where every B_k with k <= order_bound factors as the sum over
-    r_1 + ... + r_n = k of the products of one-pair tables T_(r_i) placed on
-    the pairs (StarFamily._factors), the order-k associator of monomials
-    f = prod_i f_i, g, h is the sum over the compositions c of k of the
-    products over i of the one-pair family T's order-c_i associators on
-    (f_i, g_i, h_i), each of degree <= degree_bound: Groenewold's
-    tensor-product form of the Moyal product (1946; Bayen et al. 1978).  So
-    axiom 3 runs on T first.  Its pass is S's pass, the same statement by a
-    different proof; its fail runs S's own loop, so every counterexample is
-    S's.  Axiom 7 takes conj(B_k(f, g)) and B_k(g, f) of two real monomials,
+    Axiom 3 is decided on the operator tables (Gerstenhaber 1964; Bayen et
+    al. 1978).  B_k(f, g) = sum c d^a f d^b g, so by the Leibniz rule
+    d^y(uv) = sum_(s <= y) C(y, s) d^s u d^(y-s) v the order-k associator
+    sum_l B_l(B_(k-l)(f, g), h) - B_l(f, B_(k-l)(g, h)) is a tridifferential
+    table sum t_abc d^a f d^b g d^c h.  On monomials x^A, x^B, x^C a key
+    vanishes where a exceeds A (or b B, or c C) in some coordinate, so on
+    the generators only the keys with |a|, |b|, |c| <= degree_bound act; on
+    (x^a, x^b, x^c) itself the constant term is a! b! c! t_abc.  So the
+    associator vanishes on every triple of generators exactly when that cut
+    table is zero: the monomial loop's verdict, as B applies its own table.
+    A pass is that pass; a fail runs the loop, so every counterexample is
+    the loop's.
+
+    Axiom 7 takes conj(B_k(f, g)) and B_k(g, f) of two real monomials,
     each its own conjugate, from the memo; the mixed f + i g go through B.
     """
     if degree_bound < 1 or order_bound < 1:
@@ -767,9 +793,10 @@ def axiom_suite(S, degree_bound, order_bound):
     entries[2] = {"verdict": "by_construction", "scope": scope, "counterexample": None,
                   "note": "operators are finite derivative combinations; supports cannot grow"}
 
-    # axiom 3: associativity order by order, through one pair where it can
-    record(3, () if _associative_on_one_pair(S, degree_bound, order_bound)
-           else _associativity(S, gens, order_bound, pair, tables))
+    # axiom 3: associativity order by order, decided on the tables; a fail runs the loop
+    record(3, _associativity(S, gens, order_bound, pair, tables)
+           if any(_associator_table(S, k, degree_bound) for k in range(order_bound + 1))
+           else ())
 
     # axiom 4: B_0 is the pointwise product
     def pointwise():

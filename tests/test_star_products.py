@@ -22,6 +22,7 @@ from starforge import (
     bullet_family,
     closedness_check,
     fs_bullet,
+    gp_diff,
     gp_poisson,
     moyal_family,
     render_function,
@@ -35,7 +36,7 @@ from starforge import star_products as sp
 from starforge.star_products import _poly_bound
 
 from axioms import (BROKEN as _BROKEN, CORRUPTED, cut_family as _cut_family,
-                    gap_terms as _gap_terms, tensored)
+                    decided, gap_terms as _gap_terms, perturbed_family, sweep, tensored)
 from corpus import nonzero_poly, rand_function, rand_gaussian, rand_poly, real_b1_family
 
 CTX = PhaseContext(1)
@@ -851,7 +852,7 @@ def test_every_counterexample_is_a_real_one(name):
         assert str(diff) == ce["difference"], (name, axiom)
 
 
-# ---- associativity at n >= 2 through one pair ----
+# ---- associativity decided on the operator tables ----
 
 def _brute_associativity(S, degree, order):
     # axiom 3 from its definition: the first triple of monomials, order by
@@ -917,45 +918,107 @@ def _count_B_into(monkeypatch):
     return calls
 
 
-def test_moyal_at_two_pairs_checks_associativity_on_one_pair(monkeypatch):
-    S = moyal_family(PhaseContext(2))
+@pytest.mark.parametrize("name, n, degree, order", [
+    ("moyal", 1, 3, 4), ("moyal", 2, 2, 3), ("moyal", 3, 1, 3),
+    ("bullet", 1, 3, 4), ("bullet", 2, 2, 2)])
+def test_an_associative_family_makes_no_associativity_loop_call(monkeypatch, name, n,
+                                                                 degree, order):
+    S = _family_at(name, n)
     calls = _count_B_into(monkeypatch)
-    assert axiom_suite(S, 2, 3).passed
+    assert axiom_suite(S, degree, order).entries[3]["verdict"] == "pass"
     # only the associativity loop hands B a GaussSum (a memoised product)
-    assert [c for c in calls if c[0] is S and GaussSum in (type(c[2]), type(c[3]))] == []
-    one_pair = {c[0] for c in calls if c[0] is not S}
-    assert len(one_pair) == 1 and one_pair.pop().ctx.n == 1
-    assert any(isinstance(c[2], GaussSum) for c in calls if c[0] is not S)
+    assert calls and all(c[0] is S for c in calls)
+    assert [c for c in calls if GaussSum in (type(c[2]), type(c[3]))] == []
 
 
-def test_a_corrupted_tensor_power_falls_back_to_the_n_pair_loop(monkeypatch):
-    S = tensored("corrupted", CORRUPTED, 2)
-    assert all(S._factors(k) for k in range(4))
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_corrupted_tensor_power_fails_on_the_tables_and_reports_the_loops_counterexample(
+        monkeypatch, n):
+    S = tensored("corrupted", CORRUPTED, n)
+    assert not decided(S, 2, 3)
     calls = _count_B_into(monkeypatch)
     entry = axiom_suite(S, 2, 3).entries[3]
-    # the one-pair run fails, so the counterexample is the n-pair loop's
-    assert any(c[0] is not S for c in calls)
-    assert any(c[0] is S and isinstance(c[2], GaussSum) for c in calls)
+    assert all(c[0] is S for c in calls)
+    assert any(isinstance(c[2], GaussSum) for c in calls)
     assert entry["verdict"] == "fail"
     assert entry["counterexample"] == _brute_associativity(S, 2, 3)
 
 
-def test_a_family_whose_pointwise_order_does_not_factor_keeps_the_n_pair_loop(monkeypatch):
-    ctx = PhaseContext(2)
-    moyal = moyal_family(ctx)
-    # B_0 gains f_q1 g_q2 / 3, which touches both pairs; above order 0 the
-    # tables are Moyal's, which factor over the pointwise T_0
-    cross = (ExactComplex(Fraction(1, 3)), (1, 0, 0, 0), (0, 1, 0, 0))
-    S = StarFamily("cross", ctx, lambda k, _: moyal.terms(k) + ((cross,) if k == 0 else ()))
-    assert S._factors(0) is None
-    assert all(S._factors(k) and S._pair_terms(k) for k in range(1, 4))
+def _with_cross_terms(k, terms):
+    # Moyal at n = 2 with terms added to B_k that touch both pairs
+    moyal = moyal_family(PhaseContext(2))
+    return StarFamily("cross", moyal.ctx,
+                      lambda m, _: moyal.terms(m) + (terms if m == k else ()))
+
+
+_FIFTH = ExactComplex(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("k, terms, degree, order, verdict", [
+    # B_0 gains f_q1 g_q2 / 3: not associative at order 0
+    (0, ((ExactComplex(Fraction(1, 3)), (1, 0, 0, 0), (0, 1, 0, 0)),), 2, 2, "fail"),
+    # B_3 gains (f_q1q1q1 g_q2q2 + f_q2q2 g_q1q1q1) / 5: associative up to degree 1 only
+    (3, ((_FIFTH, (3, 0, 0, 0), (0, 2, 0, 0)), (_FIFTH, (0, 2, 0, 0), (3, 0, 0, 0))),
+     1, 3, "pass"),
+], ids=["cross_B0", "cross_B3"])
+def test_a_table_that_does_not_factor_is_decided_on_the_tables_too(monkeypatch, k, terms,
+                                                                    degree, order, verdict):
+    S = _with_cross_terms(k, terms)
+    assert S._factors(k) is None
+    # neither is associative once the degree cut is lifted
+    assert not decided(S, 6, order)
     calls = _count_B_into(monkeypatch)
-    entry = axiom_suite(S, 2, 2).entries[3]
+    entry = axiom_suite(S, degree, order).entries[3]
     assert all(c[0] is S for c in calls)
-    assert any(isinstance(c[2], GaussSum) for c in calls)
-    want = _brute_associativity(S, 2, 2)
-    assert entry["verdict"] == ("pass" if want is None else "fail")
-    assert entry["counterexample"] == want
+    # the monomial loop, which hands B a GaussSum, runs only for a fail
+    assert any(isinstance(c[2], GaussSum) for c in calls) == (verdict == "fail")
+    assert entry["verdict"] == verdict
+    assert entry["counterexample"] == _brute_associativity(S, degree, order)
+
+
+def test_the_table_decision_equals_the_loop_on_seeded_families():
+    # Moyal's table cut, rescaled or given random terms at one order; the
+    # passes include tables that are associative only under the degree cut
+    counts = sweep(150)
+    assert counts["agree"] == 150 and counts["disagree"] == 0
+    assert counts["pass"] and counts["fail"] and counts["cut_only"]
+
+
+def _applied(table, f, g, h):
+    # sum c d^a f d^b g d^c h of an associator table, through gp_diff
+    def d(x, exps):
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                x = gp_diff(x, i)
+        return x
+
+    out = GaussSum.zero(f.ctx)
+    for (a, b, c), coeff in table.items():
+        out = out + GaussSum.of((d(f, a) * d(g, b) * d(h, c)).scale(coeff))
+    return out
+
+
+@pytest.mark.parametrize("S, degree, order, nonzero", [
+    (perturbed_family(CTX), 2, 3, [3]),
+    (perturbed_family(PhaseContext(2)), 1, 3, []),
+    (tensored("corrupted", CORRUPTED, 1), 2, 3, [2, 3]),
+    (tensored("skewed_B0", _BROKEN["skewed_B0"][0], 2), 1, 2, [0, 1]),
+    (MOYAL, 2, 3, []),
+], ids=["perturbed-n1", "perturbed-n2", "corrupted-n1", "skewed_B0-n2", "moyal-n1"])
+def test_the_cut_tables_applied_to_generator_triples_are_the_B_associators(S, degree, order,
+                                                                          nonzero):
+    gens = sp._monomial_generators(S.ctx, degree)
+    for k in range(order + 1):
+        table = sp._associator_table(S, k, degree)
+        assert bool(table) == (k in nonzero)
+        for f in gens:
+            for g in gens:
+                for h in gens:
+                    want = GaussSum.zero(S.ctx)
+                    for l in range(k + 1):
+                        want = (want + S.B(l, S.B(k - l, f, g), h)
+                                - S.B(l, f, S.B(k - l, g, h)))
+                    assert _applied(table, f, g, h) == want, (k, f, g, h)
 
 
 @pytest.mark.parametrize("n", [1, 2])
