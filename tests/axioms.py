@@ -2,8 +2,10 @@
 
 Each case is one `axiom_suite` call on a small scope: Moyal at n = 1, 2 and 3,
 bullet at n = 1 and 2, four broken one-pair tables tensored to n = 2, a
-corrupted tensor power at n = 1 and 2, the cut and gap tables, and a
-perturbed Moyal table whose associativity holds only up to a degree.  A case
+corrupted tensor power at n = 1 and 2, the cut and gap tables, a
+perturbed Moyal table whose associativity holds only up to a degree, an
+imaginary B_2 term whose hermiticity holds only up to a degree, and a
+complex B_2 term at n = 2 that breaks hermiticity at degree 1.  A case
 renders to one canonical text: the repr and the JSON of its report, or the
 type and message of the error it raises.  `golden_axioms.json` keeps the
 first 16 hex digits of the sha256 of that text for each case id, so a
@@ -105,6 +107,41 @@ def perturbed_family(ctx):
         return moyal.terms(k) + (extra if k == 3 else ())
 
     return StarFamily("perturbed", ctx, terms)
+
+
+def imaginary_family(ctx):
+    """Moyal's table with B_2 gaining (i/5)(d_q1^2 f d_p1^2 g + d_p1^2 f d_q1^2 g).
+
+    The term is imaginary and symmetric, so conj(B_2(f, g)) - B_2(g, f) gains
+    -(2i/5)(d_q1^2 f d_p1^2 g + d_p1^2 f d_q1^2 g): zero on monomials of
+    degree <= 1, so hermiticity holds at degree 1 and fails at degree 2.
+    """
+    moyal, n = moyal_family(ctx), ctx.n
+    q2 = tuple(2 if i == 0 else 0 for i in range(2 * n))
+    p2 = tuple(2 if i == n else 0 for i in range(2 * n))
+    fifth_i = ExactComplex(0, Fraction(1, 5))
+    extra = ((fifth_i, q2, p2), (fifth_i, p2, q2))
+
+    def terms(k, _):
+        return moyal.terms(k) + (extra if k == 2 else ())
+
+    return StarFamily("imaginary", ctx, terms)
+
+
+def complex_family():
+    """Moyal's table at n = 2 with B_2 gaining ((1 + 2i)/3) d_q1 f d_p2 g.
+
+    The term has no hermitian partner, so conj(B_2(f, g)) - B_2(g, f)
+    gains ((1 - 2i)/3) d_q1 f d_p2 g - ((1 + 2i)/3) d_p2 f d_q1 g, which is
+    not zero on q1, p2, nor on the mixed generators built from them.
+    """
+    moyal = moyal_family(PhaseContext(2))
+    extra = ((ExactComplex(Fraction(1, 3), Fraction(2, 3)), (1, 0, 0, 0), (0, 0, 0, 1)),)
+
+    def terms(k, _):
+        return moyal.terms(k) + (extra if k == 2 else ())
+
+    return StarFamily("complex", moyal.ctx, terms)
 
 
 def tensored(name, one_pair, n):
@@ -215,6 +252,9 @@ def cases():
     add("perturbed/n1/d1k3", perturbed_family(ctxs[1]), 1, 3)
     add("perturbed/n2/d1k3", perturbed_family(ctxs[2]), 1, 3)
     add("perturbed/n1/d2k3", perturbed_family(ctxs[1]), 2, 3)
+    add("imaginary/n1/d1k2", imaginary_family(ctxs[1]), 1, 2)
+    add("imaginary/n1/d2k2", imaginary_family(ctxs[1]), 2, 2)
+    add("complex/n2/d1k2", complex_family(), 1, 2)
     add("error/degree0", moyal_family(ctxs[2]), 0, 2)
     add("error/order0", moyal_family(ctxs[2]), 1, 0)
     return out
