@@ -782,7 +782,7 @@ def axiom_suite(S, degree_bound, order_bound):
     live = [m for m in range(order_bound + 1) if S.terms(m)]
     zero = GaussSum.zero(ctx)
 
-    # B(m, gens[i], gens[j]), shared by axioms 1, 3, 4, 6 and 7;
+    # B(m, gens[i], gens[j]), shared by axioms 1, 3, 4 and 6;
     # at most len(gens)^2 * (order_bound + 1) entries
     pair = _pair_memo(S, gens, tables)
 
@@ -863,16 +863,12 @@ def axiom_suite(S, degree_bound, order_bound):
         for k in live:
             for fi, f in enumerate(complex_gens):
                 for gi, g in enumerate(complex_gens):
-                    if fi < len(gens) and gi < len(gens):
-                        # two real monomials, each its own conjugate
-                        got, want = pair(k, fi, gi).conj(), pair(k, gi, fi)
-                    else:
-                        got, want = {}, {}
-                        S.B_into(got, k, f, g, tables)
-                        S.B_into(want, k, conj_gens[gi], conj_gens[fi], tables)
-                        if not (got or want):
-                            continue
-                        got, want = _sum_of(ctx, got).conj(), _sum_of(ctx, want)
+                    got, want = {}, {}
+                    S.B_into(got, k, f, g, tables)
+                    S.B_into(want, k, conj_gens[gi], conj_gens[fi], tables)
+                    if not (got or want):
+                        continue
+                    got, want = _sum_of(ctx, got).conj(), _sum_of(ctx, want)
                     if got != want:
                         yield [f, g], k, got - want
     # decided on the tables conj(c_ab) - c_ba; a fail runs the loop
