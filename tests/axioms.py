@@ -13,9 +13,11 @@ failure names its case.
 
 `sweep` draws seeded random families, Moyal's table with one order cut,
 rescaled or given extra terms, and compares axiom 3 decided on the operator
-tables with the monomial loop that reports counterexamples.
+tables with the monomial loop that reports counterexamples.  `pair_sweep`
+does the same for axioms 6 and 7, on Moyal's table given random complex
+terms, with or without their hermitian partners.
 
-    PYTHONPATH=src python tests/axioms.py          # corpus digest, 2,000-family sweep
+    PYTHONPATH=src python tests/axioms.py          # corpus digest and both sweeps
     PYTHONPATH=src python tests/axioms.py --write  # re-pin golden_axioms.json
 
 Re-pinning changes a recorded output and is reported like a golden line.
@@ -29,10 +31,11 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from starforge import (EC_ONE, ExactComplex, PhaseContext, StarFamily, axiom_suite,
+from starforge import (EC_I, EC_ONE, ExactComplex, PhaseContext, StarFamily, axiom_suite,
                        bullet_family, moyal_family)
+from starforge import star_products
 from starforge.star_products import (CoordinateTables, _associativity, _associator_table,
-                                     _monomial_generators, _pair_memo)
+                                     _monomial_generators, _pair_memo, _swap_table)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_axioms.json")
 
@@ -225,6 +228,88 @@ def sweep(count, seed=0):
     return out
 
 
+def random_pair_family(rng):
+    """(family, degree bound, order bound) of one draw: Moyal's table at
+    n = 1 (degree <= 2) or n = 2 (degree 1), order <= 3, with one or two
+    random complex terms c d^a f d^b g (|a|, |b| <= 3) added at one order
+    k <= order, each with its hermitian partner conj(c) d^b f d^a g half the
+    time."""
+    n = rng.choice((1, 2))
+    degree, order = rng.randint(1, 3 - n), rng.randint(1, 3)
+    ctx, k = PhaseContext(n), rng.randint(0, order)
+    moyal = moyal_family(ctx)
+
+    def exps():
+        e = [0] * ctx.dim
+        for _ in range(rng.randint(0, 3)):
+            e[rng.randrange(ctx.dim)] += 1
+        return tuple(e)
+
+    extra = []
+    for _ in range(rng.randint(1, 2)):
+        # a nonzero coefficient: real, imaginary or both
+        re, im = rng.choice((-2, -1, 0, 1, 3)), rng.choice((-1, 0, 1, 2))
+        re = re if re or im else 1
+        c = ExactComplex(Fraction(re, rng.randint(1, 4)), Fraction(im, rng.randint(1, 4)))
+        a, b = exps(), exps()
+        extra.append((c, a, b))
+        if rng.random() < 0.5:
+            extra.append((c.conj(), b, a))
+    extra = tuple(extra)
+    return (StarFamily("added_B%d" % k, ctx,
+                       lambda m, _: moyal.terms(m) + (extra if m == k else ())),
+            degree, order)
+
+
+def poisson_terms(ctx):
+    """-i times the Poisson table: -i d_qj f d_pj g + i d_pj f d_qj g for each pair j."""
+    n, out = ctx.n, []
+    for j in range(n):
+        q, p = [0] * ctx.dim, [0] * ctx.dim
+        q[j], p[n + j] = 1, 1
+        out += [(-EC_I, tuple(q), tuple(p)), (EC_I, tuple(p), tuple(q))]
+    return out
+
+
+def pair_tables_vanish(S, degree, order):
+    """(axiom 6, axiom 7) decided on the two-slot tables: True for a pass."""
+    return (not _swap_table(S.terms(1), False, poisson_terms(S.ctx), degree),
+            not any(_swap_table(S.terms(k), True, [], degree) for k in range(order + 1)))
+
+
+def looped_pairs(S, degree, order):
+    """axiom_suite's axiom 6 and 7 entries with their monomial loops run
+    whatever the tables say."""
+    real = star_products._swap_table
+    star_products._swap_table = lambda *args: {None: EC_ONE}
+    try:
+        entries = axiom_suite(S, degree, order).entries
+    finally:
+        star_products._swap_table = real
+    return entries[6], entries[7]
+
+
+def pair_sweep(count, seed=0):
+    """{axiom: {"agree", "disagree", "pass", "fail", "cut_only"} counts} for
+    axioms 6 and 7 over count seeded random pair families: agree when the
+    suite's entry (verdict, counterexample, scope) is the loop's; cut_only
+    counts the passes whose table is not empty once the degree cut is lifted."""
+    rng = random.Random(seed)
+    out = {axiom: dict.fromkeys(("agree", "disagree", "pass", "fail", "cut_only"), 0)
+           for axiom in (6, 7)}
+    for _ in range(count):
+        S, degree, order = random_pair_family(rng)
+        entries = axiom_suite(S, degree, order).entries
+        # no key of these tables differentiates one slot past 3
+        uncut = pair_tables_vanish(S, 6, order)
+        for axiom, loop, holds in zip((6, 7), looped_pairs(S, degree, order), uncut):
+            tally, entry = out[axiom], entries[axiom]
+            tally["agree" if entry == loop else "disagree"] += 1
+            tally[entry["verdict"]] += 1
+            tally["cut_only"] += entry["verdict"] == "pass" and not holds
+    return out
+
+
 # ---- cases ----
 
 def cases():
@@ -287,9 +372,12 @@ def main(argv):
             json.dump(got, fh, indent=0, sort_keys=True)
             fh.write("\n")
         return
-    counts = sweep(2000)
-    print("2000 families: %(agree)d agree, %(disagree)d disagree (%(pass)d pass, %(fail)d fail, "
-          "%(cut_only)d pass only under the degree cut)" % counts)
+    line = ("%(agree)d agree, %(disagree)d disagree (%(pass)d pass, %(fail)d fail, "
+            "%(cut_only)d pass only under the degree cut)")
+    print("2000 families: " + line % sweep(2000))
+    pairs = pair_sweep(400)
+    print("400 pair families: " + "; ".join("axiom %d %s" % (axiom, line % pairs[axiom])
+                                            for axiom in (6, 7)))
 
 
 if __name__ == "__main__":

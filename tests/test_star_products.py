@@ -35,8 +35,9 @@ from starforge import (
 from starforge import star_products as sp
 from starforge.star_products import _poly_bound
 
-from axioms import (BROKEN as _BROKEN, CORRUPTED, cut_family as _cut_family,
-                    decided, gap_terms as _gap_terms, perturbed_family, sweep, tensored)
+from axioms import (BROKEN as _BROKEN, CORRUPTED, complex_family, cut_family as _cut_family,
+                    decided, gap_terms as _gap_terms, imaginary_family, pair_sweep,
+                    pair_tables_vanish, perturbed_family, poisson_terms, sweep, tensored)
 from corpus import nonzero_poly, rand_function, rand_gaussian, rand_poly, real_b1_family
 
 CTX = PhaseContext(1)
@@ -984,17 +985,20 @@ def test_the_table_decision_equals_the_loop_on_seeded_families():
     assert counts["pass"] and counts["fail"] and counts["cut_only"]
 
 
-def _applied(table, f, g, h):
-    # sum c d^a f d^b g d^c h of an associator table, through gp_diff
+def _applied(table, *fs):
+    # sum c d^a f d^b g (d^c h) of a two- or three-slot table, through gp_diff
     def d(x, exps):
         for i, e in enumerate(exps):
             for _ in range(e):
                 x = gp_diff(x, i)
         return x
 
-    out = GaussSum.zero(f.ctx)
-    for (a, b, c), coeff in table.items():
-        out = out + GaussSum.of((d(f, a) * d(g, b) * d(h, c)).scale(coeff))
+    out = GaussSum.zero(fs[0].ctx)
+    for key, coeff in table.items():
+        term = GaussPoly.constant(fs[0].ctx, 1)
+        for x, exps in zip(fs, key):
+            term = term * d(x, exps)
+        out = out + GaussSum.of(term.scale(coeff))
     return out
 
 
@@ -1021,26 +1025,96 @@ def test_the_cut_tables_applied_to_generator_triples_are_the_B_associators(S, de
                     assert _applied(table, f, g, h) == want, (k, f, g, h)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_hermiticity_takes_real_monomial_pairs_from_the_memo(monkeypatch, n):
-    # every B_into call on two of the suite's generators is the memo's one
-    # call: axiom 7 calls B only on the mixed generators f + i g
-    gens = []
+# ---- hermiticity and the bracket decided on the operator tables ----
+
+def test_the_pair_decisions_equal_the_loops_on_seeded_families():
+    # Moyal's table given random complex terms, half with their hermitian
+    # partners; the passes include tables that vanish only under the degree cut
+    counts = pair_sweep(100)
+    for axiom in (6, 7):
+        c = counts[axiom]
+        assert c["agree"] == 100 and c["disagree"] == 0, axiom
+        assert c["pass"] and c["fail"] and c["cut_only"], axiom
+
+
+@pytest.mark.parametrize("S, degree, order, fails", [
+    (MOYAL, 2, 3, []),
+    (moyal_family(PhaseContext(2)), 1, 2, []),
+    (StarFamily("skewed_B0", CTX, _BROKEN["skewed_B0"][0]), 2, 2, [7]),
+    (tensored("real_B1", _BROKEN["real_B1"][0], 2), 1, 2, [6, 7]),
+    (BULLET, 2, 2, [6]),
+    (imaginary_family(CTX), 1, 2, []),
+    (imaginary_family(CTX), 2, 2, [7]),
+    (complex_family(), 1, 2, [7]),
+], ids=["moyal-n1", "moyal-n2", "skewed_B0-n1", "real_B1-n2", "bullet-n1", "imaginary-d1",
+        "imaginary-d2", "complex-n2"])
+def test_the_cut_pair_tables_applied_to_generator_pairs_are_the_defects(S, degree, order,
+                                                                       fails):
+    gens = sp._monomial_generators(S.ctx, degree)
+    assert pair_tables_vanish(S, degree, order) == (6 not in fails, 7 not in fails)
+    # axiom 6 on the real generators
+    table = sp._swap_table(S.terms(1), False, poisson_terms(S.ctx), degree)
+    for f in gens:
+        for g in gens:
+            want = S.B(1, f, g) - S.B(1, g, f) - GaussSum.of(gp_poisson(f, g).scale(EC_I))
+            assert _applied(table, f, g) == want, (f, g)
+    # axiom 7 on the suite's real and mixed generators f + i g, where the
+    # table acts on the conjugates; a failing family fails on a mixed pair too
+    mixed = [f + g.scale(EC_I) for f, g in zip(gens, gens[1:])]
+    on_mixed = False
+    for k in range(order + 1):
+        table = sp._swap_table(S.terms(k), True, [], degree)
+        for f in gens + mixed:
+            for g in gens + mixed:
+                want = S.B(k, f, g).conj() - S.B(k, g.conj(), f.conj())
+                assert _applied(table, f.conj(), g.conj()) == want, (k, f, g)
+                on_mixed = on_mixed or bool(want) and (f in mixed or g in mixed)
+    assert on_mixed == (7 in fails)
+
+
+def _mixed_generators(monkeypatch):
+    # render_gausspoly of axiom 7's mixed generators f + i g and their
+    # conjugates, filled in when the suite builds its generators
+    out = set()
     real = sp._monomial_generators
 
     def kept(ctx, degree):
-        out = real(ctx, degree)
-        gens.extend(out)
-        return out
+        gens = real(ctx, degree)
+        for f, g in zip(gens, gens[1:]):
+            out.update(render_gausspoly(x) for x in (f + g.scale(EC_I), f - g.scale(EC_I)))
+        return gens
 
     monkeypatch.setattr(sp, "_monomial_generators", kept)
+    return out
+
+
+@pytest.mark.parametrize("S, hermitian", [
+    (MOYAL, True), (moyal_family(PhaseContext(2)), True), (BULLET, True),
+    (imaginary_family(CTX), True), (real_b1_family(CTX), False)],
+    ids=["moyal-n1", "moyal-n2", "bullet-n1", "imaginary-d1", "real_B1-n1"])
+def test_a_hermitian_family_makes_no_hermiticity_B_call(monkeypatch, S, hermitian):
+    # only axiom 7's loop hands B a mixed generator f + i g or its conjugate
+    mixed = _mixed_generators(monkeypatch)
     calls = _count_B_into(monkeypatch)
-    rep = axiom_suite(moyal_family(PhaseContext(n)), 2, 2)
-    assert rep.passed
-    ids = {id(x) for x in gens}
-    on_gens = [(id(c[0]), c[1], id(c[2]), id(c[3])) for c in calls
-               if id(c[2]) in ids and id(c[3]) in ids]
-    assert on_gens and len(on_gens) == len(set(on_gens))
+    entry = axiom_suite(S, 1, 2).entries[7]
+    assert entry["verdict"] == ("pass" if hermitian else "fail")
+    on_mixed = [c for c in calls if any(type(x) is GaussPoly and render_gausspoly(x) in mixed
+                                        for x in c[2:])]
+    assert calls and bool(on_mixed) != hermitian
+
+
+@pytest.mark.parametrize("S, bracket", [
+    (MOYAL, True), (moyal_family(PhaseContext(2)), True), (moyal_family(PhaseContext(3)), True),
+    (BULLET, False), (real_b1_family(CTX), False)],
+    ids=["moyal-n1", "moyal-n2", "moyal-n3", "bullet-n1", "real_B1-n1"])
+def test_a_family_with_the_bracket_takes_no_poisson_bracket(monkeypatch, S, bracket):
+    # only axiom 6's loop takes gp_poisson
+    calls = []
+    real = sp.gp_poisson
+    monkeypatch.setattr(sp, "gp_poisson", lambda f, g: calls.append((f, g)) or real(f, g))
+    entry = axiom_suite(S, 2, 2).entries[6]
+    assert entry["verdict"] == ("pass" if bracket else "fail")
+    assert bool(calls) != bracket
 
 
 # ============================================================
