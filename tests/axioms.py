@@ -4,8 +4,10 @@ Each case is one `axiom_suite` call on a small scope: Moyal at n = 1, 2 and 3,
 bullet at n = 1 and 2, four broken one-pair tables tensored to n = 2, a
 corrupted tensor power at n = 1 and 2, the cut and gap tables, a
 perturbed Moyal table whose associativity holds only up to a degree, an
-imaginary B_2 term whose hermiticity holds only up to a degree, and a
-complex B_2 term at n = 2 that breaks hermiticity at degree 1.  A case
+imaginary B_2 term whose hermiticity holds only up to a degree, a
+complex B_2 term at n = 2 that breaks hermiticity at degree 1, and four
+tables that break the pointwise B_0 (axiom 4) or the identity (axiom 5):
+a term added at B_0, B_1 or B_2, or B_0 doubled.  A case
 renders to one canonical text: the repr and the JSON of its report, or the
 type and message of the error it raises.  `golden_axioms.json` keeps the
 first 16 hex digits of the sha256 of that text for each case id, so a
@@ -92,6 +94,12 @@ def cut_family(ctx, cut_orders=(1,)):
     return StarFamily("cut", ctx, terms)
 
 
+def moyal_plus(name, ctx, k, extra):
+    """Moyal's table with the terms extra added at order k."""
+    moyal = moyal_family(ctx)
+    return StarFamily(name, ctx, lambda m, _: moyal.terms(m) + (extra if m == k else ()))
+
+
 def perturbed_family(ctx):
     """Moyal's table with B_3 gaining (1/5)(d_q1^3 f d_p1^2 g + d_p1^2 f d_q1^3 g).
 
@@ -100,16 +108,11 @@ def perturbed_family(ctx):
     every associator term whose two other slots share the rest.  So axiom 3
     holds on monomials of degree <= 1 and fails at degree 2, on q, q^2, p^2.
     """
-    moyal, n = moyal_family(ctx), ctx.n
+    n = ctx.n
     cubed = tuple(3 if i == 0 else 0 for i in range(2 * n))
     squared = tuple(2 if i == n else 0 for i in range(2 * n))
     fifth = ExactComplex(Fraction(1, 5))
-    extra = ((fifth, cubed, squared), (fifth, squared, cubed))
-
-    def terms(k, _):
-        return moyal.terms(k) + (extra if k == 3 else ())
-
-    return StarFamily("perturbed", ctx, terms)
+    return moyal_plus("perturbed", ctx, 3, ((fifth, cubed, squared), (fifth, squared, cubed)))
 
 
 def imaginary_family(ctx):
@@ -119,16 +122,11 @@ def imaginary_family(ctx):
     -(2i/5)(d_q1^2 f d_p1^2 g + d_p1^2 f d_q1^2 g): zero on monomials of
     degree <= 1, so hermiticity holds at degree 1 and fails at degree 2.
     """
-    moyal, n = moyal_family(ctx), ctx.n
+    n = ctx.n
     q2 = tuple(2 if i == 0 else 0 for i in range(2 * n))
     p2 = tuple(2 if i == n else 0 for i in range(2 * n))
     fifth_i = ExactComplex(0, Fraction(1, 5))
-    extra = ((fifth_i, q2, p2), (fifth_i, p2, q2))
-
-    def terms(k, _):
-        return moyal.terms(k) + (extra if k == 2 else ())
-
-    return StarFamily("imaginary", ctx, terms)
+    return moyal_plus("imaginary", ctx, 2, ((fifth_i, q2, p2), (fifth_i, p2, q2)))
 
 
 def complex_family():
@@ -138,13 +136,8 @@ def complex_family():
     gains ((1 - 2i)/3) d_q1 f d_p2 g - ((1 + 2i)/3) d_p2 f d_q1 g, which is
     not zero on q1, p2, nor on the mixed generators built from them.
     """
-    moyal = moyal_family(PhaseContext(2))
-    extra = ((ExactComplex(Fraction(1, 3), Fraction(2, 3)), (1, 0, 0, 0), (0, 0, 0, 1)),)
-
-    def terms(k, _):
-        return moyal.terms(k) + (extra if k == 2 else ())
-
-    return StarFamily("complex", moyal.ctx, terms)
+    return moyal_plus("complex", PhaseContext(2), 2, (
+        (ExactComplex(Fraction(1, 3), Fraction(2, 3)), (1, 0, 0, 0), (0, 0, 0, 1)),))
 
 
 def tensored(name, one_pair, n):
@@ -237,7 +230,6 @@ def random_pair_family(rng):
     n = rng.choice((1, 2))
     degree, order = rng.randint(1, 3 - n), rng.randint(1, 3)
     ctx, k = PhaseContext(n), rng.randint(0, order)
-    moyal = moyal_family(ctx)
 
     def exps():
         e = [0] * ctx.dim
@@ -255,10 +247,7 @@ def random_pair_family(rng):
         extra.append((c, a, b))
         if rng.random() < 0.5:
             extra.append((c.conj(), b, a))
-    extra = tuple(extra)
-    return (StarFamily("added_B%d" % k, ctx,
-                       lambda m, _: moyal.terms(m) + (extra if m == k else ())),
-            degree, order)
+    return moyal_plus("added_B%d" % k, ctx, k, tuple(extra)), degree, order
 
 
 def poisson_terms(ctx):
@@ -340,6 +329,16 @@ def cases():
     add("imaginary/n1/d1k2", imaginary_family(ctxs[1]), 1, 2)
     add("imaginary/n1/d2k2", imaginary_family(ctxs[1]), 2, 2)
     add("complex/n2/d1k2", complex_family(), 1, 2)
+    # axioms 4 and 5: B_0 gains (1/3) f_q g_q, B_2 gains (1/3) f g_pp, B_1
+    # gains (i/2) f_p2 g, or B_0 is doubled
+    third = ExactComplex(Fraction(1, 3))
+    add("b0_qq/n1/d2k2", moyal_plus("b0_qq", ctxs[1], 0, ((third, (1, 0), (1, 0)),)), 2, 2)
+    add("b2_left_unit/n1/d2k3",
+        moyal_plus("b2_left_unit", ctxs[1], 2, ((third, (0, 0), (0, 2)),)), 2, 3)
+    add("b1_right_unit/n2/d1k2", moyal_plus("b1_right_unit", ctxs[2], 1, (
+        (ExactComplex(0, Fraction(1, 2)), (0, 0, 0, 1), (0, 0, 0, 0)),)), 1, 2)
+    add("b0_doubled/n1/d1k2", StarFamily("b0_doubled", ctxs[1], _moyal_with(
+        0, lambda t: tuple((c * 2, l, r) for c, l, r in t))), 1, 2)
     add("error/degree0", moyal_family(ctxs[2]), 0, 2)
     add("error/order0", moyal_family(ctxs[2]), 1, 0)
     return out
