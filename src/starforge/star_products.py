@@ -635,43 +635,6 @@ def _monomial_generators(ctx, degree_bound):
     return [GaussPoly.monomial(ctx, exps) for exps in exp_list]
 
 
-def _pair_memo(S, gens, tables):
-    # pair(m, i, j) = B_m(gens[i], gens[j]), memoised; zero, with no call,
-    # where B_m's table is empty
-    pairs, zero = {}, GaussSum.zero(S.ctx)
-
-    def pair(m, i, j):
-        key = (m, i, j)
-        if key not in pairs:
-            pairs[key] = S.B(m, gens[i], gens[j], tables) if S.terms(m) else zero
-        return pairs[key]
-    return pair
-
-
-def _associativity(S, gens, order_bound, pair, tables):
-    # axiom 3 on S, order by order: ([f, g, h], k, difference) for each triple
-    # of gens with a nonzero associator; pair is S's _pair_memo over gens
-    live = [m for m in range(order_bound + 1) if S.terms(m)]
-    for k in range(order_bound + 1):
-        orders = [l for l in live if l <= k]
-        # ops[a][b]: the live l <= k with their nonzero B_(k-l)(gens[a], gens[b])
-        ops = [[[(l, x) for l in orders for x in (pair(k - l, a, b),) if x]
-                for b in range(len(gens))] for a in range(len(gens))]
-        for fi, f in enumerate(gens):
-            for gi, g in enumerate(gens):
-                fg = ops[fi][gi]
-                for hi, h in enumerate(gens):
-                    lhs, rhs = {}, {}
-                    for l, x in fg:
-                        S.B_into(lhs, l, x, h, tables)
-                    for l, y in ops[gi][hi]:
-                        S.B_into(rhs, l, f, y, tables)
-                    if lhs != rhs:
-                        left, right = _sum_of(S.ctx, lhs), _sum_of(S.ctx, rhs)
-                        if left != right:
-                            yield [f, g, h], k, left - right
-
-
 def _splits(gamma, memo):
     # (s, gamma - s, C(gamma, s), |s|) for every s <= gamma: the terms of the
     # Leibniz rule for d^gamma, where a zero coordinate of gamma has one choice
@@ -713,78 +676,98 @@ def _swap_table(terms, conj, extra, degree_bound):
     return _merged(t for t in both if sum(t[1]) <= degree_bound and sum(t[2]) <= degree_bound)
 
 
+def _least_key(tables):
+    # (k, key) for the first nonzero table of the (k, table) pairs and its
+    # least key, slot by slot in the generators' order; None if all are zero
+    for k, table in tables:
+        if table:
+            return k, min(table, key=lambda key: tuple(map(monomial_key, key)))
+    return None
+
+
 def axiom_suite(S, degree_bound, order_bound):
     """Check the star-product axioms on all monomials of total degree <= degree_bound
     through operator order <= order_bound.  Locality and bidifferentiality hold by
     construction (the representation cannot express anything else).
 
+    Axioms 3 to 7 are decided on operator tables cut at the degree bound
+    (Gerstenhaber 1964; Bayen et al. 1978), and each fail reads its
+    counterexample from them.  B_k(f, g) = sum c d^a f d^b g, so by the
+    Leibniz rule d^y(uv) = sum_(s <= y) C(y, s) d^s u d^(y-s) v the order-k
+    associator sum_l B_l(B_(k-l)(f, g), h) - B_l(f, B_(k-l)(g, h)) is a
+    tridifferential table sum t_abc d^a f d^b g d^c h.  On real monomials
+    conj(B_k(f, g)) - B_k(g, f) is the two-slot table conj(c_ab) - c_ba,
+    B_1(f, g) - B_1(g, f) - i{f, g} is c_ab - c_ba less i times the Poisson
+    table (+1 at (q_i, p_i), -1 at (p_i, q_i)), and B_0(f, g) - fg is B_0's
+    table less 1 at (0, 0).  Axiom 5's B_k(1, f) - [k = 0] f and
+    B_k(f, 1) - [k = 0] f are the keys (0, b) and (a, 0) of B_k's table,
+    less 1 at (0, 0) for k = 0.
+
+    On monomials x^A, x^B, x^C a key vanishes where a exceeds A (or b B, or
+    c C) in some coordinate, so only the keys with |a|, |b|, |c| <=
+    degree_bound act on the generators; on (x^a, x^b, x^c) itself the
+    constant term is a! b! c! t_abc.  So a nonzero cut key fails on its own
+    monomials, and an input that fails has a nonzero key at or below it in
+    every coordinate.  The generators are sorted by monomial_key, which is
+    graded, so that key comes no later.  An axiom thus holds on every
+    generator exactly when its cut tables are zero, and the first
+    counterexample of a loop over the orders, and inside each over the
+    inputs in generator order, is the least key at the least order whose
+    table is nonzero.  Axiom 5 reports as a loop over the generators, and
+    inside each over the orders, so its witness is the least (generator,
+    order).  Axiom 7 holds for complex inputs when it holds for
+    real ones: with H(f, g) the real-pair defect, the defect of f + i g and
+    u + i v is H(f, u) - i H(f, v) - i H(g, u) - H(g, v), as B applies its
+    table.  A fail's difference is B's own, on its witness.
+
     No check calls B_l where the operator table of order l is empty or an
-    operand is zero (in axioms 3 and 7 those would be most of the calls).
-    Such a call is exactly zero (an empty table is the zero operator, and
-    B_l is bilinear), so it adds nothing to the sums a check compares: every
-    verdict, counterexample and scope is what the full loops give.
-
-    Axiom 3 is decided on the operator tables (Gerstenhaber 1964; Bayen et
-    al. 1978).  B_k(f, g) = sum c d^a f d^b g, so by the Leibniz rule
-    d^y(uv) = sum_(s <= y) C(y, s) d^s u d^(y-s) v the order-k associator
-    sum_l B_l(B_(k-l)(f, g), h) - B_l(f, B_(k-l)(g, h)) is a tridifferential
-    table sum t_abc d^a f d^b g d^c h.  On monomials x^A, x^B, x^C a key
-    vanishes where a exceeds A (or b B, or c C) in some coordinate, so on
-    the generators only the keys with |a|, |b|, |c| <= degree_bound act; on
-    (x^a, x^b, x^c) itself the constant term is a! b! c! t_abc.  So the
-    associator vanishes on every triple of generators exactly when that cut
-    table is zero: the monomial loop's verdict, as B applies its own table.
-    A pass is that pass; a fail runs the loop, so every counterexample is
-    the loop's.
-
-    Axioms 7 and 6 are decided on two-slot tables the same way.  On real
-    monomials conj(B_k(f, g)) - B_k(g, f) = sum D_ab d^a f d^b g with
-    D_ab = conj(c_ab) - c_ba, and B_1(f, g) - B_1(g, f) - i{f, g} is the
-    table c_ab - c_ba less i times the Poisson table (+1 at (q_i, p_i), -1
-    at (p_i, q_i)).  As above, only the keys with |a|, |b| <= degree_bound
-    act on the generators, and on (x^a, x^b) the constant term is a! b!
-    times the key's coefficient, so the axiom holds on every pair of real
-    generators exactly when its cut table is empty.  With H(f, g) that
-    real-pair defect, the defect of f + i g and u + i v is H(f, u) -
-    i H(f, v) - i H(g, u) - H(g, v), as B applies its table, so the mixed
-    generators add nothing to axiom 7's verdict.  A pass is that pass; a
-    fail runs the loop.
+    operand is zero: such a call is exactly zero (an empty table is the zero
+    operator, and B_l is bilinear), so it changes no verdict or difference.
     """
     if degree_bound < 1 or order_bound < 1:
         raise ScopeError("degree_bound and order_bound must be >= 1")
-    ctx = S.ctx
+    ctx, d = S.ctx, degree_bound
     gens = _monomial_generators(ctx, degree_bound)
     # one set of derivative memos for every B call of the suite
     tables = CoordinateTables()
     one = GaussPoly.constant(ctx, 1)
     i_unit = ExactComplex(0, 1)
+    zero = GaussSum.zero(ctx)
     scope = {"degree_bound": degree_bound, "order_bound": order_bound,
              "generators": len(gens)}
     entries = {}
 
-    def record(axiom, search):
-        # the first (inputs, order, difference) the search yields fails the axiom
-        for inputs, k, diff in search:
-            entries[axiom] = {
-                "verdict": "fail",
-                "scope": scope,
-                "counterexample": {
-                    "inputs": [render_gausspoly(x) if isinstance(x, GaussPoly) else str(x)
-                               for x in inputs],
-                    "order": k,
-                    "difference": str(diff),
-                },
-            }
+    def record(axiom, found):
+        # found: the first (inputs, order, difference) that fails the axiom, or None
+        if found is None:
+            entries[axiom] = {"verdict": "pass", "scope": scope, "counterexample": None}
             return
-        entries[axiom] = {"verdict": "pass", "scope": scope, "counterexample": None}
+        inputs, k, diff = found
+        entries[axiom] = {
+            "verdict": "fail",
+            "scope": scope,
+            "counterexample": {
+                "inputs": [render_gausspoly(x) if isinstance(x, GaussPoly) else str(x)
+                           for x in inputs],
+                "order": k,
+                "difference": str(diff),
+            },
+        }
+
+    def B(m, f, g):
+        # B_m(f, g), with no call where it is zero: an empty table or a zero operand
+        return S.B(m, f, g, tables) if S.terms(m) and f and g else zero
+
+    def at(found, defect):
+        # the (inputs, order, difference) of a least key found = (k, exponent
+        # tuples): its monomials, and defect(k, *monomials) computed by B
+        if found is not None:
+            k, key = found
+            xs = [GaussPoly.monomial(ctx, e) for e in key]
+            return xs, k, defect(k, *xs)
 
     # the orders whose operator table is not empty; B is zero at the others
     live = [m for m in range(order_bound + 1) if S.terms(m)]
-    zero = GaussSum.zero(ctx)
-
-    # B(m, gens[i], gens[j]), shared by axioms 1, 3, 4 and 6;
-    # at most len(gens)^2 * (order_bound + 1) entries
-    pair = _pair_memo(S, gens, tables)
 
     # axiom 1: bilinearity over the coefficient field
     def bilinearity():
@@ -792,88 +775,62 @@ def axiom_suite(S, degree_bound, order_bound):
         # c*f + g, shared by every order
         mixes = [[f.scale(c) + g for g in gens] for f in gens]
         for k in live:
+            pair = [[S.B(k, f, g, tables) for g in gens] for f in gens]
             for fi, f in enumerate(gens):
                 for gi, g in enumerate(gens):
                     hi = (gi + 1) % len(gens)
                     h = gens[hi]
                     mixed = mixes[fi][gi]
                     lhs = S.B(k, mixed, h, tables)
-                    rhs = pair(k, fi, hi).scale(c) + pair(k, gi, hi)
+                    rhs = pair[fi][hi].scale(c) + pair[gi][hi]
                     if lhs != rhs:
                         yield [f, g, h], k, lhs - rhs
                     lhs = S.B(k, h, mixed, tables)
-                    rhs = pair(k, hi, fi).scale(c) + pair(k, hi, gi)
+                    rhs = pair[hi][fi].scale(c) + pair[hi][gi]
                     if lhs != rhs:
                         yield [h, f, g], k, lhs - rhs
-    record(1, bilinearity())
+    record(1, next(bilinearity(), None))
 
     # axiom 2: locality — certified structurally
     entries[2] = {"verdict": "by_construction", "scope": scope, "counterexample": None,
                   "note": "operators are finite derivative combinations; supports cannot grow"}
 
-    # axiom 3: associativity order by order, decided on the tables; a fail runs the loop
-    record(3, _associativity(S, gens, order_bound, pair, tables)
-           if any(_associator_table(S, k, degree_bound) for k in range(order_bound + 1))
-           else ())
+    # axiom 3: associativity order by order
+    record(3, at(_least_key((k, _associator_table(S, k, d)) for k in range(order_bound + 1)),
+                 lambda k, f, g, h: sum((B(l, B(k - l, f, g), h) - B(l, f, B(k - l, g, h))
+                                         for l in range(k + 1)), zero)))
 
-    # axiom 4: B_0 is the pointwise product
-    def pointwise():
-        for fi, f in enumerate(gens):
-            for gi, g in enumerate(gens):
-                got = pair(0, fi, gi)
-                want = GaussSum.of(f * g)
-                if got != want:
-                    yield [f, g], 0, got - want
-    record(4, pointwise())
+    # axioms 4 and 5: B_0 is the pointwise product and the constant 1 the identity
+    o = (0,) * ctx.dim
 
-    # axiom 5: the constant 1 is the identity
-    def identity():
-        for f in gens:
-            want = GaussSum.of(f)
-            for k in range(order_bound + 1):
-                if k in live:
-                    left = S.B(k, one, f, tables) - want
-                    right = S.B(k, f, one, tables) - want
-                else:
-                    left = right = -want
-                if left or right:
-                    yield [f], k, left or right
-                want = zero
-    record(5, identity())
+    def unit(k):
+        # B_k's table, less the pointwise product at k = 0, cut at the degree bound
+        terms = S.terms(k) + (((-EC_ONE, o, o),) if k == 0 else ())
+        return _merged(t for t in terms if sum(t[1]) <= d and sum(t[2]) <= d)
+
+    record(4, at(_least_key([(0, unit(0))]),
+                 lambda k, f, g: B(0, f, g) - GaussSum.of(f * g)))
+
+    def identity(k, f):
+        want = GaussSum.of(f) if k == 0 else zero
+        return (B(k, one, f) - want) or (B(k, f, one) - want)
+    # the least (generator, order) among the keys with a zero slot
+    found = min(((monomial_key(e), k, (e,)) for k in range(order_bound + 1)
+                 for a, b in unit(k) for e, other in ((a, b), (b, a)) if not any(other)),
+                default=None)
+    record(5, found and at(found[1:], identity))
 
     # axiom 6: first-order commutator is i times the Poisson bracket
     e = [tuple(int(j == i) for j in range(ctx.dim)) for i in range(ctx.dim)]
     poisson = [t for j in range(ctx.n)
                for t in ((-i_unit, e[j], e[ctx.n + j]), (i_unit, e[ctx.n + j], e[j]))]
-
-    def bracket():
-        for fi, f in enumerate(gens):
-            for gi, g in enumerate(gens):
-                got = pair(1, fi, gi) - pair(1, gi, fi)
-                want = GaussSum.of(gp_poisson(f, g).scale(i_unit))
-                if got != want:
-                    yield [f, g], 1, got - want
-    # decided on B_1's table less i times the Poisson table; a fail runs the loop
-    record(6, bracket() if _swap_table(S.terms(1), False, poisson, degree_bound) else ())
+    record(6, at(_least_key([(1, _swap_table(S.terms(1), False, poisson, d))]),
+                 lambda k, f, g: (B(1, f, g) - B(1, g, f)
+                                  - GaussSum.of(gp_poisson(f, g).scale(i_unit)))))
 
     # axiom 7: Hermiticity conj(B_k(f,g)) = B_k(conj g, conj f)
-    def hermiticity():
-        complex_gens = gens + [f + g.scale(i_unit) for f, g in zip(gens, gens[1:])]
-        conj_gens = [f.conj() for f in complex_gens]
-        for k in live:
-            for fi, f in enumerate(complex_gens):
-                for gi, g in enumerate(complex_gens):
-                    got, want = {}, {}
-                    S.B_into(got, k, f, g, tables)
-                    S.B_into(want, k, conj_gens[gi], conj_gens[fi], tables)
-                    if not (got or want):
-                        continue
-                    got, want = _sum_of(ctx, got).conj(), _sum_of(ctx, want)
-                    if got != want:
-                        yield [f, g], k, got - want
-    # decided on the tables conj(c_ab) - c_ba; a fail runs the loop
-    record(7, hermiticity()
-           if any(_swap_table(S.terms(k), True, [], degree_bound) for k in live) else ())
+    record(7, at(_least_key((k, _swap_table(S.terms(k), True, [], d)) for k in live),
+                 lambda k, f, g: B(k, f, g).conj() - B(k, g.conj(), f.conj())))
 
     # axiom 8: bidifferential — certified structurally
     entries[8] = {"verdict": "by_construction", "scope": scope, "counterexample": None,
@@ -887,8 +844,8 @@ def axiom_suite(S, degree_bound, order_bound):
         right = max((sum(dr) for _, _, dr in terms), default=0)
         orders[k] = (left, right)
         if left > k or right > k:
-            record(9, [(["operator table"], k,
-                        "left order %d / right order %d exceeds %d" % (left, right, k))])
+            record(9, (["operator table"], k,
+                       "left order %d / right order %d exceeds %d" % (left, right, k)))
             break
     else:
         entries[9] = {"verdict": "pass", "scope": scope, "counterexample": None,

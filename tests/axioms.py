@@ -13,13 +13,18 @@ type and message of the error it raises.  `golden_axioms.json` keeps the
 first 16 hex digits of the sha256 of that text for each case id, so a
 failure names its case.
 
+The generator loops of axioms 3 to 7 (`_searches`) are the axioms as
+their definitions read, walked in the suite's order; `axiom_suite` decides
+them on operator tables and reads each counterexample from the least key.
 `sweep` draws seeded random families, Moyal's table with one order cut,
-rescaled or given extra terms, and compares axiom 3 decided on the operator
-tables with the monomial loop that reports counterexamples.  `pair_sweep`
-does the same for axioms 6 and 7, on Moyal's table given random complex
-terms, with or without their hermitian partners.
+rescaled or given extra terms, and compares the suite's axiom-3 entry
+(verdict, counterexample and scope) with the loop's.  `pair_sweep` does
+the same for axioms 6 and 7, on Moyal's table given random complex terms,
+with or without their hermitian partners, and `unit_sweep` for axioms 4
+and 5, on random complex terms at B_0 or at a higher order, half of them
+with a zero slot.
 
-    PYTHONPATH=src python tests/axioms.py          # corpus digest and both sweeps
+    PYTHONPATH=src python tests/axioms.py          # corpus digest and the three sweeps
     PYTHONPATH=src python tests/axioms.py --write  # re-pin golden_axioms.json
 
 Re-pinning changes a recorded output and is reported like a golden line.
@@ -33,11 +38,11 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from starforge import (EC_I, EC_ONE, ExactComplex, PhaseContext, StarFamily, axiom_suite,
-                       bullet_family, moyal_family)
-from starforge import star_products
-from starforge.star_products import (CoordinateTables, _associativity, _associator_table,
-                                     _monomial_generators, _pair_memo, _swap_table)
+from starforge import (EC_I, EC_ONE, ExactComplex, GaussPoly, GaussSum, PhaseContext,
+                       StarFamily, axiom_suite, bullet_family, gp_poisson, moyal_family,
+                       render_gausspoly)
+from starforge.star_products import (CoordinateTables, _associator_table, _merged,
+                                     _monomial_generators, _sum_of, _swap_table)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_axioms.json")
 
@@ -162,6 +167,21 @@ def tensored(name, one_pair, n):
     return StarFamily(name, PhaseContext(n), terms)
 
 
+def _random_exps(rng, ctx):
+    # derivative exponents of total degree <= 3, drawn one coordinate at a time
+    e = [0] * ctx.dim
+    for _ in range(rng.randint(0, 3)):
+        e[rng.randrange(ctx.dim)] += 1
+    return tuple(e)
+
+
+def _random_coeff(rng):
+    # a nonzero complex rational: real, imaginary or both
+    re, im = rng.choice((-2, -1, 0, 1, 3)), rng.choice((-1, 0, 1, 2))
+    re = re if re or im else 1
+    return ExactComplex(Fraction(re, rng.randint(1, 4)), Fraction(im, rng.randint(1, 4)))
+
+
 def random_family(rng):
     """(family, degree bound, order bound) of one draw: Moyal's table at
     n = 1 (degree <= 2) or n = 2 (degree 1), order <= 3, with one order k >= 1
@@ -172,13 +192,6 @@ def random_family(rng):
     ctx, k, kind = PhaseContext(n), rng.randint(1, order), rng.choice(("cut", "scaled", "added"))
     moyal = moyal_family(ctx)
     table = list(moyal.terms(k))
-
-    def exps():
-        e = [0] * ctx.dim
-        for _ in range(rng.randint(0, 3)):
-            e[rng.randrange(ctx.dim)] += 1
-        return tuple(e)
-
     if kind == "cut":
         table = rng.sample(table, rng.randrange(len(table)))
     elif kind == "scaled":
@@ -187,38 +200,10 @@ def random_family(rng):
     else:
         for _ in range(rng.randint(1, 2)):
             c = ExactComplex(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5)))
-            table.append((c, exps(), exps()))
+            table.append((c, _random_exps(rng, ctx), _random_exps(rng, ctx)))
     return (StarFamily("%s_B%d" % (kind, k), ctx,
                        lambda m, _: tuple(table) if m == k else moyal.terms(m)),
             degree, order)
-
-
-def decided(S, degree, order):
-    """Axiom 3's verdict on the operator tables: True for a pass."""
-    return not any(_associator_table(S, k, degree) for k in range(order + 1))
-
-
-def looped(S, degree, order):
-    """Axiom 3's verdict from the monomial loop: True for a pass."""
-    gens, tables = _monomial_generators(S.ctx, degree), CoordinateTables()
-    return next(_associativity(S, gens, order, _pair_memo(S, gens, tables), tables),
-                None) is None
-
-
-def sweep(count, seed=0):
-    """{"agree", "disagree", "pass", "fail", "cut_only"} counts over count
-    seeded random families; cut_only counts the passes whose table is not
-    associative once the degree cut is lifted."""
-    rng, out = random.Random(seed), dict.fromkeys(("agree", "disagree", "pass", "fail",
-                                                   "cut_only"), 0)
-    for _ in range(count):
-        S, degree, order = random_family(rng)
-        verdict = decided(S, degree, order)
-        out["agree" if verdict == looped(S, degree, order) else "disagree"] += 1
-        out["pass" if verdict else "fail"] += 1
-        # no key of an order <= 3 composition differentiates one slot past 6
-        out["cut_only"] += verdict and not decided(S, 6, order)
-    return out
 
 
 def random_pair_family(rng):
@@ -230,24 +215,33 @@ def random_pair_family(rng):
     n = rng.choice((1, 2))
     degree, order = rng.randint(1, 3 - n), rng.randint(1, 3)
     ctx, k = PhaseContext(n), rng.randint(0, order)
-
-    def exps():
-        e = [0] * ctx.dim
-        for _ in range(rng.randint(0, 3)):
-            e[rng.randrange(ctx.dim)] += 1
-        return tuple(e)
-
     extra = []
     for _ in range(rng.randint(1, 2)):
-        # a nonzero coefficient: real, imaginary or both
-        re, im = rng.choice((-2, -1, 0, 1, 3)), rng.choice((-1, 0, 1, 2))
-        re = re if re or im else 1
-        c = ExactComplex(Fraction(re, rng.randint(1, 4)), Fraction(im, rng.randint(1, 4)))
-        a, b = exps(), exps()
+        c = _random_coeff(rng)
+        a, b = _random_exps(rng, ctx), _random_exps(rng, ctx)
         extra.append((c, a, b))
         if rng.random() < 0.5:
             extra.append((c.conj(), b, a))
     return moyal_plus("added_B%d" % k, ctx, k, tuple(extra)), degree, order
+
+
+def random_unit_family(rng):
+    """(family, degree bound, order bound) of one draw: Moyal's table at
+    n = 1 (degree <= 2) or n = 2 (degree 1), order <= 3, with one or two
+    random complex terms c d^a f d^b g (|a|, |b| <= 3) added at B_0 or, as
+    often, at one order 1 <= k <= order; half the terms have a zero slot,
+    a = 0 or b = 0, the keys that axiom 5 reads."""
+    n = rng.choice((1, 2))
+    degree, order = rng.randint(1, 3 - n), rng.randint(1, 3)
+    ctx, k = PhaseContext(n), rng.choice((0, rng.randint(1, order)))
+    none, extra = (0,) * ctx.dim, []
+    for _ in range(rng.randint(1, 2)):
+        c = _random_coeff(rng)
+        a, b = _random_exps(rng, ctx), _random_exps(rng, ctx)
+        if rng.random() < 0.5:
+            a, b = (none, b) if rng.random() < 0.5 else (a, none)
+        extra.append((c, a, b))
+    return moyal_plus("unit_B%d" % k, ctx, k, tuple(extra)), degree, order
 
 
 def poisson_terms(ctx):
@@ -260,43 +254,176 @@ def poisson_terms(ctx):
     return out
 
 
+# ---- the tables and the loops ----
+
+def decided(S, degree, order):
+    """Axiom 3's verdict on the operator tables: True for a pass."""
+    return not any(_associator_table(S, k, degree) for k in range(order + 1))
+
+
 def pair_tables_vanish(S, degree, order):
     """(axiom 6, axiom 7) decided on the two-slot tables: True for a pass."""
     return (not _swap_table(S.terms(1), False, poisson_terms(S.ctx), degree),
             not any(_swap_table(S.terms(k), True, [], degree) for k in range(order + 1)))
 
 
+def unit_tables_vanish(S, degree, order):
+    """(axiom 4, axiom 5) decided on B_k's merged table, less 1 at (0, 0) for
+    k = 0 and cut at degree: axiom 4 passes when B_0's is empty, axiom 5
+    when no table has a key (0, b) or (a, 0).  True for a pass."""
+    none = (0,) * S.ctx.dim
+
+    def unit(k):
+        terms = S.terms(k) + (((-EC_ONE, none, none),) if k == 0 else ())
+        return _merged(t for t in terms if sum(t[1]) <= degree and sum(t[2]) <= degree)
+
+    return (not unit(0),
+            not any(a == none or b == none for k in range(order + 1) for a, b in unit(k)))
+
+
+def _searches(S, degree, order):
+    """{axiom: generator of (inputs, order, difference)} for axioms 3 to 7,
+    as their definitions read, on the suite's generators and in its order
+    (axiom 7 also on the mixed generators f + i g of consecutive ones), so
+    each one's first yield is the suite's counterexample."""
+    ctx = S.ctx
+    gens, tables = _monomial_generators(ctx, degree), CoordinateTables()
+    memo, zero = {}, GaussSum.zero(ctx)
+
+    def pair(m, i, j):
+        # B_m(gens[i], gens[j]), memoised
+        if (m, i, j) not in memo:
+            memo[(m, i, j)] = S.B(m, gens[i], gens[j], tables)
+        return memo[(m, i, j)]
+
+    def associativity():
+        idx = range(len(gens))
+        for k in range(order + 1):
+            # ops[a][b]: the l <= k with their nonzero B_(k-l)(gens[a], gens[b])
+            ops = [[[(l, x) for l in range(k + 1) for x in (pair(k - l, a, b),) if x]
+                    for b in idx] for a in idx]
+            for fi, f in enumerate(gens):
+                for gi, g in enumerate(gens):
+                    for hi, h in enumerate(gens):
+                        lhs, rhs = {}, {}
+                        for l, x in ops[fi][gi]:
+                            S.B_into(lhs, l, x, h, tables)
+                        for l, y in ops[gi][hi]:
+                            S.B_into(rhs, l, f, y, tables)
+                        if lhs != rhs:
+                            left, right = _sum_of(ctx, lhs), _sum_of(ctx, rhs)
+                            if left != right:
+                                yield [f, g, h], k, left - right
+
+    def pointwise():
+        for fi, f in enumerate(gens):
+            for gi, g in enumerate(gens):
+                diff = pair(0, fi, gi) - GaussSum.of(f * g)
+                if diff:
+                    yield [f, g], 0, diff
+
+    def identity():
+        one = GaussPoly.constant(ctx, 1)
+        for f in gens:
+            for k in range(order + 1):
+                want = GaussSum.of(f) if k == 0 else zero
+                left, right = S.B(k, one, f, tables) - want, S.B(k, f, one, tables) - want
+                if left or right:
+                    yield [f], k, left or right
+
+    def bracket():
+        for fi, f in enumerate(gens):
+            for gi, g in enumerate(gens):
+                diff = (pair(1, fi, gi) - pair(1, gi, fi)
+                        - GaussSum.of(gp_poisson(f, g).scale(EC_I)))
+                if diff:
+                    yield [f, g], 1, diff
+
+    def hermiticity():
+        both = gens + [f + g.scale(EC_I) for f, g in zip(gens, gens[1:])]
+        conj = [f.conj() for f in both]
+        for k in range(order + 1):
+            for fi, f in enumerate(both):
+                for gi, g in enumerate(both):
+                    diff = S.B(k, f, g, tables).conj() - S.B(k, conj[gi], conj[fi], tables)
+                    if diff:
+                        yield [f, g], k, diff
+
+    return {3: associativity(), 4: pointwise(), 5: identity(), 6: bracket(),
+            7: hermiticity()}
+
+
+def _looped(S, degree, order, axioms):
+    """axiom_suite's entries for the axioms, as the loops of _searches give
+    them: a fail at each one's first yield, else a pass."""
+    scope = {"degree_bound": degree, "order_bound": order,
+             "generators": len(_monomial_generators(S.ctx, degree))}
+    searches, out = _searches(S, degree, order), []
+    for axiom in axioms:
+        found = next(searches[axiom], None)
+        if found is None:
+            out.append({"verdict": "pass", "scope": scope, "counterexample": None})
+            continue
+        inputs, k, diff = found
+        out.append({"verdict": "fail", "scope": scope, "counterexample": {
+            "inputs": [render_gausspoly(x) for x in inputs], "order": k,
+            "difference": str(diff)}})
+    return tuple(out)
+
+
+def looped(S, degree, order):
+    """axiom_suite's axiom 3 entry, from its loop."""
+    return _looped(S, degree, order, (3,))[0]
+
+
 def looped_pairs(S, degree, order):
-    """axiom_suite's axiom 6 and 7 entries with their monomial loops run
-    whatever the tables say."""
-    real = star_products._swap_table
-    star_products._swap_table = lambda *args: {None: EC_ONE}
-    try:
-        entries = axiom_suite(S, degree, order).entries
-    finally:
-        star_products._swap_table = real
-    return entries[6], entries[7]
+    """axiom_suite's axiom 6 and 7 entries, from their loops."""
+    return _looped(S, degree, order, (6, 7))
 
 
-def pair_sweep(count, seed=0):
-    """{axiom: {"agree", "disagree", "pass", "fail", "cut_only"} counts} for
-    axioms 6 and 7 over count seeded random pair families: agree when the
-    suite's entry (verdict, counterexample, scope) is the loop's; cut_only
-    counts the passes whose table is not empty once the degree cut is lifted."""
+def looped_units(S, degree, order):
+    """axiom_suite's axiom 4 and 5 entries, from their loops."""
+    return _looped(S, degree, order, (4, 5))
+
+
+# ---- sweeps ----
+
+def _tally(draw, axioms, vanish, loops, count, seed):
+    """{axiom: {"agree", "disagree", "pass", "fail", "cut_only"} counts} over
+    count seeded draws: agree when the suite's entry (verdict,
+    counterexample, scope) is the loop's; cut_only counts the passes whose
+    table decision, vanish(S, degree, order), fails once the degree cut is
+    lifted."""
     rng = random.Random(seed)
     out = {axiom: dict.fromkeys(("agree", "disagree", "pass", "fail", "cut_only"), 0)
-           for axiom in (6, 7)}
+           for axiom in axioms}
     for _ in range(count):
-        S, degree, order = random_pair_family(rng)
+        S, degree, order = draw(rng)
         entries = axiom_suite(S, degree, order).entries
-        # no key of these tables differentiates one slot past 3
-        uncut = pair_tables_vanish(S, 6, order)
-        for axiom, loop, holds in zip((6, 7), looped_pairs(S, degree, order), uncut):
+        # no key of these tables differentiates one slot past 6
+        uncut = vanish(S, 6, order)
+        for axiom, loop, holds in zip(axioms, loops(S, degree, order), uncut):
             tally, entry = out[axiom], entries[axiom]
             tally["agree" if entry == loop else "disagree"] += 1
             tally[entry["verdict"]] += 1
             tally["cut_only"] += entry["verdict"] == "pass" and not holds
     return out
+
+
+def sweep(count, seed=0):
+    """Axiom 3's tally (see _tally) over count draws of random_family."""
+    return _tally(random_family, (3,), lambda *a: (decided(*a),),
+                  lambda *a: _looped(*a, (3,)), count, seed)[3]
+
+
+def pair_sweep(count, seed=0):
+    """Axioms 6 and 7's tallies (see _tally) over count draws of random_pair_family."""
+    return _tally(random_pair_family, (6, 7), pair_tables_vanish, looped_pairs, count, seed)
+
+
+def unit_sweep(count, seed=0):
+    """Axioms 4 and 5's tallies (see _tally) over count draws of random_unit_family."""
+    return _tally(random_unit_family, (4, 5), unit_tables_vanish, looped_units, count, seed)
 
 
 # ---- cases ----
@@ -374,9 +501,10 @@ def main(argv):
     line = ("%(agree)d agree, %(disagree)d disagree (%(pass)d pass, %(fail)d fail, "
             "%(cut_only)d pass only under the degree cut)")
     print("2000 families: " + line % sweep(2000))
-    pairs = pair_sweep(400)
-    print("400 pair families: " + "; ".join("axiom %d %s" % (axiom, line % pairs[axiom])
-                                            for axiom in (6, 7)))
+    for name, axioms, tallies in (("pair", (6, 7), pair_sweep(400)),
+                                  ("unit", (4, 5), unit_sweep(400))):
+        print("400 %s families: " % name
+              + "; ".join("axiom %d %s" % (axiom, line % tallies[axiom]) for axiom in axioms))
 
 
 if __name__ == "__main__":

@@ -37,7 +37,8 @@ from starforge.star_products import _poly_bound
 
 from axioms import (BROKEN as _BROKEN, CORRUPTED, complex_family, cut_family as _cut_family,
                     decided, gap_terms as _gap_terms, imaginary_family, pair_sweep,
-                    pair_tables_vanish, perturbed_family, poisson_terms, sweep, tensored)
+                    pair_tables_vanish, perturbed_family, poisson_terms, sweep, tensored,
+                    unit_sweep)
 from corpus import nonzero_poly, rand_function, rand_gaussian, rand_poly, real_b1_family
 
 CTX = PhaseContext(1)
@@ -919,30 +920,48 @@ def _count_B_into(monkeypatch):
     return calls
 
 
+def _witness_calls(calls):
+    # the B_into calls with a GaussSum operand: axiom 3's witness takes
+    # B_l(B_(k-l)(f, g), h) and B_l(f, B_(k-l)(g, h)), at most 2(k + 1)
+    return [c for c in calls if GaussSum in (type(c[2]), type(c[3]))]
+
+
 @pytest.mark.parametrize("name, n, degree, order", [
     ("moyal", 1, 3, 4), ("moyal", 2, 2, 3), ("moyal", 3, 1, 3),
     ("bullet", 1, 3, 4), ("bullet", 2, 2, 2)])
-def test_an_associative_family_makes_no_associativity_loop_call(monkeypatch, name, n,
-                                                                 degree, order):
+def test_an_associative_family_hands_B_no_product(monkeypatch, name, n, degree, order):
     S = _family_at(name, n)
     calls = _count_B_into(monkeypatch)
     assert axiom_suite(S, degree, order).entries[3]["verdict"] == "pass"
-    # only the associativity loop hands B a GaussSum (a memoised product)
+    # only a failing axiom 3's witness hands B a GaussSum (an inner product)
     assert calls and all(c[0] is S for c in calls)
-    assert [c for c in calls if GaussSum in (type(c[2]), type(c[3]))] == []
+    assert _witness_calls(calls) == []
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_a_corrupted_tensor_power_fails_on_the_tables_and_reports_the_loops_counterexample(
+def test_a_corrupted_tensor_power_fails_on_the_tables_and_reports_the_least_key(
         monkeypatch, n):
     S = tensored("corrupted", CORRUPTED, n)
     assert not decided(S, 2, 3)
     calls = _count_B_into(monkeypatch)
     entry = axiom_suite(S, 2, 3).entries[3]
     assert all(c[0] is S for c in calls)
-    assert any(isinstance(c[2], GaussSum) for c in calls)
     assert entry["verdict"] == "fail"
+    assert 0 < len(_witness_calls(calls)) <= 2 * (entry["counterexample"]["order"] + 1)
     assert entry["counterexample"] == _brute_associativity(S, 2, 3)
+
+
+def test_a_fail_costs_what_a_pass_costs(monkeypatch):
+    # the corrupted square fails axioms 3 and 7 at order 2; past Moyal's own
+    # calls it makes only its two witnesses' few B calls
+    calls = _count_B_into(monkeypatch)
+    moyal = axiom_suite(moyal_family(PhaseContext(2)), 2, 3)
+    passed = len(calls)
+    corrupted = axiom_suite(tensored("corrupted", CORRUPTED, 2), 2, 3)
+    assert moyal.passed
+    assert [(k, e["counterexample"]["order"]) for k, e in sorted(corrupted.entries.items())
+            if e["verdict"] == "fail"] == [(3, 2), (7, 2)]
+    assert len(calls) - passed <= passed + 100
 
 
 def _with_cross_terms(k, terms):
@@ -971,8 +990,9 @@ def test_a_table_that_does_not_factor_is_decided_on_the_tables_too(monkeypatch, 
     calls = _count_B_into(monkeypatch)
     entry = axiom_suite(S, degree, order).entries[3]
     assert all(c[0] is S for c in calls)
-    # the monomial loop, which hands B a GaussSum, runs only for a fail
-    assert any(isinstance(c[2], GaussSum) for c in calls) == (verdict == "fail")
+    # only a fail's witness hands B a GaussSum, with a few calls
+    assert bool(_witness_calls(calls)) == (verdict == "fail")
+    assert len(_witness_calls(calls)) <= 2 * (order + 1)
     assert entry["verdict"] == verdict
     assert entry["counterexample"] == _brute_associativity(S, degree, order)
 
@@ -1027,6 +1047,16 @@ def test_the_cut_tables_applied_to_generator_triples_are_the_B_associators(S, de
 
 # ---- hermiticity and the bracket decided on the operator tables ----
 
+def test_the_unit_decisions_equal_the_loops_on_seeded_families():
+    # Moyal's table given random complex terms at B_0 or higher, half with a
+    # zero slot; the passes include tables that vanish only under the cut
+    counts = unit_sweep(100)
+    for axiom in (4, 5):
+        c = counts[axiom]
+        assert c["agree"] == 100 and c["disagree"] == 0, axiom
+        assert c["pass"] and c["fail"] and c["cut_only"], axiom
+
+
 def test_the_pair_decisions_equal_the_loops_on_seeded_families():
     # Moyal's table given random complex terms, half with their hermitian
     # partners; the passes include tables that vanish only under the degree cut
@@ -1058,8 +1088,9 @@ def test_the_cut_pair_tables_applied_to_generator_pairs_are_the_defects(S, degre
         for g in gens:
             want = S.B(1, f, g) - S.B(1, g, f) - GaussSum.of(gp_poisson(f, g).scale(EC_I))
             assert _applied(table, f, g) == want, (f, g)
-    # axiom 7 on the suite's real and mixed generators f + i g, where the
-    # table acts on the conjugates; a failing family fails on a mixed pair too
+    # axiom 7 on the real generators and the mixed f + i g of the loop
+    # oracle, where the table acts on the conjugates; a failing family fails
+    # on a mixed pair too
     mixed = [f + g.scale(EC_I) for f, g in zip(gens, gens[1:])]
     on_mixed = False
     for k in range(order + 1):
@@ -1073,8 +1104,8 @@ def test_the_cut_pair_tables_applied_to_generator_pairs_are_the_defects(S, degre
 
 
 def _mixed_generators(monkeypatch):
-    # render_gausspoly of axiom 7's mixed generators f + i g and their
-    # conjugates, filled in when the suite builds its generators
+    # render_gausspoly of the loop oracle's mixed generators f + i g and
+    # their conjugates, filled in when the suite builds its generators
     out = set()
     real = sp._monomial_generators
 
@@ -1092,15 +1123,16 @@ def _mixed_generators(monkeypatch):
     (MOYAL, True), (moyal_family(PhaseContext(2)), True), (BULLET, True),
     (imaginary_family(CTX), True), (real_b1_family(CTX), False)],
     ids=["moyal-n1", "moyal-n2", "bullet-n1", "imaginary-d1", "real_B1-n1"])
-def test_a_hermitian_family_makes_no_hermiticity_B_call(monkeypatch, S, hermitian):
-    # only axiom 7's loop hands B a mixed generator f + i g or its conjugate
+def test_no_family_hands_B_a_mixed_generator(monkeypatch, S, hermitian):
+    # axiom 7 holds for f + i g when it holds for real pairs, and its
+    # counterexample is a real pair, so no mixed generator reaches B
     mixed = _mixed_generators(monkeypatch)
     calls = _count_B_into(monkeypatch)
     entry = axiom_suite(S, 1, 2).entries[7]
     assert entry["verdict"] == ("pass" if hermitian else "fail")
     on_mixed = [c for c in calls if any(type(x) is GaussPoly and render_gausspoly(x) in mixed
                                         for x in c[2:])]
-    assert calls and bool(on_mixed) != hermitian
+    assert calls and on_mixed == []
 
 
 @pytest.mark.parametrize("S, bracket", [
@@ -1108,13 +1140,13 @@ def test_a_hermitian_family_makes_no_hermiticity_B_call(monkeypatch, S, hermitia
     (BULLET, False), (real_b1_family(CTX), False)],
     ids=["moyal-n1", "moyal-n2", "moyal-n3", "bullet-n1", "real_B1-n1"])
 def test_a_family_with_the_bracket_takes_no_poisson_bracket(monkeypatch, S, bracket):
-    # only axiom 6's loop takes gp_poisson
+    # only a failing axiom 6's witness takes gp_poisson, once
     calls = []
     real = sp.gp_poisson
     monkeypatch.setattr(sp, "gp_poisson", lambda f, g: calls.append((f, g)) or real(f, g))
     entry = axiom_suite(S, 2, 2).entries[6]
     assert entry["verdict"] == ("pass" if bracket else "fail")
-    assert bool(calls) != bracket
+    assert len(calls) == (0 if bracket else 1)
 
 
 # ============================================================
