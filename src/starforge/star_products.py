@@ -815,8 +815,8 @@ def axiom_suite(S, degree_bound, order_bound):
         want = GaussSum.of(f) if k == 0 else zero
         return (B(k, one, f) - want) or (B(k, f, one) - want)
     # the least (generator, order) among the keys with a zero slot
-    found = min(((monomial_key(e), k, (e,)) for k in range(order_bound + 1)
-                 for a, b in unit(k) for e, other in ((a, b), (b, a)) if not any(other)),
+    found = min(((monomial_key(x), k, (x,)) for k in range(order_bound + 1)
+                 for a, b in unit(k) for x, other in ((a, b), (b, a)) if not any(other)),
                 default=None)
     record(5, found and at(found[1:], identity))
 

@@ -228,20 +228,24 @@ def random_pair_family(rng):
 def random_unit_family(rng):
     """(family, degree bound, order bound) of one draw: Moyal's table at
     n = 1 (degree <= 2) or n = 2 (degree 1), order <= 3, with one or two
-    random complex terms c d^a f d^b g (|a|, |b| <= 3) added at B_0 or, as
-    often, at one order 1 <= k <= order; half the terms have a zero slot,
-    a = 0 or b = 0, the keys that axiom 5 reads."""
+    random complex terms c d^a f d^b g (|a|, |b| <= 3), each added at B_0
+    or, as often, at an order 1 <= k <= order; half the terms have a zero
+    slot, a = 0 or b = 0, the keys that axiom 5 reads.  Two terms at two
+    orders tell axiom 5's order (generator outer, order inner) from the
+    other axioms'."""
     n = rng.choice((1, 2))
     degree, order = rng.randint(1, 3 - n), rng.randint(1, 3)
-    ctx, k = PhaseContext(n), rng.choice((0, rng.randint(1, order)))
-    none, extra = (0,) * ctx.dim, []
+    ctx = PhaseContext(n)
+    moyal, none, extra = moyal_family(ctx), (0,) * ctx.dim, {}
     for _ in range(rng.randint(1, 2)):
-        c = _random_coeff(rng)
+        k, c = rng.choice((0, rng.randint(1, order))), _random_coeff(rng)
         a, b = _random_exps(rng, ctx), _random_exps(rng, ctx)
         if rng.random() < 0.5:
             a, b = (none, b) if rng.random() < 0.5 else (a, none)
-        extra.append((c, a, b))
-    return moyal_plus("unit_B%d" % k, ctx, k, tuple(extra)), degree, order
+        extra[k] = extra.get(k, ()) + ((c, a, b),)
+    return (StarFamily("unit_B" + "".join(map(str, sorted(extra))), ctx,
+                       lambda m, _: moyal.terms(m) + extra.get(m, ())),
+            degree, order)
 
 
 def poisson_terms(ctx):
