@@ -1045,17 +1045,20 @@ def test_the_cut_tables_applied_to_generator_triples_are_the_B_associators(S, de
                     assert _applied(table, f, g, h) == want, (k, f, g, h)
 
 
-# ---- hermiticity and the bracket decided on the operator tables ----
+# ---- the pointwise product and the identity decided on the operator tables ----
 
 def test_the_unit_decisions_equal_the_loops_on_seeded_families():
-    # Moyal's table given random complex terms at B_0 or higher, half with a
-    # zero slot; the passes include tables that vanish only under the cut
+    # Moyal's table given random complex terms, each at B_0 or higher (so two
+    # can sit at two orders), half with a zero slot; the passes include
+    # tables that vanish only under the cut
     counts = unit_sweep(100)
     for axiom in (4, 5):
         c = counts[axiom]
         assert c["agree"] == 100 and c["disagree"] == 0, axiom
         assert c["pass"] and c["fail"] and c["cut_only"], axiom
 
+
+# ---- hermiticity and the bracket decided on the operator tables ----
 
 def test_the_pair_decisions_equal_the_loops_on_seeded_families():
     # Moyal's table given random complex terms, half with their hermitian
