@@ -24,7 +24,7 @@ from .phase_functions import (GaussPoly, coeff_sign, DimensionMismatch,
 from .formal_series import (GaussSum, FormalFunction, fs_bullet, fs_diff,
                             fs_linear_comb, render_function)
 from .star_products import (star_mul, star_commutator, moyal_family, truncation_order,
-                            TruncationRequired, UNBOUNDED, _derivative,
+                            TruncationRequired, UNBOUNDED, _derivative, _merged,
                             _monomial_generators, _moyal_terms)
 
 
@@ -398,7 +398,9 @@ def func_star_action(S, T, F, order=None):
 
 def _star_action_adjoint(S, T, F, order=None):
     # move the derivatives of each B_k off the functional side by parts:
-    # <T, F>_* = lam^(-n) sum_k lam^k sum_(c,dl,dr) c (-1)^|dr| <T, d^(dl+dr) F>
+    # <T, F>_* = lam^(-n) sum_k lam^k sum_(c,dl,dr) c (-1)^|dr| <T, d^(dl+dr) F>,
+    # paired once per key of that adjoint table, merged; a closed family's
+    # is empty above k = 0
     F = _as_function(F)
     n = S.ctx.n
     # the family's own termination rule, driven by the function side only
@@ -410,18 +412,13 @@ def _star_action_adjoint(S, T, F, order=None):
         lowest = T.valuation + F.valuation - n
         k_stop = truncation_order("pairing", order, lowest) - lowest
     total = FormalScalar.zero()
-    # d^beta F by multi-index, shared by every term and order
+    # d^beta F by multi-index, shared by every key and order
     derivs = {(0,) * S.ctx.dim: F}
     for k in range(0, k_stop + 1):
-        piece = None
-        for c, dl, dr in S.terms(k):
-            u = _derivative(derivs, tuple(map(add, dl, dr)), fs_diff)
-            if sum(dr) % 2:
-                c = -c
-            contrib = func_action(T, u).scale(c)
-            piece = contrib if piece is None else piece + contrib
-        if piece is not None:
-            total = total + piece.shift(k)
+        adjoint = _merged((-c if sum(dr) % 2 else c, tuple(map(add, dl, dr)), ())
+                          for c, dl, dr in S.terms(k))
+        for (beta, _), c in adjoint.items():
+            total = total + func_action(T, _derivative(derivs, beta, fs_diff)).scale(c).shift(k)
     total = total.shift(-n)
     return total.truncate(order) if unbounded else total
 

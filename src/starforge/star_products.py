@@ -270,12 +270,20 @@ def _pairwise_into(out, one, k, fp, gp, S, tables):
         _accumulate(out, e, a, im[e], d)
 
 
-def _merged(terms):
-    # an operator table as {(dl, dr): coefficient}, terms merged, zeros dropped
+def _merged(terms, degree_bound=UNBOUNDED):
+    # an operator table as {(dl, dr): coefficient}, terms merged, zeros
+    # dropped, cut at |dl|, |dr| <= degree_bound
     merged = {}
     for c, dl, dr in terms:
-        merged[(dl, dr)] = merged.get((dl, dr), EC_ZERO) + c
+        if sum(dl) <= degree_bound and sum(dr) <= degree_bound:
+            merged[(dl, dr)] = merged.get((dl, dr), EC_ZERO) + c
     return {key: c for key, c in merged.items() if c}
+
+
+def _swapped(terms, conj=False):
+    # the terms of B(f, g) - B(g, f) from B's terms (c, a, b): each with its
+    # swap (-c, b, a); with conj, of conj(B(f, g)) - B(g, f) on real f and g
+    return [t for c, a, b in terms for t in ((c.conj() if conj else c, a, b), (-c, b, a))]
 
 
 def _sum_of(ctx, out):
@@ -297,6 +305,8 @@ class StarFamily(Frozen):
 
     term_fn(k, ctx) returns the k-th operator as a tuple of
     (coefficient, left_derivative_exponents, right_derivative_exponents).
+    terms(k) is that table merged by exponent pair, zero sums dropped, once
+    per order: every reader sees the operator, not how its terms were written.
     """
 
     __slots__ = ("name", "ctx", "_term_fn", "_termination", "_cache")
@@ -306,25 +316,25 @@ class StarFamily(Frozen):
 
     def terms(self, k):
         if k not in self._cache:
-            # exponent tables become tuples: they key the derivative memos
-            self._cache[k] = tuple((c, tuple(dl), tuple(dr))
-                                   for c, dl, dr in self._term_fn(k, self.ctx))
+            # exponent tables become tuples: they key the merge and the derivative memos
+            self._cache[k] = tuple((c, dl, dr) for (dl, dr), c in _merged(
+                (c, tuple(dl), tuple(dr)) for c, dl, dr in self._term_fn(k, self.ctx)).items())
         return self._cache[k]
 
     def _factors(self, k):
         """(T_0, ..., T_k) when B_k factors over the canonical pairs, else None.
 
         T_r is B_r's table on pair 1 alone (coordinates 0 and n), as
-        (c, (jq, jp), (kq, kp)).  B_k factors when its table, merged, equals
-        the sum over the compositions r_1 + ... + r_n = k of every product of
-        one T_(r_i) term per pair i, placed on pair i.  Worked out once per k.
+        (c, (jq, jp), (kq, kp)); the terms on pair 1 alone project to
+        distinct keys.  B_k factors when its table equals the sum, merged,
+        over the compositions r_1 + ... + r_n = k of every product of one
+        T_(r_i) term per pair i, placed on pair i.  Worked out once per k.
         """
         key = ("factors", k)
         if key not in self._cache:
             n = self.ctx.n
-            one = tuple(tuple((c, dl, dr) for (dl, dr), c in _merged(
-                            (c, (dl[0], dl[n]), (dr[0], dr[n])) for c, dl, dr in self.terms(r)
-                            if sum(dl) + sum(dr) == dl[0] + dl[n] + dr[0] + dr[n]).items())
+            one = tuple(tuple((c, (dl[0], dl[n]), (dr[0], dr[n])) for c, dl, dr in self.terms(r)
+                              if sum(dl) + sum(dr) == dl[0] + dl[n] + dr[0] + dr[n])
                         for r in range(k + 1))
             built = []
             for comp in _multi_indices(k, n):
@@ -531,19 +541,16 @@ def _graded_product(S, F, G, order):
 
 def _commutator_family(S):
     # the family whose B_m(f, g) is S's B_m(f, g) - B_m(g, f): each term
-    # (c, dl, dr) with its swap (-c, dr, dl), merged, zeros dropped.  It lives
-    # in S's cache, so each of its tables is built once.  Its bound is the
-    # larger of S's two, since S's termination rule need not be symmetric.
+    # (c, dl, dr) with its swap (-c, dr, dl), which the family merges.  It
+    # lives in S's cache, so each of its tables is built once.  Its bound is
+    # the larger of S's two, since S's termination rule need not be symmetric.
     C = S._cache.get("commutator")
     if C is None:
-        def terms(k, ctx):
-            merged = _merged(t for c, dl, dr in S.terms(k) for t in ((c, dl, dr), (-c, dr, dl)))
-            return tuple((c, dl, dr) for (dl, dr), c in merged.items())
-
         def bound(f, g):
             return max(S.termination_bound(f, g), S.termination_bound(g, f))
 
-        C = S._cache["commutator"] = StarFamily("[%s]" % S.name, S.ctx, terms, bound)
+        C = S._cache["commutator"] = StarFamily("[%s]" % S.name, S.ctx,
+                                                lambda k, ctx: _swapped(S.terms(k)), bound)
     return C
 
 
@@ -666,14 +673,6 @@ def _associator_table(S, k, degree_bound):
                             key = (a1, tuple(map(add, a2, s)), tuple(map(add, b2, t)))
                             diff[key] = diff.get(key, EC_ZERO) - c * x
     return {key: c for key, c in diff.items() if c}
-
-
-def _swap_table(terms, conj, extra, degree_bound):
-    # axioms 6 and 7's sum c' d^a f d^b g - c d^b f d^a g, c' = conj(c) or c, over
-    # a table's terms (c, a, b) plus extra, merged and cut at |a|, |b| <= degree_bound
-    both = ([(c.conj() if conj else c, a, b) for c, a, b in terms]
-            + [(-c, b, a) for c, a, b in terms] + extra)
-    return _merged(t for t in both if sum(t[1]) <= degree_bound and sum(t[2]) <= degree_bound)
 
 
 def _least_key(tables):
@@ -805,8 +804,7 @@ def axiom_suite(S, degree_bound, order_bound):
 
     def unit(k):
         # B_k's table, less the pointwise product at k = 0, cut at the degree bound
-        terms = S.terms(k) + (((-EC_ONE, o, o),) if k == 0 else ())
-        return _merged(t for t in terms if sum(t[1]) <= d and sum(t[2]) <= d)
+        return _merged(S.terms(k) + (((-EC_ONE, o, o),) if k == 0 else ()), d)
 
     record(4, at(_least_key([(0, unit(0))]),
                  lambda k, f, g: B(0, f, g) - GaussSum.of(f * g)))
@@ -824,12 +822,12 @@ def axiom_suite(S, degree_bound, order_bound):
     e = [tuple(int(j == i) for j in range(ctx.dim)) for i in range(ctx.dim)]
     poisson = [t for j in range(ctx.n)
                for t in ((-i_unit, e[j], e[ctx.n + j]), (i_unit, e[ctx.n + j], e[j]))]
-    record(6, at(_least_key([(1, _swap_table(S.terms(1), False, poisson, d))]),
+    record(6, at(_least_key([(1, _merged(_swapped(S.terms(1)) + poisson, d))]),
                  lambda k, f, g: (B(1, f, g) - B(1, g, f)
                                   - GaussSum.of(gp_poisson(f, g).scale(i_unit)))))
 
     # axiom 7: Hermiticity conj(B_k(f,g)) = B_k(conj g, conj f)
-    record(7, at(_least_key((k, _swap_table(S.terms(k), True, [], d)) for k in live),
+    record(7, at(_least_key((k, _merged(_swapped(S.terms(k), True), d)) for k in live),
                  lambda k, f, g: B(k, f, g).conj() - B(k, g.conj(), f.conj())))
 
     # axiom 8: bidifferential — certified structurally

@@ -42,7 +42,7 @@ from starforge import (EC_I, EC_ONE, ExactComplex, GaussPoly, GaussSum, PhaseCon
                        StarFamily, axiom_suite, bullet_family, gp_poisson, moyal_family,
                        render_gausspoly)
 from starforge.star_products import (CoordinateTables, _associator_table, _merged,
-                                     _monomial_generators, _sum_of, _swap_table)
+                                     _monomial_generators, _sum_of, _swapped)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_axioms.json")
 
@@ -265,10 +265,21 @@ def decided(S, degree, order):
     return not any(_associator_table(S, k, degree) for k in range(order + 1))
 
 
+def bracket_table(S, degree):
+    """Axiom 6's two-slot table, cut at degree: c_ab - c_ba of B_1 less i
+    times the Poisson table."""
+    return _merged(_swapped(S.terms(1)) + poisson_terms(S.ctx), degree)
+
+
+def hermiticity_table(S, k, degree):
+    """Axiom 7's two-slot table at order k, cut at degree: conj(c_ab) - c_ba."""
+    return _merged(_swapped(S.terms(k), True), degree)
+
+
 def pair_tables_vanish(S, degree, order):
     """(axiom 6, axiom 7) decided on the two-slot tables: True for a pass."""
-    return (not _swap_table(S.terms(1), False, poisson_terms(S.ctx), degree),
-            not any(_swap_table(S.terms(k), True, [], degree) for k in range(order + 1)))
+    return (not bracket_table(S, degree),
+            not any(hermiticity_table(S, k, degree) for k in range(order + 1)))
 
 
 def unit_tables_vanish(S, degree, order):
@@ -278,8 +289,7 @@ def unit_tables_vanish(S, degree, order):
     none = (0,) * S.ctx.dim
 
     def unit(k):
-        terms = S.terms(k) + (((-EC_ONE, none, none),) if k == 0 else ())
-        return _merged(t for t in terms if sum(t[1]) <= degree and sum(t[2]) <= degree)
+        return _merged(S.terms(k) + (((-EC_ONE, none, none),) if k == 0 else ()), degree)
 
     return (not unit(0),
             not any(a == none or b == none for k in range(order + 1) for a, b in unit(k)))

@@ -509,32 +509,59 @@ def test_moyal_reduction_identity(rng):
 REAL_B1 = real_b1_family(CTX)
 
 
+def _prefix_chains(betas):
+    # every nonzero multi-index on the prefix chains of betas: beta, then
+    # beta with its last nonzero exponent lowered by one, and so on
+    out = set()
+    for beta in betas:
+        beta = list(beta)
+        while any(beta):
+            out.add(tuple(beta))
+            beta[max(i for i, e in enumerate(beta) if e)] -= 1
+    return out
+
+
 def test_the_adjoint_pairing_takes_each_derivative_once(rng, monkeypatch):
     # a family that is not Moyal pairs by parts: the sum over the terms
-    # (c, dl, dr) of B_k of c (-1)^|dr| lam^(k-n) <T, d^(dl+dr) F>.  Its
-    # derivatives are memoised by multi-index, so a degree-3 F takes the
-    # nine d^beta on the prefix chains of (1,1), (2,2) and (3,3) once each
+    # (c, dl, dr) of B_k of c (-1)^|dr| lam^(k-n) <T, d^(dl+dr) F>, paired
+    # once per key beta = dl + dr of that adjoint table, merged, with each
+    # d^beta memoised by multi-index.  real_b1 is closed: its adjoint tables
+    # are empty above k = 0, so it takes no derivative.  Moyal's table plus
+    # (1/2) f_q g_q at B_1, (1/3) f_qp g_p at B_2 and f_ppp g at B_3 keeps the
+    # keys (2, 0), (1, 2) and (0, 3), and takes the seven d^beta on their
+    # prefix chains once each, (1, 0) shared
     import starforge.functionals_states as fsmod
     from starforge import fs_diff
 
-    S = REAL_B1
+    extra = {1: ((ExactComplex(Fraction(1, 2)), (1, 0), (1, 0)),),
+             2: ((ExactComplex(Fraction(1, 3)), (1, 1), (0, 1)),), 3: ((EC_ONE, (0, 3), (0, 0)),)}
+    added = StarFamily("added", CTX, lambda k, _: MOYAL.terms(k) + extra.get(k, ()))
     F = fn(Q * Q * P + P * P * P.scale(3) + Q.scale(EC_I) + GaussPoly.constant(CTX, 2))
     diffs = []
     monkeypatch.setattr(fsmod, "fs_diff", lambda u, i: diffs.append(i) or fs_diff(u, i))
-    for _ in range(6):
-        T = rand_functional(rng)
-        want = FormalScalar.zero()
+    for S in (REAL_B1, added):
+        adjoint = {}
         for k in range(4):
-            for c, dl, dr in S.terms(k):
-                u = F
-                for i, e in enumerate(map(add, dl, dr)):
-                    for _ in range(e):
-                        u = fs_diff(u, i)
-                sign = -1 if sum(dr) % 2 else 1
-                want = want + func_action(T, u).scale(c * sign).shift(k)
-        diffs.clear()
-        assert func_star_action(S, T, F) == want.shift(-1)
-        assert len(diffs) == 9
+            for c, dl, dr in S._term_fn(k, CTX):
+                key = tuple(map(add, dl, dr))
+                adjoint[key] = adjoint.get(key, EC_ZERO) + (-c if sum(dr) % 2 else c)
+        derivatives = _prefix_chains(key for key, c in adjoint.items() if c)
+        assert len(derivatives) == (0 if S is REAL_B1 else 7)
+        for _ in range(3):
+            T = rand_functional(rng)
+            # the oracle: every written term by parts, each derivative taken anew
+            want = FormalScalar.zero()
+            for k in range(4):
+                for c, dl, dr in S._term_fn(k, CTX):
+                    u = F
+                    for i, e in enumerate(map(add, dl, dr)):
+                        for _ in range(e):
+                            u = fs_diff(u, i)
+                    sign = -1 if sum(dr) % 2 else 1
+                    want = want + func_action(T, u).scale(c * sign).shift(k)
+            diffs.clear()
+            assert func_star_action(S, T, F) == want.shift(-1)
+            assert len(diffs) == len(derivatives), S.name
 
 
 def test_the_moyal_shortcut_follows_the_operator_table_not_the_name():
@@ -552,6 +579,20 @@ def test_the_moyal_shortcut_follows_the_operator_table_not_the_name():
         assert func_star_action(S, DELTA, fn(Q * P)) == want
     renamed = StarFamily("other", CTX, MOYAL._term_fn)
     assert func_star_action(renamed, DELTA, fn(Q * P)) == func_action(DELTA, fn(Q * P)).shift(-1)
+
+
+def test_a_copy_of_the_moyal_table_pairs_where_its_written_terms_could_not():
+    # read term by term, the pairing by parts evaluated derivatives of a
+    # Gaussian at the point (0, -1) and refused; Moyal's adjoint tables are
+    # empty above order 0, so the copy pairs as the shortcut does
+    copy = StarFamily("copy", CTX, lambda k, ctx: MOYAL._term_fn(k, ctx))
+    T = (FormalFunctional(CTX, -1, [[PointDeriv(CTX, (0, -1), (1, 1), EC_ONE)]])
+         + FormalFunctional.density(CTX, P * GAUSS))
+    poly = GaussPoly.constant(CTX, -2) - (Q * Q * Q).scale(Fraction(1, 3))
+    F = FormalFunction(CTX, 1, [poly * GaussPoly.gaussian(CTX, Fraction(1, 2)), poly])
+    got = func_star_action(copy, T, F, 2)
+    assert render_scalar(got) == "0 + O(lam^3)"
+    assert got == func_star_action(MOYAL, T, F) == FormalScalar.zero()
 
 
 def test_a_terminating_adjoint_pairing_is_exact_whatever_the_order():

@@ -35,10 +35,10 @@ from starforge import (
 from starforge import star_products as sp
 from starforge.star_products import _poly_bound
 
-from axioms import (BROKEN as _BROKEN, CORRUPTED, complex_family, cut_family as _cut_family,
-                    decided, gap_terms as _gap_terms, imaginary_family, pair_sweep,
-                    pair_tables_vanish, perturbed_family, poisson_terms, sweep, tensored,
-                    unit_sweep)
+from axioms import (BROKEN as _BROKEN, CORRUPTED, bracket_table, complex_family,
+                    cut_family as _cut_family, decided, gap_terms as _gap_terms,
+                    hermiticity_table, imaginary_family, moyal_plus, pair_sweep,
+                    pair_tables_vanish, perturbed_family, sweep, tensored, unit_sweep)
 from corpus import nonzero_poly, rand_function, rand_gaussian, rand_poly, real_b1_family
 
 CTX = PhaseContext(1)
@@ -350,6 +350,31 @@ def test_bullet_fails_only_the_commutator_axiom():
     ce = rep.entries[6]["counterexample"]
     assert ce["inputs"] == ["q", "p"]
     assert ce["order"] == 1
+
+
+def test_axiom_9_reads_the_operator_not_how_its_terms_were_written():
+    # Moyal's table plus +-d_q^2 f g at order 1, or plus 0 d_p^3 f g at
+    # order 2, is Moyal's operator: its merged table drops the written terms,
+    # which once measured left orders 2 and 3
+    one = ExactComplex(1)
+    for k, extra in ((1, ((one, (2, 0), (0, 0)), (-one, (2, 0), (0, 0)))),
+                     (2, ((ExactComplex(0), (0, 3), (0, 0)),))):
+        S = moyal_plus("written", CTX, k, extra)
+        assert S.terms(k) == MOYAL.terms(k)
+        rep = axiom_suite(S, 2, 3)
+        assert rep.passed, rep
+        assert rep.entries[9]["measured_orders"] == {str(m): [m, m] for m in range(4)}
+
+
+def test_an_order_whose_terms_all_cancel_is_never_visited(monkeypatch):
+    # B_1 written as Moyal's terms and their negatives is the zero operator:
+    # an empty table, so star_mul makes no B_into call at order 1
+    S = moyal_plus("cancelled", CTX, 1, tuple((-c, dl, dr) for c, dl, dr in MOYAL.terms(1)))
+    assert S.terms(1) == () and S.terms(2) == MOYAL.terms(2)
+    F = FormalFunction(CTX, 0, (Q * Q * P, GAUSS))
+    calls = _record_orders(monkeypatch)
+    star_mul(S, F, F, 3)
+    assert calls and 1 not in calls
 
 
 def test_corrupted_family_is_caught():
@@ -1086,7 +1111,7 @@ def test_the_cut_pair_tables_applied_to_generator_pairs_are_the_defects(S, degre
     gens = sp._monomial_generators(S.ctx, degree)
     assert pair_tables_vanish(S, degree, order) == (6 not in fails, 7 not in fails)
     # axiom 6 on the real generators
-    table = sp._swap_table(S.terms(1), False, poisson_terms(S.ctx), degree)
+    table = bracket_table(S, degree)
     for f in gens:
         for g in gens:
             want = S.B(1, f, g) - S.B(1, g, f) - GaussSum.of(gp_poisson(f, g).scale(EC_I))
@@ -1097,7 +1122,7 @@ def test_the_cut_pair_tables_applied_to_generator_pairs_are_the_defects(S, degre
     mixed = [f + g.scale(EC_I) for f, g in zip(gens, gens[1:])]
     on_mixed = False
     for k in range(order + 1):
-        table = sp._swap_table(S.terms(k), True, [], degree)
+        table = hermiticity_table(S, k, degree)
         for f in gens + mixed:
             for g in gens + mixed:
                 want = S.B(k, f, g).conj() - S.B(k, g.conj(), f.conj())
