@@ -27,9 +27,8 @@ from fractions import Fraction
 from starforge import (Density, EC_I, ExactComplex, FORMAL, FormalFunction,
                        FormalFunctional, FormalScalar, GaussPoly, GaussSum,
                        LambdaBinding, PhaseContext, PiScalar, PointDeriv, StarFamily,
-                       bind_functional,
-                       bullet_family, eigencheck_star, fs_bullet, func_action,
-                       func_star_action, moyal_family, normalize_functional,
+                       bind_functional, bullet_family, eigencheck_star, fs_bullet,
+                       func_action, func_star_action, moyal_family, normalize_functional,
                        positivity_check, render_scalar, scalar_to_json, wigner_state)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_pairings.json")
@@ -293,7 +292,7 @@ def copy_sweep(count, seed=0):
     for _ in range(count):
         ctx = CTXS[rng.choice((1, 2))]
         moyal = moyal_family(ctx)
-        copy = StarFamily("copy", ctx, lambda k, c: moyal.terms(k))
+        copy = StarFamily("copy", ctx, lambda k, c: moyal._term_fn(k, c))
         T, F = draw_functional(rng, ctx), draw_function(rng, ctx)
         order = None
         if any(p.alpha for gs in F.coeffs for p in gs.parts):

@@ -582,8 +582,8 @@ def test_the_moyal_shortcut_follows_the_operator_table_not_the_name():
 
 
 def test_a_copy_of_the_moyal_table_pairs_where_its_written_terms_could_not():
-    # read term by term, the pairing by parts evaluated derivatives of a
-    # Gaussian at the point (0, -1) and refused; Moyal's adjoint tables are
+    # read term by term, the pairing by parts would evaluate derivatives of
+    # a Gaussian at the point (0, -1) and refuse; Moyal's adjoint tables are
     # empty above order 0, so the copy pairs as the shortcut does
     copy = StarFamily("copy", CTX, lambda k, ctx: MOYAL._term_fn(k, ctx))
     T = (FormalFunctional(CTX, -1, [[PointDeriv(CTX, (0, -1), (1, 1), EC_ONE)]])

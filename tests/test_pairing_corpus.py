@@ -22,6 +22,6 @@ def test_pairing_corpus_matches_its_pins():
 def test_a_copy_of_the_moyal_table_pairs_by_parts_like_the_shortcut():
     # Moyal's adjoint tables are empty above order 0 (closedness), so by
     # parts a copy of its table pairs as lam^-n <T, F>; read term by term,
-    # it once differentiated F and refused pairings the shortcut gives
+    # it would differentiate F and refuse some pairings the shortcut gives
     agree, count = copy_sweep(100)
     assert agree == count

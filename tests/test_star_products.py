@@ -355,7 +355,7 @@ def test_bullet_fails_only_the_commutator_axiom():
 def test_axiom_9_reads_the_operator_not_how_its_terms_were_written():
     # Moyal's table plus +-d_q^2 f g at order 1, or plus 0 d_p^3 f g at
     # order 2, is Moyal's operator: its merged table drops the written terms,
-    # which once measured left orders 2 and 3
+    # which read one by one would measure left orders 2 and 3
     one = ExactComplex(1)
     for k, extra in ((1, ((one, (2, 0), (0, 0)), (-one, (2, 0), (0, 0)))),
                      (2, ((ExactComplex(0), (0, 3), (0, 0)),))):
