@@ -396,16 +396,14 @@ def func_star_action(S, T, F, order=None):
     return _star_action_adjoint(S, T, F, order)
 
 
-def _star_action_adjoint(S, T, F, order=None):
+def _star_action_adjoint(S, T, F, order):
     # move the derivatives of each B_k off the functional side by parts:
     # <T, F>_* = lam^(-n) sum_k lam^k sum_(c,dl,dr) c (-1)^|dr| <T, d^(dl+dr) F>,
     # paired once per key of that adjoint table, merged; a closed family's
     # is empty above k = 0
-    F = _as_function(F)
     n = S.ctx.n
-    # the family's own termination rule, driven by the function side only
-    # (the functional side is opaque, so both slots get the same factor); as
-    # in star_mul, a pairing that terminates is exact whatever the order
+    # the family's rule on the function side (the functional side is opaque);
+    # as in star_mul, a pairing that terminates is exact whatever the order
     k_stop = max((S.termination_bound(gs, gs) for gs in F.coeffs if gs), default=0)
     unbounded = k_stop == UNBOUNDED
     if unbounded:

@@ -13,7 +13,8 @@ from functools import cache
 from math import gcd
 
 # the depth of an exact tail and the termination bound of a product that
-# never terminates: the one float in the engine, compared and never computed with
+# never terminates: the one float in the engine; ints add to it and it takes
+# part in min and max, but it never reaches a coefficient
 UNBOUNDED = float("inf")
 
 

@@ -293,7 +293,8 @@ def _sum_of(ctx, out):
 
 
 def _poly_bound(x):
-    # least K with B_k(x, .) = 0 for k > K under the "k derivatives per factor" grading
+    # Moyal's termination rule: its B_k differentiates each slot exactly k
+    # times, so B_k(x, .) and B_k(., x) vanish once k > deg x
     deg = x.total_degree()
     if deg is None:
         return 0
@@ -307,6 +308,11 @@ class StarFamily(Frozen):
     (coefficient, left_derivative_exponents, right_derivative_exponents).
     terms(k) is that table merged by exponent pair, zero sums dropped, once
     per order: every reader sees the operator, not how its terms were written.
+
+    termination(x), when given, is a K (or UNBOUNDED) with B_k(x, .) and
+    B_k(., x) zero for every k > K; it is a declaration, never checked.
+    A family that declares none claims nothing, so its products and
+    pairings of nonzero operands need a truncation order.
     """
 
     __slots__ = ("name", "ctx", "_term_fn", "_termination", "_cache")
@@ -422,10 +428,10 @@ class StarFamily(Frozen):
                             gp_mul_into(acc, coeff, left.terms, right.terms)
 
     def termination_bound(self, f, g):
-        """Least K with B_k(f,g) = 0 for all k > K, or UNBOUNDED."""
-        if self._termination is not None:
-            return self._termination(f, g)
-        return min(_poly_bound(f), _poly_bound(g))
+        """A K with B_k(f, g) = 0 for all k > K: the smaller of the family's
+        rule on f and on g, or UNBOUNDED when it declares none."""
+        rule = self._termination
+        return UNBOUNDED if rule is None else min(rule(f), rule(g))
 
     def __repr__(self):
         return "StarFamily(%s, n=%d)" % (self.name, self.ctx.n)
@@ -443,7 +449,7 @@ def _bullet_terms(k, ctx):
 
 
 def bullet_family(ctx):
-    return StarFamily("bullet", ctx, _bullet_terms, termination=lambda f, g: 0)
+    return StarFamily("bullet", ctx, _bullet_terms, termination=lambda x: 0)
 
 
 def _moyal_terms(k, ctx):
@@ -468,7 +474,7 @@ def _moyal_terms(k, ctx):
 
 
 def moyal_family(ctx):
-    return StarFamily("moyal", ctx, _moyal_terms)
+    return StarFamily("moyal", ctx, _moyal_terms, termination=_poly_bound)
 
 
 # ============================================================
@@ -505,35 +511,21 @@ def _graded_product(S, F, G, order):
     if not F.coeffs or not G.coeffs:
         return FormalFunction(ctx, 0 if t is None else t + 1, (), t)
 
-    bounds = {}
-    top = None
-    for l, a in enumerate(F.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(G.coeffs):
-            if not b:
-                continue
-            k_bound = S.termination_bound(a, b)
-            bounds[(l, j)] = k_bound
-            if k_bound == UNBOUNDED:
-                top = UNBOUNDED
-            elif top is not UNBOUNDED:
-                z = F.valuation + l + G.valuation + j + k_bound
-                top = z if top is None else max(top, z)
-    if top is UNBOUNDED:
-        t = tail_min(t, truncation_order("product", order, F.valuation + G.valuation))
-
-    # (l, j) = (0, 0) always pairs two nonzero coefficients, so top is set;
-    # an unbounded top always comes with a tail, and a tail is never below lo
     lo = F.valuation + G.valuation
+    bounds = {(l, j): S.termination_bound(a, b)
+              for l, a in enumerate(F.coeffs) if a for j, b in enumerate(G.coeffs) if b}
+    # (l, j) = (0, 0) always pairs two nonzero coefficients, so bounds is not
+    # empty; an unbounded top always comes with a tail, never below lo
+    top = max(lo + l + j + k_bound for (l, j), k_bound in bounds.items())
+    if top == UNBOUNDED:
+        t = tail_min(t, truncation_order("product", order, lo))
     hi = top if t is None else t
     acc = [{} for _ in range(hi - lo + 1)]
     # one set of derivative memos, shared by every (l, j) and order m
     tables = CoordinateTables()
     for (l, j), k_bound in bounds.items():
-        base = F.valuation + l + G.valuation + j
-        m_max = hi - base if k_bound == UNBOUNDED else min(k_bound, hi - base)
-        for m in range(m_max + 1):
+        base = lo + l + j
+        for m in range(min(k_bound, hi - base) + 1):
             if S.terms(m):
                 S.B_into(acc[base + m - lo], m, F.coeffs[l], G.coeffs[j], tables)
     return FormalFunction(ctx, lo, [_sum_of(ctx, out) for out in acc], t)
@@ -542,15 +534,13 @@ def _graded_product(S, F, G, order):
 def _commutator_family(S):
     # the family whose B_m(f, g) is S's B_m(f, g) - B_m(g, f): each term
     # (c, dl, dr) with its swap (-c, dr, dl), which the family merges.  It
-    # lives in S's cache, so each of its tables is built once.  Its bound is
-    # the larger of S's two, since S's termination rule need not be symmetric.
+    # lives in S's cache, so each of its tables is built once.  S's rule
+    # holds for it: where B_m(f, g) and B_m(g, f) vanish, so does their difference.
     C = S._cache.get("commutator")
     if C is None:
-        def bound(f, g):
-            return max(S.termination_bound(f, g), S.termination_bound(g, f))
-
         C = S._cache["commutator"] = StarFamily("[%s]" % S.name, S.ctx,
-                                                lambda k, ctx: _swapped(S.terms(k)), bound)
+                                                lambda k, ctx: _swapped(S.terms(k)),
+                                                S._termination)
     return C
 
 

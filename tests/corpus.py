@@ -115,8 +115,11 @@ def function_view(F):
 
 def real_b1_family(ctx):
     """Moyal's table on one pair with a real first-order operator,
-    B_1 = (1/2)(f_q g_p - f_p g_q): a family that is not Moyal's."""
+    B_1 = (1/2)(f_q g_p - f_p g_q): a family that is not Moyal's, though
+    each B_k still differentiates each slot k times, so Moyal's termination
+    rule holds for it."""
     moyal = moyal_family(ctx)
     half = ExactComplex(Fraction(1, 2))
     b1 = ((half, (1, 0), (0, 1)), (-half, (0, 1), (1, 0)))
-    return StarFamily("real_b1", ctx, lambda k, _: b1 if k == 1 else moyal.terms(k))
+    return StarFamily("real_b1", ctx, lambda k, _: b1 if k == 1 else moyal.terms(k),
+                      moyal._termination)

@@ -292,7 +292,7 @@ def copy_sweep(count, seed=0):
     for _ in range(count):
         ctx = CTXS[rng.choice((1, 2))]
         moyal = moyal_family(ctx)
-        copy = StarFamily("copy", ctx, lambda k, c: moyal._term_fn(k, c))
+        copy = StarFamily("copy", ctx, lambda k, c: moyal._term_fn(k, c), moyal._termination)
         T, F = draw_functional(rng, ctx), draw_function(rng, ctx)
         order = None
         if any(p.alpha for gs in F.coeffs for p in gs.parts):

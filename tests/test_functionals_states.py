@@ -500,7 +500,7 @@ def test_moyal_reduction_identity(rng):
         T = rand_functional(rng)
         F = fn(rand_poly(rng, CTX))
         fast = func_star_action(MOYAL, T, F)
-        slow = _star_action_adjoint(MOYAL, T, F)
+        slow = _star_action_adjoint(MOYAL, T, F, None)
         assert fast == func_action(T, F).shift(-1)
         assert slow == fast
 
@@ -529,7 +529,9 @@ def test_the_adjoint_pairing_takes_each_derivative_once(rng, monkeypatch):
     # are empty above k = 0, so it takes no derivative.  Moyal's table plus
     # (1/2) f_q g_q at B_1, (1/3) f_qp g_p at B_2 and f_ppp g at B_3 keeps the
     # keys (2, 0), (1, 2) and (0, 3), and takes the seven d^beta on their
-    # prefix chains once each, (1, 0) shared
+    # prefix chains once each, (1, 0) shared.  Its last two terms break
+    # Moyal's termination rule, so it declares none and pairs at an order:
+    # lam^(T.valuation + 4) lies past T's three grades and F's k <= 3
     import starforge.functionals_states as fsmod
     from starforge import fs_diff
 
@@ -560,13 +562,16 @@ def test_the_adjoint_pairing_takes_each_derivative_once(rng, monkeypatch):
                     sign = -1 if sum(dr) % 2 else 1
                     want = want + func_action(T, u).scale(c * sign).shift(k)
             diffs.clear()
-            assert func_star_action(S, T, F) == want.shift(-1)
+            order = None if S is REAL_B1 else T.valuation + 4
+            assert func_star_action(S, T, F, order) == want.shift(-1)
             assert len(diffs) == len(derivatives), S.name
 
 
 def test_the_moyal_shortcut_follows_the_operator_table_not_the_name():
     # Moyal's table with only the first term kept at k = 1 is no Moyal
-    # product, whatever its name; only the Moyal table itself pairs as Moyal
+    # product, whatever its name; only the Moyal table itself pairs as Moyal.
+    # Every term left still differentiates each slot k times, so the cut
+    # declares Moyal's termination rule
     from starforge import StarFamily
 
     def cut(k, ctx):
@@ -575,9 +580,9 @@ def test_the_moyal_shortcut_follows_the_operator_table_not_the_name():
 
     want = FormalScalar.from_const(ExactComplex(0, Fraction(-1, 2)))
     for name in ("moyal", "cut"):
-        S = StarFamily(name, CTX, cut)
+        S = StarFamily(name, CTX, cut, MOYAL._termination)
         assert func_star_action(S, DELTA, fn(Q * P)) == want
-    renamed = StarFamily("other", CTX, MOYAL._term_fn)
+    renamed = StarFamily("other", CTX, MOYAL._term_fn, MOYAL._termination)
     assert func_star_action(renamed, DELTA, fn(Q * P)) == func_action(DELTA, fn(Q * P)).shift(-1)
 
 

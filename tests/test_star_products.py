@@ -33,7 +33,6 @@ from starforge import (
 )
 
 from starforge import star_products as sp
-from starforge.star_products import _poly_bound
 
 from axioms import (BROKEN as _BROKEN, CORRUPTED, bracket_table, complex_family,
                     cut_family as _cut_family, decided, gap_terms as _gap_terms,
@@ -130,6 +129,23 @@ def test_termination_bounds():
     assert MOYAL.termination_bound(GAUSS, P * P) == 2
     assert MOYAL.termination_bound(GAUSS, GAUSS) is UNBOUNDED
     assert BULLET.termination_bound(GAUSS, GAUSS) == 0
+    # a family that declares no rule claims nothing, even with Moyal's table
+    assert StarFamily("copy", CTX, MOYAL._term_fn).termination_bound(Q, P) is UNBOUNDED
+
+
+def test_a_family_that_declares_no_rule_keeps_terms_past_moyals_grading():
+    # these tables add terms that differentiate a slot fewer than k times, so
+    # B_k reaches past min(deg f, deg g): p^2 * q^3 has B_3 = 12/5 under the
+    # perturbed table, q1 * p2 has B_2 = (1 + 2i)/3 under the complex one.
+    # Neither declares a rule, so each product needs an order and keeps the term
+    q1, p2 = (GaussPoly.coordinate(PhaseContext(2), x) for x in ("q1", "p2"))
+    for S, f, g, order, want in (
+            (perturbed_family(CTX), P * P, Q * Q * Q, 5,
+             "q^3*p^2 - 3*I*q^2*p*lam - 3/2*q*lam^2 + 12/5*lam^3 + O(lam^6)"),
+            (complex_family(), q1, p2, 3, "q1*p2 + (1/3+2/3*I)*lam^2 + O(lam^4)")):
+        with pytest.raises(TruncationRequired):
+            star_mul(S, fn(f), fn(g))
+        assert render_function(star_mul(S, fn(f), fn(g), order)) == want
 
 
 def test_unbounded_product_requires_an_order():
@@ -1351,24 +1367,30 @@ def test_families_with_the_parity_visit_only_the_odd_orders(monkeypatch):
         _same_series(got, _two_products(S, F, G, 4))
 
 
-def test_an_asymmetric_termination_rule_bounds_the_commutator_by_both_sides():
-    # a rule that reads only the left factor: P * X terminates for a
-    # polynomial P, X * P does not, so [P, X] and [X, P] need an order as X * P does
-    S = StarFamily("moyal", CTX, MOYAL._term_fn, termination=lambda f, g: _poly_bound(f))
+def test_the_commutator_keeps_its_parents_termination_rule():
+    # where B_m(f, g) and B_m(g, f) both vanish, so does their difference: a
+    # copy of Moyal's table that declares Moyal's rule gives an exact [P, X]
+    # for a polynomial P, and the same table declaring nothing needs an order
+    declared = StarFamily("copy", CTX, MOYAL._term_fn, termination=MOYAL._termination)
+    silent = StarFamily("copy", CTX, MOYAL._term_fn)
     poly = FormalFunction(CTX, 0, (Q * Q * P, P + GaussPoly.constant(CTX, 2)))
     gauss = FormalFunction(CTX, -1, (GAUSS, Q * GAUSS))
-    assert star_mul(S, poly, gauss).tail is None
-    with pytest.raises(TruncationRequired):
-        star_mul(S, gauss, poly)
     for F, G in ((poly, gauss), (gauss, poly)):
+        exact = star_commutator(declared, F, G)
+        assert exact.tail is None
+        _same_series(exact, _two_products(declared, F, G))
+        _same_series(exact, _two_products(MOYAL, F, G))
         with pytest.raises(TruncationRequired):
-            star_commutator(S, F, G)
+            star_commutator(silent, F, G)
         for order in (-1, 0, 2, 4):
-            got = star_commutator(S, F, G, order)
-            _same_series(got, _two_products(S, F, G, order))
-            _same_series(got, _two_products(MOYAL, F, G).truncate(order))
+            _same_series(star_commutator(declared, F, G, order), exact)
+            got = star_commutator(silent, F, G, order)
+            _same_series(got, _two_products(silent, F, G, order))
+            _same_series(got, exact.truncate(order))
+    with pytest.raises(TruncationRequired):
+        star_commutator(declared, gauss, gauss)
     other = poly.shift(1) + fn(Q * P)
-    _same_series(star_commutator(S, poly, other), _two_products(S, poly, other))
+    _same_series(star_commutator(declared, poly, other), _two_products(declared, poly, other))
 
 
 # ---- at n >= 2, an order whose table factors goes pair by pair ----
